@@ -184,7 +184,7 @@ def rope_decay_equivalence(q, k, v, lam, params: RopeParams, positions=None):
         return y
 
     qr, kr = rot(q, cos, sin), rot(k, cos, sin)
-    o_rec, _ = _scan(qr, kr, v, lam_full)
+    o_rec = _scan(qr, kr, v, lam_full)[0]
 
     t_idx = np.arange(n, dtype=np.float64) if positions is None else np.asarray(positions, dtype=np.float64)
     o_rel = np.zeros_like(o_rec)

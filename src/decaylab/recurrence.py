@@ -1,12 +1,22 @@
 """State-update kernels for decayed linear attention.
 
-The sequential scan is the canonical semantics; the quadratic-cost
-closed-form expansion and the chunkwise-parallel variant exist to check
-and accelerate it respectively.  The DPLR kernel extends the diagonal
-transition with a delta-rule rank-one correction.
+The sequential scan is the canonical semantics and the training kernel.
+The quadratic-cost closed-form expansion (``forward_oracle``) and the
+chunkwise-parallel form (``forward_chunked``) are verify references only.
+A chunkwise form does not speed up training in numpy: at (8, 4, 128, 16)
+with vector decay on one core, a chunkwise forward and backward took 87,
+153 and 338 ms at chunk 16, 32 and 64, against 45 ms for a batch-major
+scan and about 23 ms for the time-major scan below.  The DPLR kernel
+extends the diagonal transition with a delta-rule rank-one correction;
+both kernels share one scan.
 
 Shapes: ``q``/``k`` are (..., n, dk), ``v`` is (..., n, dv), ``lam`` is
 (..., n, dk) or (..., n, 1) (scalar decay broadcasts across dimensions).
+
+The scan runs time-major: inputs are moved to (n, ..., d) so that each
+step's state is one contiguous block.  The Python loop holds only the
+in-place state update (and its adjoint in backward); outputs and
+gradients are batched matmuls over the stored states and adjoints.
 """
 
 from __future__ import annotations
@@ -17,6 +27,10 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import ShapeError, Tensor, as_tensor
+
+# Time steps per block of the scan.  Outputs are read from each block of
+# states at once; without a recording tape only one block is alive.
+_BLOCK = 64
 
 
 def _check_shapes(q, k, v, lam):
@@ -31,19 +45,117 @@ def _check_shapes(q, k, v, lam):
             raise ValueError(f"non-finite values in {name}")
 
 
-def _scan(q, k, v, lam):
-    """Left-to-right scan on plain arrays; returns (o, all states)."""
-    n, dk = q.shape[-2], q.shape[-1]
-    dv = v.shape[-1]
-    batch = np.broadcast_shapes(q.shape[:-2], v.shape[:-2])
-    states = np.zeros(batch + (n, dk, dv))
-    o = np.zeros(batch + (n, dv))
-    s = np.zeros(batch + (dk, dv))
-    for t in range(n):
-        s = lam[..., t, :, None] * s + k[..., t, :, None] * v[..., t, None, :]
-        states[..., t, :, :] = s
-        o[..., t, :] = (q[..., t, :, None] * s).sum(axis=-2)
-    return o, states
+def _time_major(x):
+    """(..., n, d) -> contiguous (n, ..., d)."""
+    return np.ascontiguousarray(np.moveaxis(x, -2, 0))
+
+
+def _scan(q, k, v, lam, kap=None, bk=None, keep=False):
+    """Left-to-right scan on time-major arrays (n, ..., d).
+
+    s_t = lam_t * s_{t-1} + k_t v_t^T - bk_t u_t^T with u_t = kap_t^T s_{t-1},
+    and o_t = s_t^T q_t.  The rank-one term is present only when ``kap``
+    is given (``bk`` is beta * kappa).  Returns (o, final state, states, u):
+    ``states`` is the full (n, ..., dk, dv) buffer when ``keep`` is set and
+    None otherwise; ``u`` is (n, ..., 1, dv), or None without ``kap``.
+    """
+    n, dk, dv = q.shape[0], q.shape[-1], v.shape[-1]
+    batch = q.shape[1:-1]
+    o = np.empty((n,) + batch + (1, dv))
+    states = np.empty((n if keep else min(n, _BLOCK),) + batch + (dk, dv))
+    u = None if kap is None else np.empty((n,) + batch + (1, dv))
+    tmp = np.empty(batch + (dk, dv))
+    prev = np.zeros(batch + (dk, dv))
+    lam = lam[..., None]
+    for t0 in range(0, n, _BLOCK):
+        t1 = min(t0 + _BLOCK, n)
+        s = states[t0:t1] if keep else states[:t1 - t0]
+        np.einsum("...d,...e->...de", k[t0:t1], v[t0:t1], out=s)
+        for i, t in enumerate(range(t0, t1)):
+            np.multiply(lam[t], prev, out=tmp)
+            s[i] += tmp
+            if kap is not None:
+                np.matmul(kap[t, ..., None, :], prev, out=u[t])
+                np.multiply(bk[t, ..., :, None], u[t], out=tmp)
+                s[i] -= tmp
+            prev = s[i]
+        np.matmul(q[t0:t1, ..., None, :], s, out=o[t0:t1])
+        prev = prev.copy()  # the next block may overwrite the buffer
+    return o[..., 0, :], prev, (states if keep else None), u
+
+
+def _adjoint(g, q, lam, kap=None, bk=None):
+    """Right-to-left adjoint scan of ``_scan`` on time-major arrays.
+
+    G_t = dL/ds_t = q_t g_t^T + M_{t+1}^T G_{t+1}, where M_t is the
+    transition diag(lam_t) - bk_t kap_t^T.  Returns (G, w) with
+    w_t = kap_t^T G_t for t >= 1 (w_0 is left unset), or w None without ``kap``.
+    """
+    n = q.shape[0]
+    G = np.einsum("...d,...e->...de", q, g)
+    w = None if kap is None else np.empty(g.shape[:-1] + (1, g.shape[-1]))
+    tmp = np.empty(G.shape[1:])
+    lam = lam[..., None]
+    for t in range(n - 1, 0, -1):
+        np.multiply(lam[t], G[t], out=tmp)
+        G[t - 1] += tmp
+        if kap is not None:
+            np.matmul(kap[t, ..., None, :], G[t], out=w[t])
+            np.multiply(bk[t, ..., :, None], w[t], out=tmp)
+            G[t - 1] -= tmp
+    return G, w
+
+
+def _time_major_inputs(parents):
+    """Time-major q, k, v, lam, kappa, beta and bk = beta * kappa
+    (the last three None for the diagonal transition)."""
+    arrays = [_time_major(p.data) for p in parents]
+    if len(arrays) == 4:
+        return arrays + [None, None, None]
+    return arrays + [arrays[5] * arrays[4]]
+
+
+def _recurrence(q, k, v, lam, kappa=None, beta=None):
+    """Run the scan on Tensors and record its backward; returns (o, final).
+
+    The full state buffer is kept only while a tape records the call; the
+    backward rebuilds the time-major inputs rather than holding copies.
+    """
+    parents = (q, k, v, lam) if kappa is None else (q, k, v, lam, kappa, beta)
+    keep = T.active_tape() is not None and any(p.requires_grad for p in parents)
+    qt, kt, vt, lt, kap, _, bk = _time_major_inputs(parents)
+    o, final, states, u = _scan(qt, kt, vt, lt, kap, bk, keep)
+    out = Tensor(np.ascontiguousarray(np.moveaxis(o, 0, -2)))
+    if not keep:
+        return out, final
+
+    def bw(g):
+        qt, kt, vt, lt, kap, bet, bk = _time_major_inputs(parents)
+        gt = _time_major(g)
+        G, w = _adjoint(gt, qt, lt, kap, bk)
+        grads = [
+            np.matmul(states, gt[..., :, None])[..., 0],   # dq_t = s_t g_t
+            np.matmul(G, vt[..., :, None])[..., 0],        # dk_t = G_t v_t
+            np.matmul(kt[..., None, :], G)[..., 0, :],     # dv_t = G_t^T k_t
+        ]
+        # dlam_t = <G_t, s_{t-1}> row by row; s_{-1} = 0
+        dlam = np.zeros(G.shape[:-1])
+        np.einsum("...de,...de->...d", G[1:], states[:-1], out=dlam[1:])
+        if lt.shape[-1] == 1:
+            dlam = dlam.sum(axis=-1, keepdims=True)
+        grads.append(dlam)
+        if kap is not None:
+            dkap = np.zeros_like(kap)
+            dbet = np.zeros_like(bet)
+            # u_0 = kappa_0^T s_{-1} = 0, so both vanish at t = 0
+            dbet[1:] = -(w[1:] * u[1:]).sum(axis=-1)
+            dkap[1:] = -bet[1:] * (np.matmul(G[1:], np.swapaxes(u[1:], -1, -2))
+                                   + np.matmul(states[:-1], np.swapaxes(w[1:], -1, -2)))[..., 0]
+            grads += [dkap, dbet]
+        for p, grad in zip(parents, grads):
+            T._accum(p, np.moveaxis(grad, 0, -2))
+
+    return T._record(out, parents, bw), final
 
 
 def forward_sequential(q, k, v, lam):
@@ -54,36 +166,8 @@ def forward_sequential(q, k, v, lam):
     """
     q, k, v, lam = as_tensor(q), as_tensor(k), as_tensor(v), as_tensor(lam)
     _check_shapes(q.data, k.data, v.data, lam.data)
-    o_data, states = _scan(q.data, k.data, v.data, lam.data)
-    out = Tensor(o_data)
-    final = Tensor(states[..., -1, :, :].copy()) if q.shape[-2] else Tensor(
-        np.zeros(q.shape[:-2] + (q.shape[-1], v.shape[-1])))
-
-    def bw(g):
-        n = q.shape[-2]
-        dq = np.zeros_like(q.data)
-        dk_ = np.zeros_like(k.data)
-        dv_ = np.zeros_like(v.data)
-        dlam = np.zeros_like(lam.data)
-        ds = np.zeros_like(states[..., 0, :, :])
-        scalar_lam = lam.shape[-1] == 1
-        for t in range(n - 1, -1, -1):
-            st = states[..., t, :, :]
-            go = g[..., t, None, :]
-            dq[..., t, :] = (st * go).sum(axis=-1)
-            ds = ds + q.data[..., t, :, None] * go
-            s_prev = states[..., t - 1, :, :] if t > 0 else 0.0
-            dl = (ds * s_prev).sum(axis=-1) if t > 0 else np.zeros(ds.shape[:-1])
-            dlam[..., t, :] = dl.sum(axis=-1, keepdims=True) if scalar_lam else dl
-            dk_[..., t, :] = (ds * v.data[..., t, None, :]).sum(axis=-1)
-            dv_[..., t, :] = (ds * k.data[..., t, :, None]).sum(axis=-2)
-            ds = lam.data[..., t, :, None] * ds
-        T._accum(q, dq)
-        T._accum(k, dk_)
-        T._accum(v, dv_)
-        T._accum(lam, dlam)
-
-    return T._record(out, (q, k, v, lam), bw), final
+    o, final = _recurrence(q, k, v, lam)
+    return o, Tensor(final)
 
 
 def forward_oracle(q, k, v, lam):
@@ -194,57 +278,7 @@ def forward_dplr(q, k, v, lam, params: DplrParams):
         nrm = np.linalg.norm(kappa.data, axis=-1)
         if not np.allclose(nrm, 1.0, atol=1e-8):
             raise ValueError("forward_dplr: kappa rows must be unit-norm when normalization is disabled")
-    n, dk = q.shape[-2], q.shape[-1]
-    dv = v.shape[-1]
-    batch = np.broadcast_shapes(q.data.shape[:-2], v.data.shape[:-2])
-    states = np.zeros(batch + (n, dk, dv))
-    o_data = np.zeros(batch + (n, dv))
-    s = np.zeros(batch + (dk, dv))
-    kap, bet = kappa.data, beta.data
-    for t in range(n):
-        u = (kap[..., t, :, None] * s).sum(axis=-2)  # kappa^T s_{t-1}
-        s = (lam.data[..., t, :, None] * s
-             - bet[..., t, :, None] * kap[..., t, :, None] * u[..., None, :]
-             + k.data[..., t, :, None] * v.data[..., t, None, :])
-        states[..., t, :, :] = s
-        o_data[..., t, :] = (q.data[..., t, :, None] * s).sum(axis=-2)
-    out = Tensor(o_data)
-
-    def bw(g):
-        dq = np.zeros_like(q.data)
-        dk_ = np.zeros_like(k.data)
-        dv_ = np.zeros_like(v.data)
-        dlam = np.zeros_like(lam.data)
-        dkap = np.zeros_like(kap)
-        dbet = np.zeros_like(bet)
-        ds = np.zeros_like(states[..., 0, :, :])
-        scalar_lam = lam.shape[-1] == 1
-        for t in range(n - 1, -1, -1):
-            st = states[..., t, :, :]
-            go = g[..., t, None, :]
-            dq[..., t, :] = (st * go).sum(axis=-1)
-            ds = ds + q.data[..., t, :, None] * go
-            s_prev = states[..., t - 1, :, :] if t > 0 else np.zeros_like(st)
-            kt = kap[..., t, :]
-            bt = bet[..., t, :]
-            u = (kt[..., :, None] * s_prev).sum(axis=-2)         # s_prev^T kappa, (dv,)
-            w = (kt[..., :, None] * ds).sum(axis=-2)             # ds^T kappa, (dv,)
-            dl = (ds * s_prev).sum(axis=-1)
-            dlam[..., t, :] = dl.sum(axis=-1, keepdims=True) if scalar_lam else dl
-            dbet[..., t, :] = -(w * u).sum(axis=-1, keepdims=True)
-            dkap[..., t, :] = -bt * ((ds * u[..., None, :]).sum(axis=-1)
-                                     + (s_prev * w[..., None, :]).sum(axis=-1))
-            dk_[..., t, :] = (ds * v.data[..., t, None, :]).sum(axis=-1)
-            dv_[..., t, :] = (ds * k.data[..., t, :, None]).sum(axis=-2)
-            ds = lam.data[..., t, :, None] * ds - bt[..., None] * kt[..., :, None] * w[..., None, :]
-        T._accum(q, dq)
-        T._accum(k, dk_)
-        T._accum(v, dv_)
-        T._accum(lam, dlam)
-        T._accum(kappa, dkap)
-        T._accum(beta, dbet)
-
-    return T._record(out, (q, k, v, lam, kappa, beta), bw)
+    return _recurrence(q, k, v, lam, kappa, beta)[0]
 
 
 def dplr_dense_oracle(q, k, v, lam, kappa, beta):

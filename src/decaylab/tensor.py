@@ -11,7 +11,34 @@ If no tape is active, operations simply compute forward values.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
+
+# glibc mallopt parameters (malloc.h) and the values set at import.  A tape
+# frees a step's whole graph at once when it exits; with glibc's defaults the
+# freed heap top is handed back to the kernel and the large arrays live in
+# their own mappings, so every step faults all of its memory in again.  The
+# values keep arrays below 32 MB on the heap and the freed heap mapped.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_THRESHOLD = 1 << 30
+_MMAP_THRESHOLD = 32 << 20
+
+
+def _keep_freed_heap():
+    """Set the glibc allocator for step-sized reuse; no-op without glibc."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
+
+_keep_freed_heap()
 
 
 class ShapeError(ValueError):
@@ -27,6 +54,14 @@ class Tape:
         with Tape():
             loss = ...
             grads = backward(loss)
+
+    On exit the tape frees its graph: every recorded node drops its backward
+    rule and its parents, and the tape drops its node list.  The rules close
+    over their own outputs, so without this each step's graph would stay in
+    reference cycles until Python's cyclic garbage collector ran, and peak
+    memory would grow with the collector's schedule rather than with one
+    step.  Leaves keep their ``grad``; the allocator setting at the top of
+    this module keeps the freed memory for the next step.
     """
 
     def __init__(self):
@@ -38,6 +73,10 @@ class Tape:
 
     def __exit__(self, *exc):
         _tape_stack.pop()
+        for node in self.nodes:
+            node._backward = None
+            node._parents = ()
+        self.nodes = []
         return False
 
 
@@ -55,7 +94,7 @@ class Tensor:
     ``requires_grad=True`` (leaves) and for intermediates on the tape.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -259,13 +298,21 @@ def sqrt(a):
     return _record(out, (a,), bw)
 
 
+def _sigmoid(x):
+    """1 / (1 + exp(-x)) on an array, stable on both tails.
+
+    1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|).  The
+    numerator max(e, x >= 0) is exactly 1 or e because 0 <= e <= 1; it
+    avoids the branch of ``np.where``, which is slow on mixed signs.
+    """
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
+
+
 def sigmoid(a):
     """1 / (1 + exp(-x)), computed stably on both tails."""
     a = as_tensor(a)
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out = Tensor(out_data)
+    out = Tensor(_sigmoid(a.data))
 
     def bw(g):
         _accum(a, g * out.data * (1.0 - out.data))
@@ -287,9 +334,7 @@ def softplus(a):
     out = Tensor(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))
 
     def bw(g):
-        sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                       np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        _accum(a, g * sig)
+        _accum(a, g * _sigmoid(x))
 
     return _record(out, (a,), bw)
 

@@ -108,6 +108,17 @@ def test_export_table_deterministic_and_round_trip(tmp_path, rng):
         assert abs(float(fields[3]) - s.median) <= 1e-9 * max(1.0, abs(s.median))
 
 
+def test_exports_rewrite_a_longer_file_exactly(tmp_path, rng):
+    config, params = _model()
+    trace = capture_trace(params, config, rng.integers(0, 256, size=16))
+    for export, name in ((export_table, "t.csv"), (lambda t, p: export_plot({"m": t}, p), "p.svg")):
+        fresh, reused = tmp_path / ("fresh_" + name), tmp_path / name
+        export(trace, str(fresh))
+        reused.write_text("x" * (3 * len(fresh.read_bytes())))
+        export(trace, str(reused))
+        assert reused.read_bytes() == fresh.read_bytes()
+
+
 def test_export_table_nine_significant_digits(tmp_path):
     trace = DecayTrace(samples={0: np.array([0.123456789123456])})
     path = tmp_path / "t.csv"

@@ -175,18 +175,13 @@ def test_dplr_matches_dense_oracle(rng):
 
 def test_dplr_delta_rule_overwrite():
     # repeated writes through the same unit key: the second value replaces
-    # the first in the state
+    # the first in the state, so reading that key at t = 1 gives v_2
     kap = np.zeros((2, 3))
     kap[:, 0] = 1.0
     v = np.array([[1.0, 2.0], [5.0, -1.0]])
-    q = np.zeros((2, 3))
-    R.forward_dplr(q, kap, v, np.ones((2, 3)),
-                   R.DplrParams(kap, np.ones((2, 1)), normalize=False))
-    s = np.zeros((3, 2))
-    for t in range(2):
-        m = np.eye(3) - np.outer(kap[t], kap[t])
-        s = m @ s + np.outer(kap[t], v[t])
-    assert np.max(np.abs(s - np.outer(kap[1], v[1]))) <= 1e-12
+    o = R.forward_dplr(kap, kap, v, np.ones((2, 3)),
+                       R.DplrParams(kap, np.ones((2, 1)), normalize=False))
+    assert np.max(np.abs(o.data[1] - v[1])) <= 1e-12
 
 
 def test_dplr_rejects_non_unit_kappa():
@@ -253,6 +248,87 @@ def test_dplr_gradients(rng):
         "kappa": Tensor(kappa, requires_grad=True),
         "beta": Tensor(rng.uniform(0.1, 0.9, size=(n, 1)), requires_grad=True),
     }
+
+    def build(lv):
+        o = R.forward_dplr(lv["q"], lv["k"], lv["v"], lv["lam"],
+                           R.DplrParams(lv["kappa"], lv["beta"]))
+        return T.tsum(o * o)
+
+    assert grad_check(build, leaves, rel_tol=1e-4) == []
+
+
+def _batched_inputs(rng, batch, n, scalar, dk=3, dv=2):
+    """Random scan inputs with lambda = 0 at t = 0 and mid-sequence."""
+    q, k = (rng.normal(size=batch + (n, dk)) for _ in range(2))
+    v = rng.normal(size=batch + (n, dv))
+    lam = rng.uniform(0.1, 1.0, size=batch + (n, 1 if scalar else dk))
+    lam[..., 0, :] = 0.0
+    lam[..., n // 2, :] = 0.0
+    return q, k, v, lam
+
+
+def _on_tape(fn, *arrays):
+    """fn called on fresh leaves under a recording tape; returns its result."""
+    with T.Tape():
+        out = fn(*(Tensor(a, requires_grad=True) for a in arrays))
+    return out
+
+
+# n = 1, an n inside one time block, and one that ends inside a second block
+BATCHED_LENGTHS = [1, 9, R._BLOCK + 5]
+
+
+@pytest.mark.parametrize("scalar", [False, True])
+@pytest.mark.parametrize("n", BATCHED_LENGTHS)
+def test_sequential_batched_matches_oracle(rng, n, scalar):
+    q, k, v, lam = _batched_inputs(rng, (2, 3), n, scalar)
+    o, final = R.forward_sequential(q, k, v, lam)
+    assert o.shape == (2, 3, n, 2) and final.shape == (2, 3, 3, 2)
+    assert np.max(np.abs(o.data - R.forward_oracle(q, k, v, lam))) <= 1e-10
+    o_tape, final_tape = _on_tape(R.forward_sequential, q, k, v, lam)
+    assert np.array_equal(o_tape.data, o.data)
+    assert np.array_equal(final_tape.data, final.data)
+
+
+@pytest.mark.parametrize("scalar", [False, True])
+@pytest.mark.parametrize("batch,n", [((2, 3), 1), ((2, 3), 6), ((2, 1), R._BLOCK + 3)])
+def test_sequential_batched_gradients(rng, batch, n, scalar):
+    q, k, v, lam = _batched_inputs(rng, batch, n, scalar, dk=2)
+    leaves = {name: Tensor(x, requires_grad=True)
+              for name, x in zip(("q", "k", "v", "lam"), (q, k, v, lam))}
+
+    def build(lv):
+        o, _ = R.forward_sequential(lv["q"], lv["k"], lv["v"], lv["lam"])
+        return T.tsum(o * o)
+
+    assert grad_check(build, leaves, rel_tol=1e-4) == []
+
+
+@pytest.mark.parametrize("scalar", [False, True])
+@pytest.mark.parametrize("n", BATCHED_LENGTHS)
+def test_dplr_batched_matches_dense_oracle(rng, n, scalar):
+    q, k, v, lam = _batched_inputs(rng, (2, 3), n, scalar)
+    kappa = rng.normal(size=(2, 3, n, 3))
+    kappa /= np.linalg.norm(kappa, axis=-1, keepdims=True)
+    beta = rng.uniform(0.05, 0.95, size=(2, 3, n, 1))
+
+    def run(q_, k_, v_, lam_, kappa_, beta_):
+        return R.forward_dplr(q_, k_, v_, lam_, R.DplrParams(kappa_, beta_, normalize=False))
+
+    o = run(q, k, v, lam, kappa, beta)
+    o_ref = R.dplr_dense_oracle(q, k, v, lam, kappa, beta)
+    assert np.max(np.abs(o.data - o_ref)) <= 1e-10
+    assert np.array_equal(_on_tape(run, q, k, v, lam, kappa, beta).data, o.data)
+
+
+@pytest.mark.parametrize("scalar", [False, True])
+@pytest.mark.parametrize("batch,n", [((2, 3), 1), ((2, 3), 5), ((2, 1), R._BLOCK + 3)])
+def test_dplr_batched_gradients(rng, batch, n, scalar):
+    q, k, v, lam = _batched_inputs(rng, batch, n, scalar, dk=2)
+    leaves = {name: Tensor(x, requires_grad=True)
+              for name, x in zip(("q", "k", "v", "lam"), (q, k, v, lam))}
+    leaves["kappa"] = Tensor(rng.normal(size=batch + (n, 2)), requires_grad=True)
+    leaves["beta"] = Tensor(rng.uniform(0.1, 0.9, size=batch + (n, 1)), requires_grad=True)
 
     def build(lv):
         o = R.forward_dplr(lv["q"], lv["k"], lv["v"], lv["lam"],

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +155,44 @@ def test_backward_requires_tape():
     x = Tensor(1.0, requires_grad=True)
     with pytest.raises(RuntimeError):
         backward(x)
+
+
+def test_tape_frees_graph_on_exit():
+    # exp's backward rule holds its own output, a reference cycle that only
+    # the cyclic collector could break if the tape kept the graph
+    x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+    gc.disable()
+    try:
+        with Tape():
+            h = T.exp(x)
+            ref = weakref.ref(h)
+            loss = T.tsum(T.sigmoid(h))
+            backward(loss)
+            del h
+            assert ref() is not None
+        del loss
+        assert ref() is None
+    finally:
+        gc.enable()
+    e = np.exp(x.data)
+    s = 1.0 / (1.0 + np.exp(-e))
+    assert np.max(np.abs(x.grad - s * (1.0 - s) * e)) <= 1e-15
+    with pytest.raises(RuntimeError):
+        backward(T.tsum(x * x))
+
+
+def test_sigmoid_and_softplus_grad_match_three_exp_formula():
+    # the formula before exp(-|x|) was shared; outputs must stay bitwise equal
+    rng = np.random.Generator(np.random.Philox(16))
+    x = np.concatenate([np.linspace(-800.0, 800.0, 4001), rng.normal(0.0, 30.0, 1000),
+                        [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 745.2, -745.2]])
+    ref = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    assert np.array_equal(T.sigmoid(Tensor(x)).data, ref)
+    xt = Tensor(x, requires_grad=True)
+    with Tape():
+        backward(T.tsum(T.softplus(xt)))
+    assert np.array_equal(xt.grad, ref)
 
 
 def test_composed_expression_matches_finite_differences():
