@@ -15,7 +15,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint
 from .decay import ConfigError, DecayConfig, STRATEGIES
 from .model import ModelConfig, config_to_dict
 from .probe import capture_trace, export_plot, export_table
@@ -120,9 +120,7 @@ def parse_config(path) -> ExperimentConfig:
                      (_SKIP_MODEL_KEYS if section == "model" else ())}
             if key not in known:
                 raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
-            default = getattr(cls(), key) if cls is not ModelConfig else getattr(
-                ModelConfig(), key)
-            values[section][key] = _coerce(raw_val, default, key, lineno)
+            values[section][key] = _coerce(raw_val, getattr(cls(), key), key, lineno)
     decay = DecayConfig(**values["decay"])
     model = ModelConfig(decay=decay, **values["model"])
     train = TrainConfig(**values["train"])
@@ -214,21 +212,6 @@ def cmd_verify(args):
     return EXIT_OK
 
 
-_FORMULAS = {
-    "mamba2": "sigmoid(-f - delta)^exp(a)",
-    "mamba2_no_a": "sigmoid(-f - delta)",
-    "mamba2_no_delta": "sigmoid(-f)^exp(a)",
-    "mamba2_no_a_delta": "sigmoid(-f)",
-    "gla": "sigmoid(f)^(1/tau)",
-    "hgrn2": "lb + (1 - lb) * sigmoid(f)",
-    "lightnet": "exp(lse(f_{<t-1}) - lse(f_{<t}))",
-    "tnl": "exp(-8j/h * (1 - l/L))",
-    "tnl_l": "exp(-softplus(g)), g learned from the tnl constant",
-    "simple": "sigmoid(f + delta), delta = argsigmoid(p)",
-    "none": "1",
-}
-
-
 def cmd_export(args):
     try:
         params, config = load_checkpoint(args.checkpoint)
@@ -236,10 +219,11 @@ def cmd_export(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO if isinstance(exc, OSError) else EXIT_COMPAT
     dc = config.decay
+    row = STRATEGIES[dc.strategy]
     lines = [
         "strategy summary",
         f"  strategy:    {dc.strategy}",
-        f"  formula:     lambda = {_FORMULAS[dc.strategy]}",
+        f"  formula:     lambda = {row.formula}",
         f"  granularity: {dc.granularity}",
         f"  sharing:     {dc.sharing}",
         f"  transition:  {config.transition}",
@@ -247,7 +231,7 @@ def cmd_export(args):
         f"  layers x hidden x heads: {config.n_layers} x {config.hidden} x {config.heads}",
     ]
     for name in sorted(params):
-        if ".decay." in name and name.rsplit(".", 1)[-1] in ("a", "delta", "g"):
+        if ".decay." in name and name.rsplit(".", 1)[-1] in row.scalars:
             vals = params[name].data.ravel()
             lines.append(f"  {name}: " + " ".join(f"{v:.6g}" for v in vals))
     text = "\n".join(lines) + "\n"

@@ -1,30 +1,37 @@
 """Decay parameterization strategies for linear attention.
 
-Implements every row of the decay taxonomy: the Mamba2 family and its
-ablations, GLA, Hgrn2, LightNet's cumulative-softmax decay, the TNL
-constants and their learnable variant, and the proposed Simple Decay,
-together with the scalar/vector granularity split, the low-rank decay
-projections, and key sharing (k = 1 - lambda).
+``STRATEGIES`` has one :class:`Strategy` row per strategy of the taxonomy
+(the Mamba2 family and its ablations, GLA, Hgrn2, Simple Decay, LightNet,
+TNL and its learnable variant, no decay), and the row is all the package
+knows about it:
+
+- ``formula``: the text ``decaylab export`` prints;
+- ``decay(f, **inputs)``: lambda from the decay activation F, the learned
+  scalars by name and the knobs of :meth:`DecayConfig.inputs`.  A
+  ``"head"`` row gets ``f=None`` and returns one value per head, (h, 1, 1);
+- ``scalars``: learned per-head scalar name -> init from the same knobs.
+  Each is stored as ``layers.{i}.decay.<name>`` and skips weight decay;
+- ``source``: ``"pointwise"`` (elementwise in F), ``"sequence"`` (from F
+  along time) or ``"head"`` (no decay projection, no key sharing);
+- ``scalar_only``: vector granularity and sharing are rejected;
+- ``sample(rng, f)``: the lambda ``decaylab verify`` checks its kernels on.
+
+A new strategy is one row here plus its count in ``model.param_count``.
+The module also holds the low-rank decay projections and key sharing
+(k = 1 - lambda).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor, as_tensor
 
-STRATEGIES = (
-    "mamba2", "mamba2_no_a", "mamba2_no_delta", "mamba2_no_a_delta",
-    "gla", "hgrn2", "lightnet", "tnl", "tnl_l", "simple", "none",
-)
-POINTWISE = (
-    "mamba2", "mamba2_no_a", "mamba2_no_delta", "mamba2_no_a_delta",
-    "gla", "hgrn2", "simple",
-)
 GRANULARITIES = ("scalar", "vector")
 SHARINGS = ("independent", "shared")
 
@@ -33,13 +40,38 @@ class ConfigError(ValueError):
     """Raised for invalid or inconsistent decay configuration."""
 
 
+@dataclass(frozen=True)
+class Strategy:
+    """One row of the strategy table; see the module docstring."""
+
+    formula: str
+    decay: Callable
+    scalars: dict[str, Callable] = field(default_factory=dict)
+    source: str = "pointwise"  # "pointwise" | "sequence" | "head"
+    scalar_only: bool = False
+    sample: Callable | None = None
+
+    @property
+    def projected(self):
+        """Whether lambda comes from the decay projection F."""
+        return self.source != "head"
+
+    def random_lambda(self, rng, f):
+        """Lambda for ``decaylab verify``: the row's ``sample``, or by default
+        its decay at N(0, 1) learned scalars, tau = 16 and a U(0, 0.9) floor."""
+        if self.sample is not None:
+            return self.sample(rng, f)
+        draws = {name: rng.normal() for name in self.scalars}
+        return self.decay(f, tau=16.0, lower_bound=float(rng.uniform(0.0, 0.9)), **draws).data
+
+
 @dataclass
 class DecayConfig:
     """Strategy tag plus the knobs of the taxonomy table.
 
     ``tau`` is GLA's temperature, ``p`` the Simple Decay initialization
     target, ``lower_bound`` the Hgrn2 per-layer floor (depth-dependent
-    default is filled in by the model).
+    default is filled in by :meth:`inputs`).
     """
 
     strategy: str = "mamba2"
@@ -50,25 +82,36 @@ class DecayConfig:
     lower_bound: float | None = None
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
+        row = STRATEGIES.get(self.strategy)
+        if row is None:
             raise ConfigError(f"unknown decay strategy {self.strategy!r}")
         if self.granularity not in GRANULARITIES:
             raise ConfigError(f"unknown granularity {self.granularity!r}")
         if self.sharing not in SHARINGS:
             raise ConfigError(f"unknown sharing mode {self.sharing!r}")
-        if self.strategy in ("tnl", "tnl_l"):
+        if row.scalar_only:
             if self.granularity != "scalar" or self.sharing != "independent":
                 raise ConfigError(f"{self.strategy} decay is scalar-only without sharing")
         if self.sharing == "shared" and self.granularity != "vector":
             raise ConfigError("parameter sharing requires vector granularity")
-        if self.strategy == "none" and self.sharing == "shared":
-            raise ConfigError("parameter sharing needs a decay strategy")
+        if row.source == "head" and self.sharing == "shared":
+            raise ConfigError("parameter sharing needs a decay projection")
         if not self.tau > 0:
             raise ConfigError("tau must be positive")
         if not 0.0 < self.p < 1.0:
             raise ConfigError("p must lie in (0, 1)")
         if self.lower_bound is not None and not 0.0 <= self.lower_bound < 1.0:
             raise ConfigError("lower_bound must lie in [0, 1)")
+
+    def inputs(self, heads, layer, n_layers):
+        """Knobs a row's decay and init functions take besides F and the
+        learned scalars, for 1-based ``layer`` of ``n_layers``; Hgrn2's
+        depth-dependent floor fills in an unset ``lower_bound``."""
+        lb = self.lower_bound
+        if lb is None:
+            lb = hgrn2_lower_bound(layer, n_layers)
+        return {"heads": heads, "layer": layer, "n_layers": n_layers,
+                "tau": self.tau, "p": self.p, "lower_bound": lb}
 
 
 @dataclass
@@ -123,24 +166,10 @@ def pointwise_decay(f, strategy, *, a=None, delta=None, tau=None, lower_bound=No
     F), ``tau`` the temperature, ``lower_bound`` the Hgrn2 floor.  LightNet
     and TNL are not pointwise; use their dedicated entry points.
     """
-    if strategy not in POINTWISE:
+    row = STRATEGIES.get(strategy)
+    if row is None or row.source != "pointwise":
         raise ConfigError(f"{strategy!r} is not a pointwise decay strategy")
-    f = as_tensor(f)
-    if strategy == "mamba2":
-        return T.power(T.sigmoid(-f - as_tensor(delta)), T.exp(as_tensor(a)))
-    if strategy == "mamba2_no_a":
-        return T.sigmoid(-f - as_tensor(delta))
-    if strategy == "mamba2_no_delta":
-        return T.power(T.sigmoid(-f), T.exp(as_tensor(a)))
-    if strategy == "mamba2_no_a_delta":
-        return T.sigmoid(-f)
-    if strategy == "gla":
-        return T.power(T.sigmoid(f), 1.0 / as_tensor(tau))
-    if strategy == "hgrn2":
-        lb = as_tensor(lower_bound)
-        return lb + (1.0 - lb) * T.sigmoid(f)
-    # simple
-    return T.sigmoid(f + as_tensor(delta))
+    return row.decay(as_tensor(f), a=a, delta=delta, tau=tau, lower_bound=lower_bound)
 
 
 def lightnet_decay(f):
@@ -206,3 +235,78 @@ def shared_key(lam):
 def hgrn2_lower_bound(l, L):
     """Default depth-increasing Hgrn2 floor for 1-based layer l of L."""
     return l / (L + 1.0)
+
+
+def _mamba2_a(heads, **_):
+    """A_j = ln(a_j), a_j log-spaced in [1, 16]."""
+    return np.log(np.logspace(0.0, np.log10(16.0), heads))
+
+
+def _mamba2_delta(heads, **_):
+    """Delta with sigmoid(-Delta) = 0.9, i.e. -argsigmoid(0.9)."""
+    return np.full(heads, -np.log(9.0))
+
+
+def _hgrn2(f, lower_bound, **_):
+    lb = as_tensor(lower_bound)
+    return lb + (1.0 - lb) * T.sigmoid(f)
+
+
+def _tnl(f, heads, layer, n_layers, **_):
+    const = [tnl_decay(j, heads, layer, n_layers) for j in range(1, heads + 1)]
+    return np.array(const).reshape(heads, 1, 1)
+
+
+def _tnl_l_g(heads, layer, n_layers, **_):
+    """Unconstrained g with exp(-softplus(g)) equal to the TNL constant.
+
+    The last layer's constant is exactly 1, which softplus cannot reach;
+    its target is clamped so the learnable value starts at 1 - ~1e-6.
+    """
+    g = np.empty(heads)
+    for j in range(1, heads + 1):
+        c = max(8.0 * j / heads * (1.0 - layer / n_layers), 1e-6)
+        g[j - 1] = np.log(np.expm1(c))
+    return g
+
+
+STRATEGIES: dict[str, Strategy] = {
+    "mamba2": Strategy(
+        "sigmoid(-f - delta)^exp(a)",
+        lambda f, a, delta, **_: T.power(T.sigmoid(-f - as_tensor(delta)), T.exp(as_tensor(a))),
+        scalars={"a": _mamba2_a, "delta": _mamba2_delta}),
+    "mamba2_no_a": Strategy(
+        "sigmoid(-f - delta)",
+        lambda f, delta, **_: T.sigmoid(-f - as_tensor(delta)),
+        scalars={"delta": _mamba2_delta}),
+    "mamba2_no_delta": Strategy(
+        "sigmoid(-f)^exp(a)",
+        lambda f, a, **_: T.power(T.sigmoid(-f), T.exp(as_tensor(a))),
+        scalars={"a": _mamba2_a}),
+    "mamba2_no_a_delta": Strategy("sigmoid(-f)", lambda f, **_: T.sigmoid(-f)),
+    "gla": Strategy(
+        "sigmoid(f)^(1/tau)",
+        lambda f, tau, **_: T.power(T.sigmoid(f), 1.0 / as_tensor(tau))),
+    "hgrn2": Strategy("lb + (1 - lb) * sigmoid(f)", _hgrn2),
+    "simple": Strategy(
+        "sigmoid(f + delta), delta = argsigmoid(p)",
+        lambda f, delta, **_: T.sigmoid(f + as_tensor(delta)),
+        scalars={"delta": lambda heads, p, **_: np.full(heads, simple_decay_init(p))}),
+    "lightnet": Strategy(
+        "exp(lse(f_{<t-1}) - lse(f_{<t}))",
+        lambda f, **_: lightnet_decay(f), source="sequence"),
+    "tnl": Strategy(
+        "exp(-8j/h * (1 - l/L))", _tnl, source="head", scalar_only=True,
+        sample=lambda rng, f: np.full((f.shape[0], 1), tnl_decay(
+            1 + rng.integers(0, 4), 4, 1 + rng.integers(0, 3), 3))),
+    "tnl_l": Strategy(
+        "exp(-softplus(g)), g learned from the tnl constant",
+        lambda f, g, **_: T.exp(-T.softplus(g)),
+        scalars={"g": _tnl_l_g}, source="head", scalar_only=True,
+        sample=lambda rng, f: np.full(
+            (f.shape[0], 1), float(np.exp(-np.log1p(np.exp(rng.normal())))))),
+    "none": Strategy(
+        "1", lambda f, heads, **_: np.ones((heads, 1, 1)), source="head",
+        sample=lambda rng, f: np.ones((f.shape[0], 1))),
+}
+POINTWISE = tuple(name for name, row in STRATEGIES.items() if row.source == "pointwise")

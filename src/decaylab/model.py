@@ -6,7 +6,7 @@ embedding and LM head.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -58,6 +58,9 @@ class ModelConfig:
             raise ConfigError(f"unknown transition {self.transition!r}")
         if self.posenc == "rope" and (self.hidden // self.heads) % 2 != 0:
             raise ConfigError("rope needs an even head dimension")
+        if self.transition == "dplr" and self.posenc == "lrpe":
+            # lrpe doubles the q/k width, but kappa keeps the head dimension
+            raise ConfigError("the dplr transition does not support lrpe")
 
     @property
     def head_dim(self):
@@ -96,26 +99,6 @@ def _leaf(rng, shape, std=0.02):
     return Tensor(_trunc_normal(rng, shape, std), requires_grad=True)
 
 
-def mamba2_scalar_init(heads):
-    """A_j = ln(a_j), a_j log-spaced in [1, 16]; Delta with sigmoid(-Delta)=0.9."""
-    a = np.log(np.logspace(0.0, np.log10(16.0), heads))
-    delta = np.full(heads, -np.log(9.0))  # -argsigmoid(0.9)
-    return a, delta
-
-
-def tnl_l_init(heads, layer, n_layers):
-    """Unconstrained g with exp(-softplus(g)) equal to the TNL constant.
-
-    The last layer's constant is exactly 1, which softplus cannot reach;
-    its target is clamped so the learnable value starts at 1 - ~1e-6.
-    """
-    g = np.empty(heads)
-    for j in range(1, heads + 1):
-        c = max(8.0 * j / heads * (1.0 - layer / n_layers), 1e-6)
-        g[j - 1] = np.log(np.expm1(c))
-    return g
-
-
 def init_params(config: ModelConfig, seed=None):
     """Full parameter set as a flat name -> Tensor dict, reproducible from seed."""
     rng = np.random.Generator(np.random.Philox(config.seed if seed is None else seed))
@@ -123,6 +106,7 @@ def init_params(config: ModelConfig, seed=None):
     dk, dv = config.head_dim, config.head_value_dim
     e = config.value_dim
     dc = config.decay
+    row = D.STRATEGIES[dc.strategy]
     params: dict[str, Tensor] = {}
     params["embedding"] = _leaf(rng, (config.vocab, d))
     if config.posenc == "tpe":
@@ -138,7 +122,7 @@ def init_params(config: ModelConfig, seed=None):
         if dc.sharing != "shared":
             params[pre + "wk"] = _leaf(rng, (h, d, dk))
         params[pre + "wv"] = _leaf(rng, (h, d, dv))
-        if dc.strategy not in ("none", "tnl", "tnl_l"):
+        if row.projected:
             if dc.granularity == "scalar":
                 params[pre + "decay.w_scalar"] = _leaf(rng, (h, d, 1))
             elif dc.sharing == "shared":
@@ -146,18 +130,10 @@ def init_params(config: ModelConfig, seed=None):
             else:
                 params[pre + "decay.w_low"] = _leaf(rng, (d, dk))
                 params[pre + "decay.w_head"] = _leaf(rng, (h, dk, dk))
-        if dc.strategy in ("mamba2", "mamba2_no_delta"):
-            a, _ = mamba2_scalar_init(h)
-            params[pre + "decay.a"] = Tensor(a.reshape(h, 1, 1), requires_grad=True)
-        if dc.strategy in ("mamba2", "mamba2_no_a"):
-            _, delta = mamba2_scalar_init(h)
-            params[pre + "decay.delta"] = Tensor(delta.reshape(h, 1, 1), requires_grad=True)
-        if dc.strategy == "simple":
-            delta = np.full((h, 1, 1), D.simple_decay_init(dc.p))
-            params[pre + "decay.delta"] = Tensor(delta, requires_grad=True)
-        if dc.strategy == "tnl_l":
-            g = tnl_l_init(h, i + 1, config.n_layers)
-            params[pre + "decay.g"] = Tensor(g.reshape(h, 1, 1), requires_grad=True)
+        inputs = dc.inputs(h, i + 1, config.n_layers)
+        for name, init in row.scalars.items():
+            params[pre + "decay." + name] = Tensor(init(**inputs).reshape(h, 1, 1),
+                                                   requires_grad=True)
         if config.transition == "dplr":
             params[pre + "wkappa"] = _leaf(rng, (h, d, dk))
             params[pre + "wbeta"] = _leaf(rng, (h, d, 1))
@@ -221,35 +197,19 @@ def compute_decay(x, params, config: ModelConfig, layer_idx, n, batch):
     """Decay values lambda for one layer, shaped (..., h, n, dk) or (..., h, n, 1)."""
     dc = config.decay
     h = config.heads
-    pre = f"layers.{layer_idx}."
-    if dc.strategy == "none":
-        return Tensor(np.ones(batch + (h, n, 1)))
-    if dc.strategy == "tnl":
-        const = np.array([D.tnl_decay(j, h, layer_idx + 1, config.n_layers)
-                          for j in range(1, h + 1)])
-        return Tensor(np.broadcast_to(const.reshape(h, 1, 1), batch + (h, n, 1)).copy())
-    if dc.strategy == "tnl_l":
-        lam_h = T.exp(-T.softplus(params[pre + "decay.g"]))
-        return T.broadcast_to(lam_h, batch + (h, n, 1))
+    pre = f"layers.{layer_idx}.decay."
+    row = D.STRATEGIES[dc.strategy]
+    inputs = dc.inputs(h, layer_idx + 1, config.n_layers)
+    inputs.update((name, params[pre + name]) for name in row.scalars)
+    if not row.projected:
+        return T.broadcast_to(row.decay(None, **inputs), batch + (h, n, 1))
     proj = DecayProjection(
-        w_scalar=params.get(pre + "decay.w_scalar"),
-        w_low=params.get(pre + "decay.w_low"),
-        w_head=params.get(pre + "decay.w_head"),
-        w_shared=params.get(pre + "decay.w_shared"),
+        w_scalar=params.get(pre + "w_scalar"),
+        w_low=params.get(pre + "w_low"),
+        w_head=params.get(pre + "w_head"),
+        w_shared=params.get(pre + "w_shared"),
     )
-    f = D.decay_activations(x, proj, dc)
-    if dc.strategy == "lightnet":
-        return D.lightnet_decay(f)
-    lb = dc.lower_bound
-    if lb is None:
-        lb = D.hgrn2_lower_bound(layer_idx + 1, config.n_layers)
-    return D.pointwise_decay(
-        f, dc.strategy,
-        a=params.get(pre + "decay.a"),
-        delta=params.get(pre + "decay.delta"),
-        tau=dc.tau,
-        lower_bound=lb,
-    )
+    return row.decay(D.decay_activations(x, proj, dc), **inputs)
 
 
 def token_mixer_forward(x, params, config: ModelConfig, layer_idx, trace=None):

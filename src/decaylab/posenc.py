@@ -6,7 +6,7 @@ position structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,16 +96,6 @@ class TpeParams:
             raise ValueError("tpe: a, b, gate_logits must share shape (d, m)")
         if self.a.shape[-1] < 1:
             raise ValueError("tpe: state expansion m must be >= 1")
-
-
-def tpe_init(d, m, rng):
-    """Default TPE parameters: a, b ~ N(0, 1/sqrt(m)), gates sigmoid(U[1,3])."""
-    scale = 1.0 / np.sqrt(m)
-    return TpeParams(
-        a=Tensor(rng.normal(0.0, scale, size=(d, m)), requires_grad=True),
-        b=Tensor(rng.normal(0.0, scale, size=(d, m)), requires_grad=True),
-        gate_logits=Tensor(rng.uniform(1.0, 3.0, size=(d, m)), requires_grad=True),
-    )
 
 
 def tpe_apply(x, params: TpeParams):

@@ -99,22 +99,6 @@ def export_table(trace: DecayTrace, path):
     _rewrite(path, "\n".join(lines) + "\n")
 
 
-def export_raw(trace: DecayTrace, shapes, path):
-    """Optional raw dump layer,position,head,dim,value (can be large)."""
-    with open(path, "w") as f:
-        f.write("layer,position,head,dim,value\n")
-        for layer in sorted(trace.samples):
-            vals = trace.samples[layer]
-            shape = shapes[layer]  # (..., h, n, dim)
-            arr = vals.reshape(shape)
-            flatb = arr.reshape(-1, *shape[-3:])
-            for b in range(flatb.shape[0]):
-                for h in range(shape[-3]):
-                    for t in range(shape[-2]):
-                        for c in range(shape[-1]):
-                            f.write(f"{layer},{t},{h},{c},{flatb[b, h, t, c]:.9g}\n")
-
-
 _SVG_W, _SVG_H = 640, 420
 _MARGIN = 50
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",

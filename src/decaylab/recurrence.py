@@ -297,11 +297,3 @@ def dplr_dense_oracle(q, k, v, lam, kappa, beta):
         s = np.matmul(M, s) + k[..., t, :, None] * v[..., t, None, :]
         o[..., t, :] = (q[..., t, :, None] * s).sum(axis=-2)
     return o
-
-
-def cumulative_decay(lam):
-    """Running elementwise product gamma_t = prod_{j<=t} lam_j along time."""
-    lam = lam.data if isinstance(lam, Tensor) else np.asarray(lam, dtype=np.float64)
-    if np.any(lam < 0) or np.any(lam > 1):
-        raise ValueError("cumulative_decay: lam must lie in [0, 1]")
-    return np.cumprod(lam, axis=-2)

@@ -6,12 +6,13 @@ warmup-stable-decay learning-rate schedule, and the training loop.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .checkpoint import save_checkpoint
+from .decay import STRATEGIES
 from .model import ModelConfig, init_params, lm_forward
 from .tensor import Tape, Tensor, backward
 
@@ -160,14 +161,12 @@ def wsd_lr(step, config: TrainConfig):
 
 
 def decays_weight(name):
-    """Weight decay applies to linear weights but not norm gains, decay
-    scalars, or recurrent gates."""
-    if "norm" in name:
+    """Weight decay applies to linear weights but not norm gains, the learned
+    decay scalars of the strategy table, or recurrent gates."""
+    if "norm" in name or name.endswith("tpe.gates"):
         return False
-    for suffix in ("decay.a", "decay.delta", "decay.g", "tpe.gates"):
-        if name.endswith(suffix):
-            return False
-    return True
+    return not any(name.endswith("decay." + scalar)
+                   for row in STRATEGIES.values() for scalar in row.scalars)
 
 
 class AdamW:
@@ -200,12 +199,6 @@ class AdamW:
             if cfg.weight_decay and decays_weight(name):
                 upd = upd + cfg.weight_decay * p.data
             p.data = p.data - lr * upd
-
-
-def adamw_step(params, grads, opt: AdamW, lr):
-    """Functional wrapper around :meth:`AdamW.step`."""
-    opt.step(params, grads, lr)
-    return params, opt
 
 
 def clip_gradients(grads: dict, max_norm):

@@ -18,35 +18,19 @@ from .tensor import Tape, Tensor, backward
 
 def _random_lambda(rng, strategy, granularity, n, dk):
     shape = (n, 1) if granularity == "scalar" else (n, dk)
-    f = Tensor(rng.normal(0.0, 3.0, size=shape))
-    if strategy == "lightnet":
-        return D.lightnet_decay(f).data
-    if strategy == "tnl":
-        c = D.tnl_decay(1 + rng.integers(0, 4), 4, 1 + rng.integers(0, 3), 3)
-        return np.full((n, 1), c)
-    if strategy == "tnl_l":
-        return np.full((n, 1), float(np.exp(-np.log1p(np.exp(rng.normal())))))
-    if strategy == "none":
-        return np.ones((n, 1))
-    kwargs = {"a": rng.normal(), "delta": rng.normal(), "tau": 16.0,
-              "lower_bound": float(rng.uniform(0.0, 0.9))}
-    return D.pointwise_decay(f, strategy, **kwargs).data
+    return D.STRATEGIES[strategy].random_lambda(rng, Tensor(rng.normal(0.0, 3.0, size=shape)))
 
 
 def _decay_cells():
+    """(strategy, granularity, sharing): a strategy with a decay projection
+    in all three projection layouts, a per-head one as a scalar."""
     cells = []
-    for strategy in D.POINTWISE + ("lightnet",):
-        for granularity in ("scalar", "vector"):
-            if strategy in ("tnl", "tnl_l") and granularity == "vector":
-                continue
-            sharings = ["independent"]
-            if granularity == "vector":
-                sharings.append("shared")
-            for sharing in sharings:
-                cells.append((strategy, granularity, sharing))
-    cells.append(("tnl", "scalar", "independent"))
-    cells.append(("tnl_l", "scalar", "independent"))
-    cells.append(("none", "scalar", "independent"))
+    for strategy, row in D.STRATEGIES.items():
+        if row.projected:
+            cells += [(strategy, "scalar", "independent"), (strategy, "vector", "independent"),
+                      (strategy, "vector", "shared")]
+        else:
+            cells.append((strategy, "scalar", "independent"))
     return cells
 
 

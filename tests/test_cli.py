@@ -6,7 +6,9 @@ import pytest
 
 from decaylab import cli
 from decaylab import recurrence
-from decaylab.decay import ConfigError
+from decaylab.checkpoint import save_checkpoint
+from decaylab.decay import STRATEGIES, ConfigError, DecayConfig
+from decaylab.model import ModelConfig, init_params
 
 
 TINY_CONFIG = """\
@@ -154,6 +156,16 @@ def test_cmd_train_bad_config(tmp_path, corpus_path, capsys):
     assert code == 2
 
 
+def test_cmd_train_dplr_lrpe_is_a_config_error(tmp_path, corpus_path, capsys):
+    cfg_path = _write(tmp_path, "[model]\nposenc = lrpe\ntransition = dplr\n")
+    out = tmp_path / "o"
+    code = cli.main(["train", "--config", cfg_path, "--corpus", corpus_path,
+                     "--out", str(out)])
+    assert code == 2
+    assert "lrpe" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory, corpus_path):
     tmp = tmp_path_factory.mktemp("cli_run")
@@ -258,6 +270,25 @@ def test_cmd_export(trained_run, tmp_path, capsys):
     assert "decay.delta" in text
     printed = capsys.readouterr().out
     assert "strategy summary" in printed
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_cmd_export_every_strategy(strategy, tmp_path, capsys):
+    config = ModelConfig(n_layers=2, hidden=8, heads=2,
+                         decay=DecayConfig(strategy=strategy, granularity="scalar"))
+    params = init_params(config)
+    path = str(tmp_path / "init.bin")
+    save_checkpoint(path, params, config)
+    assert cli.main(["export", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"  formula:     lambda = {STRATEGIES[strategy].formula}" in lines
+    printed = {line.split(":")[0].strip(): line for line in lines if ".decay." in line}
+    expected = {f"layers.{i}.decay.{name}" for i in range(2)
+                for name in STRATEGIES[strategy].scalars}
+    assert set(printed) == expected
+    for name in expected:
+        values = " ".join(f"{v:.6g}" for v in params[name].data.ravel())
+        assert printed[name] == f"  {name}: {values}"
 
 
 def test_cmd_export_missing_checkpoint(tmp_path, capsys):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from decaylab import model as M
 from decaylab import tensor as T
 from decaylab.decay import ConfigError, DecayConfig
 from decaylab.model import (ModelConfig, config_from_dict, config_to_dict,
@@ -32,6 +31,16 @@ def test_config_validation():
         ModelConfig(posenc="sinusoid")
     with pytest.raises(ConfigError):
         ModelConfig(transition="dense")
+
+
+@pytest.mark.parametrize("strategy", ["mamba2", "tnl", "none"])
+def test_dplr_rejects_lrpe(strategy):
+    # lrpe doubles the q/k width while kappa keeps the head dimension
+    decay = DecayConfig(strategy=strategy, granularity="scalar")
+    with pytest.raises(ConfigError):
+        ModelConfig(transition="dplr", posenc="lrpe", decay=decay)
+    ModelConfig(transition="dplr", posenc="rope", decay=decay)
+    ModelConfig(transition="diagonal", posenc="lrpe", decay=decay)
 
 
 def test_config_round_trip():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from decaylab import probe as PR
 from decaylab.decay import ConfigError, DecayConfig, tnl_decay
 from decaylab.model import ModelConfig, init_params, lm_forward
 from decaylab.probe import (DecayTrace, capture_trace, export_plot,
@@ -162,25 +161,3 @@ def test_export_plot_deterministic(tmp_path, rng):
 def test_export_plot_requires_traces(tmp_path):
     with pytest.raises(ValueError):
         export_plot({}, str(tmp_path / "never.svg"))
-
-
-def test_export_raw_and_median_recompute(tmp_path, rng):
-    config, params = _model()
-    n = 16
-    raw_trace = []
-    lm_forward(rng.integers(0, 256, size=n), params, config, trace=raw_trace)
-    trace = DecayTrace()
-    shapes = {}
-    for layer, lam in raw_trace:
-        trace.samples[layer] = lam.ravel().copy()
-        shapes[layer] = lam.shape
-    path = tmp_path / "raw.csv"
-    PR.export_raw(trace, shapes, str(path))
-    lines = path.read_text().strip().split("\n")[1:]
-    by_layer = {}
-    for line in lines:
-        layer, _, _, _, val = line.split(",")
-        by_layer.setdefault(int(layer), []).append(float(val))
-    for layer, vals in by_layer.items():
-        exact = median(trace.samples[layer])
-        assert abs(median(vals) - exact) <= 1e-9 * max(1.0, abs(exact))

@@ -336,31 +336,3 @@ def test_dplr_batched_gradients(rng, batch, n, scalar):
         return T.tsum(o * o)
 
     assert grad_check(build, leaves, rel_tol=1e-4) == []
-
-
-def test_cumulative_decay_values():
-    assert np.array_equal(R.cumulative_decay(np.ones((4, 2))), np.ones((4, 2)))
-    out = R.cumulative_decay(np.full((3, 1), 0.5))
-    assert np.max(np.abs(out[:, 0] - np.array([0.5, 0.25, 0.125]))) <= 1e-15
-
-
-def test_cumulative_decay_absorbing_zero(rng):
-    lam = rng.uniform(0.1, 1.0, size=(6, 2))
-    lam[2, 0] = 0.0
-    out = R.cumulative_decay(lam)
-    assert np.all(out[2:, 0] == 0.0)
-    assert np.all(out[2:, 1] > 0.0)
-
-
-def test_cumulative_decay_monotone(rng):
-    lam = rng.uniform(0.0, 1.0, size=(20, 3))
-    out = R.cumulative_decay(lam)
-    assert np.all(np.diff(out, axis=0) <= 1e-15)
-    assert np.all(out >= 0.0) and np.all(out <= 1.0)
-
-
-def test_cumulative_decay_range_validation():
-    with pytest.raises(ValueError):
-        R.cumulative_decay(np.array([[1.5]]))
-    with pytest.raises(ValueError):
-        R.cumulative_decay(np.array([[-0.1]]))

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from decaylab import train as TR
 from decaylab.decay import DecayConfig
 from decaylab.model import ModelConfig, init_params, lm_forward
 from decaylab.tensor import Tape, Tensor, backward
-from decaylab.train import (AdamW, Corpus, TrainConfig, clip_gradients,
+from decaylab.train import (AdamW, TrainConfig, clip_gradients,
                             cross_entropy, decays_weight, load_corpus,
                             next_batch, train_loop, wsd_lr)
 from decaylab.verify import finite_difference
