@@ -151,11 +151,11 @@ def decay_activations(x, proj: DecayProjection, config: DecayConfig):
     """
     proj.check(config)
     x = as_tensor(x)
-    xh = T.reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
     if config.granularity == "scalar":
-        return T.matmul(xh, proj.w_scalar)
+        return T.head_project(x, proj.w_scalar)
     if config.sharing == "shared":
-        return T.matmul(xh, proj.w_shared)
+        return T.head_project(x, proj.w_shared)
+    xh = T.reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
     return T.matmul(T.matmul(xh, proj.w_low), proj.w_head)
 
 
@@ -177,7 +177,8 @@ def lightnet_decay(f):
 
     Time runs along axis -2.  The empty prefix gives lambda_1 = 0, and
     1 - lambda_t = exp(F_t) / d_t holds.  Computed through a running
-    logsumexp, so lambda_t depends only on F_{<=t} (exact causality).
+    logsumexp, so lambda_t depends only on F_{<=t} (exact causality); the
+    backward is a reverse scan over bounded terms, finite for any finite F.
     """
     f = as_tensor(f)
     x = f.data
@@ -188,22 +189,20 @@ def lightnet_decay(f):
         [np.zeros_like(x[..., :1, :]),
          np.exp(lse[..., :-1, :] - lse[..., 1:, :])], axis=-2)
     out = Tensor(lam_data)
-    # backward works with shifted softmax terms; every ratio below is
-    # invariant to the shift
-    m = x.max(axis=-2, keepdims=True)
-    z = np.exp(x - m)
-    d = np.cumsum(z, axis=-2)
-    d_prev = np.concatenate([np.zeros_like(d[..., :1, :]), d[..., :-1, :]], axis=-2)
+    # 1 - lambda_t = exp(F_t - lse_t), without cancellation
+    p = np.exp(x - lse)
 
     def bw(g):
-        # d lambda_t / dF_s = [s<=t-1] z_s/d_t - [s<=t] z_s d_{t-1}/d_t^2
-        r1 = g / d
-        r2 = g * d_prev / (d * d)
-        # suffix sums: sum_{t>=s+1} r1_t  and  sum_{t>=s} r2_t
-        s1 = np.flip(np.cumsum(np.flip(r1, axis=-2), axis=-2), axis=-2)
-        s1 = np.concatenate([s1[..., 1:, :], np.zeros_like(s1[..., :1, :])], axis=-2)
-        s2 = np.flip(np.cumsum(np.flip(r2, axis=-2), axis=-2), axis=-2)
-        T._accum(f, z * (s1 - s2))
+        # dL/dF_s = p_s (W_s - g_s) with W_s = sum_{t>=s} g_t p_t prod_{s<i<=t} lambda_i,
+        # i.e. W_s = g_s p_s + lambda_{s+1} W_{s+1}: every factor lies in [0, 1]
+        c = np.moveaxis(g * p, -2, 0)
+        lam_t = np.moveaxis(lam_data, -2, 0)
+        w = np.empty_like(c)
+        w[-1] = c[-1]
+        for t in range(len(c) - 2, -1, -1):
+            np.multiply(lam_t[t + 1], w[t + 1], out=w[t])
+            w[t] += c[t]
+        T._accum(f, p * (np.moveaxis(w, 0, -2) - g))
 
     return T._record(out, (f,), bw)
 
@@ -247,6 +246,13 @@ def _mamba2_delta(heads, **_):
     return np.full(heads, -np.log(9.0))
 
 
+def _log_sigmoid_power(y, e):
+    """sigmoid(-y)^e as exp(-e * softplus(y)): log sigmoid(-y) = -softplus(y),
+    so a saturated sigmoid gives a tiny lambda with finite gradients rather
+    than 0^(e - 1) in the backward of a power."""
+    return T.exp(-(e * T.softplus(y)))
+
+
 def _hgrn2(f, lower_bound, **_):
     lb = as_tensor(lower_bound)
     return lb + (1.0 - lb) * T.sigmoid(f)
@@ -273,7 +279,7 @@ def _tnl_l_g(heads, layer, n_layers, **_):
 STRATEGIES: dict[str, Strategy] = {
     "mamba2": Strategy(
         "sigmoid(-f - delta)^exp(a)",
-        lambda f, a, delta, **_: T.power(T.sigmoid(-f - as_tensor(delta)), T.exp(as_tensor(a))),
+        lambda f, a, delta, **_: _log_sigmoid_power(f + as_tensor(delta), T.exp(as_tensor(a))),
         scalars={"a": _mamba2_a, "delta": _mamba2_delta}),
     "mamba2_no_a": Strategy(
         "sigmoid(-f - delta)",
@@ -281,12 +287,12 @@ STRATEGIES: dict[str, Strategy] = {
         scalars={"delta": _mamba2_delta}),
     "mamba2_no_delta": Strategy(
         "sigmoid(-f)^exp(a)",
-        lambda f, a, **_: T.power(T.sigmoid(-f), T.exp(as_tensor(a))),
+        lambda f, a, **_: _log_sigmoid_power(f, T.exp(as_tensor(a))),
         scalars={"a": _mamba2_a}),
     "mamba2_no_a_delta": Strategy("sigmoid(-f)", lambda f, **_: T.sigmoid(-f)),
     "gla": Strategy(
         "sigmoid(f)^(1/tau)",
-        lambda f, tau, **_: T.power(T.sigmoid(f), 1.0 / as_tensor(tau))),
+        lambda f, tau, **_: T.exp(-T.softplus(-f) / as_tensor(tau))),
     "hgrn2": Strategy("lb + (1 - lb) * sigmoid(f)", _hgrn2),
     "simple": Strategy(
         "sigmoid(f + delta), delta = argsigmoid(p)",

@@ -187,12 +187,6 @@ def param_count(config: ModelConfig) -> int:
 # forward
 # ---------------------------------------------------------------------------
 
-def _head_project(x, w):
-    """(..., n, d) @ (h, d, dh) -> (..., h, n, dh)."""
-    xh = T.reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
-    return T.matmul(xh, w)
-
-
 def compute_decay(x, params, config: ModelConfig, layer_idx, n, batch):
     """Decay values lambda for one layer, shaped (..., h, n, dk) or (..., h, n, 1)."""
     dc = config.decay
@@ -222,15 +216,15 @@ def token_mixer_forward(x, params, config: ModelConfig, layer_idx, trace=None):
     n = x.shape[-2]
     batch = x.shape[:-2]
     pre = f"layers.{layer_idx}."
-    q = T.silu(_head_project(x, params[pre + "wq"]))
+    q = T.silu(T.head_project(x, params[pre + "wq"]))
     lam = compute_decay(x, params, config, layer_idx, n, batch)
     if trace is not None:
         trace.append((layer_idx, lam.data.copy()))
     if dc.sharing == "shared":
         k = D.shared_key(lam)
     else:
-        k = T.silu(_head_project(x, params[pre + "wk"]))
-    v = _head_project(x, params[pre + "wv"])
+        k = T.silu(T.head_project(x, params[pre + "wk"]))
+    v = T.head_project(x, params[pre + "wv"])
     if config.posenc == "rope":
         rp = P.RopeParams(config.head_dim, config.rope_base)
         q, k = P.rope_apply(q, rp), P.rope_apply(k, rp)
@@ -240,8 +234,8 @@ def token_mixer_forward(x, params, config: ModelConfig, layer_idx, trace=None):
         if lam.shape[-1] != 1:
             lam = T.concat([lam, lam], axis=-1)
     if config.transition == "dplr":
-        kappa = T.silu(_head_project(x, params[pre + "wkappa"]))
-        beta = T.sigmoid(_head_project(x, params[pre + "wbeta"]))
+        kappa = T.silu(T.head_project(x, params[pre + "wkappa"]))
+        beta = T.sigmoid(T.head_project(x, params[pre + "wbeta"]))
         o = forward_dplr(q, k, v, lam, DplrParams(kappa=kappa, beta=beta))
     else:
         o, _ = forward_sequential(q, k, v, lam)

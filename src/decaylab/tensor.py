@@ -53,9 +53,12 @@ class Tape:
 
         with Tape():
             loss = ...
-            grads = backward(loss)
+            backward(loss)
 
-    On exit the tape frees its graph: every recorded node drops its backward
+    :func:`backward` drops each node's gradient and backward rule as soon
+    as the rule has run, so the arrays a rule saved are freed during the
+    walk; ``nodes`` itself is kept until the block ends.  On exit the tape
+    frees the rest of its graph: every recorded node drops its backward
     rule and its parents, and the tape drops its node list.  The rules close
     over their own outputs, so without this each step's graph would stay in
     reference cycles until Python's cyclic garbage collector ran, and peak
@@ -91,7 +94,10 @@ class Tensor:
     """Immutable-by-convention dense float64 array.
 
     ``grad`` is populated by :func:`backward` for tensors created with
-    ``requires_grad=True`` (leaves) and for intermediates on the tape.
+    ``requires_grad=True`` (leaves); each leaf owns its gradient array and
+    may change it in place.  An intermediate on the tape holds a gradient
+    only until its backward rule has run, and has ``grad`` None afterwards.
+    A tensor with ``requires_grad=False`` never gets a gradient.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
@@ -190,11 +196,20 @@ def _unbroadcast(grad, shape):
 
 
 def _accum(t, g):
+    """Add ``g`` to ``t.grad``.
+
+    Gradients are never changed in place, so an intermediate takes ``g``
+    as it is; a leaf copies it once, so that its ``grad`` is its own.
+    """
+    if not t.requires_grad:
+        return
     g = _unbroadcast(np.asarray(g, dtype=np.float64), t.data.shape)
-    if t.grad is None:
+    if t.grad is not None:
+        t.grad = t.grad + g
+    elif t._backward is None:
         t.grad = g.copy()
     else:
-        t.grad = t.grad + g
+        t.grad = g
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +243,10 @@ def mul(a, b):
     out = Tensor(a.data * b.data)
 
     def bw(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        if a.requires_grad:
+            _accum(a, g * b.data)
+        if b.requires_grad:
+            _accum(b, g * a.data)
 
     return _record(out, (a, b), bw)
 
@@ -239,8 +256,10 @@ def div(a, b):
     out = Tensor(a.data / b.data)
 
     def bw(g):
-        _accum(a, g / b.data)
-        _accum(b, -g * a.data / (b.data * b.data))
+        if a.requires_grad:
+            _accum(a, g / b.data)
+        if b.requires_grad:
+            _accum(b, -g * a.data / (b.data * b.data))
 
     return _record(out, (a, b), bw)
 
@@ -261,7 +280,8 @@ def power(a, b):
     out = Tensor(a.data ** b.data)
 
     def bw(g):
-        _accum(a, g * b.data * a.data ** (b.data - 1.0))
+        if a.requires_grad:
+            _accum(a, g * b.data * a.data ** (b.data - 1.0))
         if b.requires_grad:
             _accum(b, g * out.data * np.log(a.data))
 
@@ -321,10 +341,16 @@ def sigmoid(a):
 
 
 def silu(a):
-    """x * sigmoid(x)."""
+    """x * sigmoid(x); one tape node."""
     a = as_tensor(a)
-    s = sigmoid(a)
-    return mul(a, s)
+    x = a.data
+    s = _sigmoid(x)
+    out = Tensor(x * s)
+
+    def bw(g):
+        _accum(a, g * s * (1.0 + x * (1.0 - s)))
+
+    return _record(out, (a,), bw)
 
 
 def softplus(a):
@@ -398,6 +424,16 @@ def matmul(a, b):
         raise ShapeError(f"matmul: inner dimensions differ, {a.data.shape} vs {b.data.shape}")
     out = Tensor(np.matmul(a.data, b.data))
 
+    if a.ndim >= 2 and b.ndim == 2:
+        # a weight matrix: its gradient is one GEMM over all leading axes
+        def bw(g):
+            if a.requires_grad:
+                _accum(a, np.matmul(g, b.data.T))
+            if b.requires_grad:
+                _accum(b, a.data.reshape(-1, b.data.shape[0]).T @ g.reshape(-1, g.shape[-1]))
+
+        return _record(out, (a, b), bw)
+
     def bw(g):
         ad, bd = a.data, b.data
         if ad.ndim == 1:
@@ -425,13 +461,54 @@ def matmul(a, b):
     return _record(out, (a, b), bw)
 
 
+def head_project(x, w):
+    """Per-head projection (..., n, d) @ (h, d, dh) -> (..., h, n, dh).
+
+    One tape node: the heads are laid side by side as one (d, h * dh)
+    matrix, so the forward and each gradient are one 2-D GEMM, and the
+    result is a reshaped, transposed view of the product.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    h, d, dh = w.data.shape
+    if x.ndim < 2 or x.data.shape[-1] != d:
+        raise ShapeError(f"head_project: {x.data.shape} does not match weights {w.data.shape}")
+    x2 = x.data.reshape(-1, d)
+    w2 = w.data.transpose(1, 0, 2).reshape(d, h * dh)
+    y = (x2 @ w2).reshape(x.data.shape[:-1] + (h, dh))
+    out = Tensor(np.moveaxis(y, -2, -3))
+
+    def bw(g):
+        g2 = np.moveaxis(g, -3, -2).reshape(-1, h * dh)
+        if x.requires_grad:
+            _accum(x, (g2 @ w2.T).reshape(x.data.shape))
+        if w.requires_grad:
+            _accum(w, (x2.T @ g2).reshape(d, h, dh).transpose(1, 0, 2))
+
+    return _record(out, (x, w), bw)
+
+
 def rmsnorm(x, gamma, eps=1e-6):
-    """x / sqrt(mean(x^2) + eps) * gamma along the last axis."""
+    """x / sqrt(mean(x^2) + eps) * gamma along the last axis; one tape node.
+
+    With xh = x / rms and gg = g * gamma, the gradient of x is
+    (gg - xh * mean(gg * xh)) / rms and that of gamma is g * xh.
+    """
     if eps < 0:
         raise ValueError("rmsnorm: eps must be >= 0")
     x, gamma = as_tensor(x), as_tensor(gamma)
-    ms = tmean(mul(x, x), axis=-1, keepdims=True)
-    return mul(div(x, sqrt(add(ms, eps))), gamma)
+    inv_n = 1.0 / x.data.shape[-1]
+    rms = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) * inv_n + eps)
+    xh = x.data / rms
+    out = Tensor(xh * gamma.data)
+
+    def bw(g):
+        if gamma.requires_grad:
+            _accum(gamma, g * xh)
+        if x.requires_grad:
+            gg = g * gamma.data
+            _accum(x, (gg - xh * ((gg * xh).sum(axis=-1, keepdims=True) * inv_n)) / rms)
+
+    return _record(out, (x, gamma), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +558,28 @@ def concat(tensors, axis=-1):
     return _record(out, tuple(tensors), bw)
 
 
+def _basic_index(idx):
+    """Whether ``idx`` holds only slices, ints and Ellipsis, so that it
+    selects every source element at most once."""
+    items = idx if isinstance(idx, tuple) else (idx,)
+    return all(i is Ellipsis or isinstance(i, slice)
+               or (isinstance(i, (int, np.integer)) and not isinstance(i, bool))
+               for i in items)
+
+
 def take(a, idx):
-    """Indexing/gather; backward scatter-adds into the source."""
+    """Indexing/gather.  Backward writes ``g`` into the selected places, or
+    scatter-adds it for integer-array indices, which may repeat."""
     a = as_tensor(a)
     out = Tensor(a.data[idx])
+    basic = _basic_index(idx)
 
     def bw(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
+        if basic:
+            ga[idx] = g
+        else:
+            np.add.at(ga, idx, g)
         _accum(a, ga)
 
     return _record(out, (a,), bw)
@@ -501,18 +592,19 @@ def take(a, idx):
 def backward(root):
     """Accumulate gradients of a scalar ``root`` over the active tape.
 
-    Returns a list of (tensor, grad) for the tape's leaves is not kept;
-    gradients land on each tensor's ``grad`` attribute.  Accumulation
-    order is fixed reverse tape order.
+    Nothing is returned: gradients land on each leaf's ``grad`` attribute.
+    Accumulation order is fixed reverse tape order.  Each node's ``grad``
+    and backward rule are dropped as soon as the rule has run, which frees
+    the arrays the rule saved, so a tape is walked once.
     """
     tape = active_tape()
     if tape is None:
         raise RuntimeError("backward: no active tape")
     if root.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.shape}")
-    for node in tape.nodes:
-        node.grad = None
     root.grad = np.ones_like(root.data)
     for node in reversed(tape.nodes):
-        if node.grad is not None and node._backward is not None:
-            node._backward(node.grad)
+        rule, g = node._backward, node.grad
+        node._backward = node.grad = None
+        if rule is not None and g is not None:
+            rule(g)

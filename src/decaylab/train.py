@@ -136,7 +136,8 @@ def cross_entropy(logits, targets):
 
     def bw(g):
         soft = z / s
-        np.subtract.at(soft, tuple(np.indices(targets.shape)) + (targets,), 1.0)
+        # one target per position: a plain fancy-index subtraction, no repeats
+        soft.reshape(-1, V)[np.arange(count), targets.reshape(-1)] -= 1.0
         T._accum(logits, g * soft / count)
 
     return T._record(out, (logits,), bw)

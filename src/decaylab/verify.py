@@ -211,6 +211,22 @@ def suite_gradients(level="full"):
 
     rng2 = np.random.Generator(np.random.Philox(6)).normal(size=(6, 2))
     failures += [f"lightnet {m}" for m in grad_check(lightnet_loss, {"f": f})]
+
+    # the fused single-node ops of the model: rmsnorm, silu, head projection
+    rng3 = np.random.Generator(np.random.Philox(8))
+    x = Tensor(rng3.normal(size=(2, 3, 4)), requires_grad=True)
+    gamma = Tensor(rng3.normal(size=4), requires_grad=True)
+    weight = rng3.normal(size=(2, 3, 4))
+    failures += [f"rmsnorm {m}" for m in grad_check(
+        lambda lv: T.tsum(T.rmsnorm(lv["x"], lv["gamma"]) * weight), {"x": x, "gamma": gamma})]
+    failures += [f"silu {m}" for m in grad_check(
+        lambda lv: T.tsum(T.silu(lv["x"]) * weight), {"x": x})]
+    for dh in (3, 1):
+        w = Tensor(rng3.normal(size=(2, 4, dh)), requires_grad=True)
+        weight_h = rng3.normal(size=(2, 2, 3, dh))
+        failures += [f"head projection dh={dh} {m}" for m in grad_check(
+            lambda lv, _w=weight_h: T.tsum(T.head_project(lv["x"], lv["w"]) * _w),
+            {"x": x, "w": w})]
     return failures
 
 

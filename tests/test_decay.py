@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from decaylab import decay as D
 from decaylab import tensor as T
@@ -251,6 +253,40 @@ def test_lightnet_gradient(rng):
         return T.tsum(D.lightnet_decay(leaves["f"]) * T.as_tensor(w))
 
     assert grad_check(build, {"f": f}, rel_tol=1e-4) == []
+
+
+_F_SHAPE = (4, 3, 2)  # heads, positions, decay width
+_F_SIZE = int(np.prod(_F_SHAPE))
+
+
+@pytest.mark.parametrize("strategy", sorted(D.STRATEGIES))
+@settings(max_examples=40, deadline=None)
+@given(f=st.lists(st.floats(-1e3, 1e3), min_size=_F_SIZE, max_size=_F_SIZE),
+       scalar=st.floats(-50.0, 50.0), tau=st.floats(0.5, 64.0),
+       lower_bound=st.floats(0.0, 0.99))
+@example(f=[1e3] * _F_SIZE, scalar=-1.0, tau=16.0, lower_bound=0.0)
+@example(f=[-1e3] * _F_SIZE, scalar=50.0, tau=0.5, lower_bound=0.5)
+@example(f=[-1e3, 1e3] * (_F_SIZE // 2), scalar=-50.0, tau=64.0, lower_bound=0.99)
+@example(f=[800.0] * _F_SIZE, scalar=-1.0, tau=16.0, lower_bound=0.0)
+def test_every_row_is_finite_on_saturated_inputs(strategy, f, scalar, tau, lower_bound):
+    # |f| up to 1e3 and learned scalars up to 50 (exp(a) stays finite):
+    # lambda and every gradient must be finite
+    row = D.STRATEGIES[strategy]
+    inputs = DecayConfig(tau=tau, lower_bound=lower_bound).inputs(4, 1, 2)
+    ft = Tensor(np.reshape(f, _F_SHAPE), requires_grad=True)
+    leaves = {name: Tensor(np.full((4, 1, 1), scalar), requires_grad=True)
+              for name in row.scalars}
+    weight = np.linspace(-1.0, 1.0, _F_SIZE).reshape(_F_SHAPE)
+    with T.Tape():
+        lam = T.as_tensor(row.decay(ft if row.projected else None, **inputs, **leaves))
+        assert np.all(np.isfinite(lam.data))
+        assert np.all((lam.data >= 0.0) & (lam.data <= 1.0))
+        if lam.requires_grad:
+            T.backward(T.tsum(lam * weight))
+    for leaf in [ft, *leaves.values()]:
+        assert leaf.grad is None or np.all(np.isfinite(leaf.grad))
+    if row.source == "pointwise":
+        assert ft.grad is not None
 
 
 # ---------------------------------------------------------------------------

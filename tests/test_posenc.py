@@ -215,3 +215,16 @@ def test_rope_decay_rejects_wrong_width(rng):
     v = rng.normal(size=(5, 2))
     with pytest.raises(P.ContractError):
         P.rope_decay_equivalence(q, k, v, np.full((5, 3), 0.5), params)
+
+
+def test_rope_apply_gradient(rng):
+    # a squared norm is blind to the rotation (its gradient is 2x whatever the
+    # angles); a random weight makes the backward of both strided takes count
+    params = P.RopeParams(6)
+    x = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
+    weight = rng.normal(size=(2, 5, 6))
+
+    def build(leaves):
+        return T.tsum(P.rope_apply(leaves["x"], params) * weight)
+
+    assert grad_check(build, {"x": x}, rel_tol=1e-6) == []

@@ -294,3 +294,145 @@ def test_finite_difference_helper_on_quadratic():
     x = np.array([1.0, -2.0, 0.5])
     g = finite_difference(lambda v: float((v ** 2).sum()), x)
     assert np.max(np.abs(g - 2.0 * x)) <= 1e-8
+
+
+def test_leaf_grad_is_owned_even_from_a_broadcast_view():
+    # tsum's rule hands its input a read-only broadcast view of the root grad
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    with Tape():
+        backward(T.tsum(x))
+    assert x.grad.base is None and x.grad.flags.owndata and x.grad.flags.writeable
+    x.grad *= 2.0
+    assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+
+
+def test_operand_without_requires_grad_gets_no_grad():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    c = Tensor(np.array([0.5, 4.0, -1.0]))
+    with Tape():
+        backward(T.tsum(T.matmul(T.reshape(x * c, (1, 3)), T.reshape(c, (3, 1)))))
+    assert c.grad is None
+    assert np.array_equal(x.grad, c.data * c.data)
+
+
+def test_intermediates_drop_grad_after_backward():
+    x = Tensor(np.array([[0.5, -1.0], [2.0, 0.1]]), requires_grad=True)
+    with Tape() as tape:
+        h = T.exp(x)
+        s = T.silu(h)
+        loss = T.tsum(s * h)
+        backward(loss)
+        assert len(tape.nodes) == 4
+        assert all(node.grad is None and node._backward is None for node in tape.nodes)
+    assert h.grad is None and s.grad is None and loss.grad is None
+    assert x.grad is not None
+
+
+def test_saved_array_dies_during_backward():
+    # an array that only a backward rule holds is freed once that rule has
+    # run, while the tape block is still open
+    x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+    seen = []
+
+    def probe_bw(g):
+        seen.append(ref() is None)
+        T._accum(x, g)
+
+    gc.disable()
+    try:
+        with Tape() as tape:
+            p = T._record(Tensor(x.data.copy()), (x,), probe_bw)
+            saved = np.exp(p.data)
+            ref = weakref.ref(saved)
+            out = T._record(Tensor(p.data * saved), (p,),
+                            lambda g, s=saved: T._accum(p, g * s))
+            del saved
+            assert ref() is not None
+            backward(T.tsum(out))
+            assert seen == [True]
+            assert len(tape.nodes) == 3
+    finally:
+        gc.enable()
+    assert np.array_equal(x.grad, np.exp(x.data))
+
+
+def _composed_rmsnorm(x, gamma, eps=1e-6):
+    ms = T.tmean(T.mul(x, x), axis=-1, keepdims=True)
+    return T.mul(T.div(x, T.sqrt(T.add(ms, eps))), gamma)
+
+
+def _composed_silu(x):
+    return T.mul(x, T.sigmoid(x))
+
+
+def _value_and_grads(fn, leaves, weight):
+    with Tape():
+        out = fn(*leaves)
+        backward(T.tsum(out * weight))
+    grads = [leaf.grad for leaf in leaves]
+    for leaf in leaves:
+        leaf.grad = None
+    return out.data, grads
+
+
+def test_fused_rmsnorm_matches_composed_formula():
+    rng = np.random.Generator(np.random.Philox(19))
+    x = Tensor(rng.normal(size=(2, 3, 5, 8)), requires_grad=True)
+    gamma = Tensor(rng.normal(size=8), requires_grad=True)
+    weight = rng.normal(size=(2, 3, 5, 8))
+    fused, fused_grads = _value_and_grads(T.rmsnorm, [x, gamma], weight)
+    ref, ref_grads = _value_and_grads(_composed_rmsnorm, [x, gamma], weight)
+    assert np.max(np.abs(fused - ref)) <= 1e-15
+    for g, r in zip(fused_grads, ref_grads):
+        assert np.max(np.abs(g - r)) <= 1e-12
+
+    def build(leaves):
+        return T.tsum(T.rmsnorm(leaves["x"], leaves["gamma"]) * weight)
+
+    assert grad_check(build, {"x": x, "gamma": gamma}, rel_tol=1e-4) == []
+
+
+def test_fused_silu_matches_composed_formula():
+    rng = np.random.Generator(np.random.Philox(20))
+    x = Tensor(rng.normal(0.0, 3.0, size=(2, 3, 5, 8)), requires_grad=True)
+    weight = rng.normal(size=(2, 3, 5, 8))
+    fused, (fused_grad,) = _value_and_grads(T.silu, [x], weight)
+    ref, (ref_grad,) = _value_and_grads(_composed_silu, [x], weight)
+    assert np.max(np.abs(fused - ref)) <= 1e-15
+    assert np.max(np.abs(fused_grad - ref_grad)) <= 1e-12
+
+    def build(leaves):
+        return T.tsum(T.silu(leaves["x"]) * weight)
+
+    assert grad_check(build, {"x": x}, rel_tol=1e-4) == []
+
+
+@pytest.mark.parametrize("dh", [16, 1])
+def test_head_project_matches_per_head_matmul(dh):
+    rng = np.random.Generator(np.random.Philox(21))
+    x = rng.normal(size=(2, 7, 12))
+    w = rng.normal(size=(3, 12, dh))
+    out = T.head_project(Tensor(x), Tensor(w)).data
+    assert out.shape == (2, 3, 7, dh)
+    for j in range(3):
+        assert np.max(np.abs(out[:, j] - x @ w[j])) <= 1e-12
+
+    small = {"x": Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True),
+             "w": Tensor(rng.normal(size=(2, 4, min(dh, 3))), requires_grad=True)}
+    weight = rng.normal(size=(2, 2, 3, min(dh, 3)))
+
+    def build(leaves):
+        return T.tsum(T.head_project(leaves["x"], leaves["w"]) * weight)
+
+    assert grad_check(build, small, rel_tol=1e-4) == []
+
+
+def test_take_basic_and_integer_indices_gradient():
+    x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    weight = np.arange(6.0).reshape(3, 2)
+    with Tape():
+        backward(T.tsum(x[..., 1::2] * weight) + T.tsum(x[1]))
+    ref = np.zeros((3, 4))
+    ref[:, 1::2] = weight
+    ref[1] += 1.0
+    assert np.array_equal(x.grad, ref)
