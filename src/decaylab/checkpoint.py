@@ -50,7 +50,8 @@ def save_checkpoint(path, params: dict, config: ModelConfig):
 
 
 def load_checkpoint(path):
-    """Returns (params, config); raises CheckpointError on corruption."""
+    """Returns (params, config); raises CheckpointError for a corrupt file,
+    and for a malformed header, tensor data or config under a valid digest."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < len(MAGIC) + 4 + 32 or raw[: len(MAGIC)] != MAGIC:
@@ -60,18 +61,23 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: checksum mismatch")
     hlen = struct.unpack("<I", raw[len(MAGIC): len(MAGIC) + 4])[0]
     hstart = len(MAGIC) + 4
-    header = json.loads(raw[hstart: hstart + hlen].decode())
-    if header.get("version") != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {header.get('version')}")
-    config = config_from_dict(header["config"])
-    params = {}
-    off = hstart + hlen
-    for spec in header["tensors"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        vals = np.frombuffer(body, dtype="<f8", count=count, offset=off).reshape(shape)
-        params[spec["name"]] = Tensor(vals.copy(), requires_grad=True)
-        off += count * 8
-    if off != len(body):
-        raise CheckpointError(f"{path}: trailing or missing tensor data")
+    try:
+        if hstart + hlen > len(body):
+            raise ValueError(f"header length {hlen} runs past the tensor data")
+        header = json.loads(raw[hstart: hstart + hlen].decode())
+        if header.get("version") != VERSION:
+            raise ValueError(f"unsupported version {header.get('version')}")
+        config = config_from_dict(header["config"])
+        params = {}
+        off = hstart + hlen
+        for spec in header["tensors"]:
+            shape = tuple(spec["shape"])
+            count = int(np.prod(shape)) if shape else 1
+            vals = np.frombuffer(body, dtype="<f8", count=count, offset=off).reshape(shape)
+            params[spec["name"]] = Tensor(vals.copy(), requires_grad=True)
+            off += count * 8
+        if off != len(body):
+            raise ValueError("trailing or missing tensor data")
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint: {exc!r}") from exc
     return params, config

@@ -165,12 +165,20 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def cmd_probe(args):
+def _load(path):
+    """(params, config, EXIT_OK), or (None, None, exit code) after printing
+    why the checkpoint cannot be read (EXIT_IO) or is not valid (EXIT_COMPAT)."""
     try:
-        params, config = load_checkpoint(args.checkpoint)
+        return (*load_checkpoint(path), EXIT_OK)
     except (OSError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO if isinstance(exc, OSError) else EXIT_COMPAT
+        return None, None, EXIT_IO if isinstance(exc, OSError) else EXIT_COMPAT
+
+
+def cmd_probe(args):
+    params, config, code = _load(args.checkpoint)
+    if code != EXIT_OK:
+        return code
     if config.decay.strategy == "none":
         print("error: checkpoint was trained without decay; nothing to probe",
               file=sys.stderr)
@@ -213,11 +221,9 @@ def cmd_verify(args):
 
 
 def cmd_export(args):
-    try:
-        params, config = load_checkpoint(args.checkpoint)
-    except (OSError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO if isinstance(exc, OSError) else EXIT_COMPAT
+    params, config, code = _load(args.checkpoint)
+    if code != EXIT_OK:
+        return code
     dc = config.decay
     row = STRATEGIES[dc.strategy]
     lines = [

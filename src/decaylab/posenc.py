@@ -34,24 +34,42 @@ class RopeParams:
         return self.base ** (-2.0 * np.arange(half) / self.head_dim)
 
 
-def _rope_trig(params: RopeParams, n, positions=None):
+def _angles(thetas, n, positions=None):
+    """(n, len(thetas)) angles t * theta, t = 0..n-1 unless positions are given."""
     t = np.arange(n, dtype=np.float64) if positions is None else np.asarray(positions, dtype=np.float64)
-    angles = t[:, None] * params.thetas[None, :]
+    return t[:, None] * thetas[None, :]
+
+
+def _rope_trig(params: RopeParams, n, positions=None):
+    angles = _angles(params.thetas, n, positions)
     return np.cos(angles), np.sin(angles)
 
 
+def _rotate(x, cos, sin):
+    """Rotate consecutive pairs (x_2i, x_2i+1) of an array by angles with the
+    given cosines and sines; ``_rotate(y, cos, -sin)`` undoes it."""
+    y = np.empty_like(x)
+    y[..., 0::2] = x[..., 0::2] * cos - x[..., 1::2] * sin
+    y[..., 1::2] = x[..., 0::2] * sin + x[..., 1::2] * cos
+    return y
+
+
 def rope_apply(x, params: RopeParams, positions=None):
-    """Rotate consecutive pairs of x (..., n, d) by position-scaled angles."""
+    """Rotate consecutive pairs of x (..., n, d) by position-scaled angles.
+
+    One tape node: the rotation is orthogonal, so the gradient is ``g``
+    rotated back by the same angles.
+    """
     x = as_tensor(x)
     if x.shape[-1] != params.head_dim:
         raise ValueError(f"rope: expected last dim {params.head_dim}, got {x.shape[-1]}")
     cos, sin = _rope_trig(params, x.shape[-2], positions)
-    xe = x[..., 0::2]
-    xo = x[..., 1::2]
-    ye = xe * cos - xo * sin
-    yo = xe * sin + xo * cos
-    stacked = T.concat([T.reshape(ye, ye.shape + (1,)), T.reshape(yo, yo.shape + (1,))], axis=-1)
-    return T.reshape(stacked, x.shape)
+    out = Tensor(_rotate(x.data, cos, sin))
+
+    def bw(g):
+        T._accum(x, _rotate(g, cos, -sin))
+
+    return T._record(out, (x,), bw)
 
 
 @dataclass
@@ -70,9 +88,7 @@ def lrpe_apply(x, params: LrpeParams, positions=None):
     Inner products of encoded q/k depend on positions only through t - s.
     """
     x = as_tensor(x)
-    n = x.shape[-2]
-    t = np.arange(n, dtype=np.float64) if positions is None else np.asarray(positions, dtype=np.float64)
-    angles = t[:, None] * params.thetas[None, :]
+    angles = _angles(params.thetas, x.shape[-2], positions)
     return T.concat([x * np.cos(angles), x * np.sin(angles)], axis=-1)
 
 
@@ -156,7 +172,7 @@ def _pairwise_lambda(lam, dk):
 def rope_decay_equivalence(q, k, v, lam, params: RopeParams, positions=None):
     """Max abs deviation between the rotated-recurrence and closed relative forms.
 
-    Path (i): apply the rotation to q and k, then run the sequential scan.
+    Path (i): rotate q and k with :func:`rope_apply`, then run the scan.
     Path (ii): o_t = q_t^T sum_j w_{tj} R_{t-j} k_j v_j^T with w_{tj} the
     telescoped product of decays over (j, t].  Requires scalar decay or
     pair-duplicated vector decay.
@@ -165,15 +181,7 @@ def rope_decay_equivalence(q, k, v, lam, params: RopeParams, positions=None):
                for x in (q, k, v))
     n, dk = q.shape[-2], q.shape[-1]
     lam_full = _pairwise_lambda(lam, dk)
-    cos, sin = _rope_trig(params, n, positions)
-
-    def rot(x, c, s):
-        y = np.empty_like(x)
-        y[..., 0::2] = x[..., 0::2] * c - x[..., 1::2] * s
-        y[..., 1::2] = x[..., 0::2] * s + x[..., 1::2] * c
-        return y
-
-    qr, kr = rot(q, cos, sin), rot(k, cos, sin)
+    qr, kr = (rope_apply(x, params, positions).data for x in (q, k))
     o_rec = _scan(qr, kr, v, lam_full)[0]
 
     t_idx = np.arange(n, dtype=np.float64) if positions is None else np.asarray(positions, dtype=np.float64)
@@ -182,9 +190,7 @@ def rope_decay_equivalence(q, k, v, lam, params: RopeParams, positions=None):
     for t in range(n):
         w[:t, :] *= lam_full[t, None, :]
         w[t, :] = 1.0
-        rel = (t_idx[: t + 1] - t_idx[t])[:, None] * params.thetas[None, :]
-        crel, srel = np.cos(rel), np.sin(rel)
-        k_rot = rot(k[: t + 1], crel, srel)
+        k_rot = _rotate(k[: t + 1], *_rope_trig(params, t + 1, t_idx[: t + 1] - t_idx[t]))
         coef = (q[t, None, :] * w[: t + 1] * k_rot).sum(axis=-1)
         o_rel[t] = coef @ v[: t + 1]
     return float(np.max(np.abs(o_rec - o_rel)))

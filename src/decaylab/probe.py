@@ -28,12 +28,10 @@ class LayerStats:
 class DecayTrace:
     """Sampled decay values per layer with summary statistics.
 
-    Medians aggregate over positions, heads, and dimensions jointly; the
-    aggregation scope is recorded in ``meta`` for export.
+    Medians aggregate over positions, heads, and dimensions jointly.
     """
 
     samples: dict[int, np.ndarray] = field(default_factory=dict)
-    meta: str = "aggregated over position x head x dim"
 
     def stats(self):
         out = []
@@ -67,13 +65,8 @@ def capture_trace(params, config: ModelConfig, tokens) -> DecayTrace:
         raise ConfigError("cannot probe a model with decay disabled")
     raw: list = []
     lm_forward(tokens, params, config, trace=raw)
-    trace = DecayTrace()
-    for layer_idx, lam in raw:
-        flat = np.asarray(lam, dtype=np.float64).ravel()
-        if layer_idx in trace.samples:
-            flat = np.concatenate([trace.samples[layer_idx], flat])
-        trace.samples[layer_idx] = flat
-    return trace
+    # each layer appends its decay exactly once per forward
+    return DecayTrace({layer_idx: lam.ravel() for layer_idx, lam in raw})
 
 
 def _rewrite(path, text):

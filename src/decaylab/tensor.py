@@ -7,6 +7,10 @@ walks the tape in reverse creation order, which makes gradient
 accumulation deterministic and reruns bitwise reproducible.
 
 If no tape is active, operations simply compute forward values.
+
+Only the ops the library runs live here; ``take`` serves the embedding
+lookup and scatter-adds its gradient.  RoPE, LightNet's decay and the scans
+record their own single nodes through ``_record`` and ``_accum``.
 """
 
 from __future__ import annotations
@@ -155,9 +159,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __pow__(self, other):
-        return power(self, other)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -274,36 +275,12 @@ def neg(a):
     return _record(out, (a,), bw)
 
 
-def power(a, b):
-    """Elementwise a**b; base must be positive where the exponent is live."""
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data ** b.data)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * b.data * a.data ** (b.data - 1.0))
-        if b.requires_grad:
-            _accum(b, g * out.data * np.log(a.data))
-
-    return _record(out, (a, b), bw)
-
-
 def exp(a):
     a = as_tensor(a)
     out = Tensor(np.exp(a.data))
 
     def bw(g):
         _accum(a, g * out.data)
-
-    return _record(out, (a,), bw)
-
-
-def log(a):
-    a = as_tensor(a)
-    out = Tensor(np.log(a.data))
-
-    def bw(g):
-        _accum(a, g / a.data)
 
     return _record(out, (a,), bw)
 
@@ -381,50 +358,17 @@ def tsum(a, axis=None, keepdims=False):
     return _record(out, (a,), bw)
 
 
-def tmean(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
-
-
-def logsumexp(a, axis=-1, keepdims=False, allow_empty=False):
-    """log(sum(exp(x))) along ``axis``, stable under large inputs.
-
-    An empty reduction axis raises unless ``allow_empty`` is set, in which
-    case the -inf sentinel of an empty sum is returned.
-    """
-    a = as_tensor(a)
-    if a.data.shape[axis] == 0:
-        if not allow_empty:
-            raise ValueError("logsumexp over an empty axis (pass allow_empty=True to opt in)")
-        shape = list(a.data.shape)
-        if keepdims:
-            shape[axis] = 1
-        else:
-            del shape[axis % len(shape)]
-        return Tensor(np.full(shape, -np.inf))
-    m = a.data.max(axis=axis, keepdims=True)
-    z = np.exp(a.data - m)
-    s = z.sum(axis=axis, keepdims=True)
-    res = m + np.log(s)
-    out = Tensor(res if keepdims else np.squeeze(res, axis=axis))
-
-    def bw(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, g * z / s)
-
-    return _record(out, (a,), bw)
-
-
 def matmul(a, b):
-    """Matrix product with numpy broadcasting over leading axes."""
+    """Matrix product of operands with at least two axes each, with numpy
+    broadcasting over the leading axes."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape[-1] != b.data.shape[-2 if b.ndim > 1 else 0]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul: operands need two axes, got {a.data.shape} and {b.data.shape}")
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.data.shape} vs {b.data.shape}")
     out = Tensor(np.matmul(a.data, b.data))
 
-    if a.ndim >= 2 and b.ndim == 2:
+    if b.ndim == 2:
         # a weight matrix: its gradient is one GEMM over all leading axes
         def bw(g):
             if a.requires_grad:
@@ -435,28 +379,10 @@ def matmul(a, b):
         return _record(out, (a, b), bw)
 
     def bw(g):
-        ad, bd = a.data, b.data
-        if ad.ndim == 1:
-            ad = ad[None, :]
-        if bd.ndim == 1:
-            bd = bd[:, None]
-        gg = g
-        if a.data.ndim == 1:
-            gg = np.expand_dims(gg, -2)
-        if b.data.ndim == 1:
-            gg = np.expand_dims(gg, -1)
-        ga = np.matmul(gg, np.swapaxes(bd, -1, -2))
-        gb = np.matmul(np.swapaxes(ad, -1, -2), gg)
-        if a.data.ndim == 1:
-            ga = ga.reshape(a.data.shape) if ga.ndim <= 2 else ga.sum(axis=tuple(range(ga.ndim - 2))).reshape(a.data.shape)
-            _accum(a, ga)
-        else:
-            _accum(a, ga)
-        if b.data.ndim == 1:
-            gb = gb.reshape(b.data.shape) if gb.ndim <= 2 else gb.sum(axis=tuple(range(gb.ndim - 2))).reshape(b.data.shape)
-            _accum(b, gb)
-        else:
-            _accum(b, gb)
+        if a.requires_grad:
+            _accum(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        if b.requires_grad:
+            _accum(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     return _record(out, (a, b), bw)
 
@@ -558,28 +484,15 @@ def concat(tensors, axis=-1):
     return _record(out, tuple(tensors), bw)
 
 
-def _basic_index(idx):
-    """Whether ``idx`` holds only slices, ints and Ellipsis, so that it
-    selects every source element at most once."""
-    items = idx if isinstance(idx, tuple) else (idx,)
-    return all(i is Ellipsis or isinstance(i, slice)
-               or (isinstance(i, (int, np.integer)) and not isinstance(i, bool))
-               for i in items)
-
-
 def take(a, idx):
-    """Indexing/gather.  Backward writes ``g`` into the selected places, or
-    scatter-adds it for integer-array indices, which may repeat."""
+    """Indexing/gather.  Backward scatter-adds ``g``, so an index that
+    repeats (an embedding lookup) sums its gradients."""
     a = as_tensor(a)
     out = Tensor(a.data[idx])
-    basic = _basic_index(idx)
 
     def bw(g):
         ga = np.zeros_like(a.data)
-        if basic:
-            ga[idx] = g
-        else:
-            np.add.at(ga, idx, g)
+        np.add.at(ga, idx, g)
         _accum(a, ga)
 
     return _record(out, (a,), bw)

@@ -1,6 +1,6 @@
-"""Self-check suites behind the `verify` subcommand: oracle equivalence,
-chunked equivalence, DPLR reductions, RoPE-decay compatibility, gradient
-checks, and the algebraic decay identities.
+"""Self-check suites behind the `verify` subcommand: oracle equivalence
+(the decay scan and TPE), chunked equivalence, DPLR reductions, RoPE-decay
+compatibility, gradient checks, and the algebraic decay identities.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 from . import decay as D
 from . import recurrence as R
 from . import tensor as T
-from .posenc import RopeParams, rope_decay_equivalence
+from .posenc import RopeParams, TpeParams, rope_decay_equivalence, tpe_apply, tpe_toeplitz_oracle
 from .tensor import Tape, Tensor, backward
 
 
@@ -54,6 +54,16 @@ def suite_sequential_vs_oracle(level="full"):
             worst = max(worst, float(np.max(np.abs(o_seq.data - o_ref))))
         if worst > 1e-10:
             failures.append(f"{strategy}/{granularity}/{sharing}: max abs diff {worst:.3e}")
+    rng = np.random.Generator(np.random.Philox([1, 1]))
+    worst = 0.0
+    for _ in range(cases):
+        n, d, m = (int(rng.integers(1, hi)) for hi in (65, 5, 4))
+        params = TpeParams(*rng.normal(size=(3, d, m)))
+        x = rng.normal(size=(int(rng.integers(1, 3)), n, d))
+        worst = max(worst, float(np.max(np.abs(
+            tpe_apply(x, params).data - tpe_toeplitz_oracle(x, params)))))
+    if worst > 1e-10:
+        failures.append(f"tpe: max abs diff {worst:.3e}")
     return failures
 
 

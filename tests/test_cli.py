@@ -1,4 +1,7 @@
+import hashlib
+import json
 import os
+import struct
 import time
 
 import numpy as np
@@ -6,9 +9,9 @@ import pytest
 
 from decaylab import cli
 from decaylab import recurrence
-from decaylab.checkpoint import save_checkpoint
+from decaylab.checkpoint import MAGIC, save_checkpoint
 from decaylab.decay import STRATEGIES, ConfigError, DecayConfig
-from decaylab.model import ModelConfig, init_params
+from decaylab.model import ModelConfig, config_to_dict, init_params
 
 
 TINY_CONFIG = """\
@@ -293,6 +296,46 @@ def test_cmd_export_every_strategy(strategy, tmp_path, capsys):
 
 def test_cmd_export_missing_checkpoint(tmp_path, capsys):
     assert cli.main(["export", str(tmp_path / "none.bin")]) == 2
+
+
+def _malformed(case):
+    """A checkpoint whose digest is right but whose contents are not."""
+    config = ModelConfig(n_layers=1, hidden=8, heads=2)
+    header = {"version": 1, "config": config_to_dict(config), "seed": config.seed,
+              "tensors": [{"name": "final_norm", "shape": [8]}]}
+    blobs = np.ones(8).tobytes()
+    hextra = 0
+    if case == "header not json":
+        hbytes = b"{not json"
+    elif case == "header not utf-8":
+        hbytes = b'{"version": 1, "\xff": 0}'
+    else:
+        if case == "hlen past the end":
+            hextra = 1000
+        elif case == "no tensors key":
+            del header["tensors"]
+        elif case == "shape larger than the blobs":
+            header["tensors"][0]["shape"] = [64, 8]
+        elif case == "unknown config key":
+            header["config"]["bogus"] = 1
+        elif case == "invalid config":
+            header["config"]["decay"]["strategy"] = "no_such_strategy"
+        hbytes = json.dumps(header).encode()
+    body = MAGIC + struct.pack("<I", len(hbytes) + hextra) + hbytes + blobs
+    return body + hashlib.sha256(body).digest()
+
+
+@pytest.mark.parametrize("case", ["header not json", "header not utf-8", "hlen past the end",
+                                  "no tensors key", "shape larger than the blobs",
+                                  "unknown config key", "invalid config"])
+def test_malformed_checkpoint_exits_3(case, tmp_path, corpus_path, capsys):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(_malformed(case))
+    assert cli.main(["probe", str(path), corpus_path, "--out", str(tmp_path / "p")]) == 3
+    assert cli.main(["export", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("malformed checkpoint") == 2
+    assert not (tmp_path / "p").exists()
 
 
 def test_cli_writes_only_inside_out_dir(tmp_path, corpus_path):

@@ -66,7 +66,8 @@ def test_rope_gradient(rng):
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
 
     def build(leaves):
-        return T.tsum(P.rope_apply(leaves["x"], params) ** Tensor(2.0))
+        y = P.rope_apply(leaves["x"], params)
+        return T.tsum(y * y)
 
     assert grad_check(build, {"x": x}, rel_tol=1e-4) == []
 
@@ -228,3 +229,32 @@ def test_rope_apply_gradient(rng):
         return T.tsum(P.rope_apply(leaves["x"], params) * weight)
 
     assert grad_check(build, {"x": x}, rel_tol=1e-6) == []
+
+
+def _composed_rope(x, params):
+    # the rotation as generic tape ops: strided takes, products, interleave
+    cos, sin = P._rope_trig(params, x.shape[-2])
+    xe, xo = x[..., 0::2], x[..., 1::2]
+    ye = xe * cos - xo * sin
+    yo = xe * sin + xo * cos
+    stacked = T.concat([T.reshape(ye, ye.shape + (1,)), T.reshape(yo, yo.shape + (1,))], axis=-1)
+    return T.reshape(stacked, x.shape)
+
+
+def test_rope_apply_is_one_node_equal_to_composed_formula(rng):
+    params = P.RopeParams(8)
+    x = Tensor(rng.normal(size=(2, 3, 7, 8)), requires_grad=True)
+    weight = rng.normal(size=(2, 3, 7, 8))
+    results = []
+    for fn in (P.rope_apply, _composed_rope):
+        with T.Tape() as tape:
+            h = x * 1.0  # an intermediate, as q and k are in the model
+            y = fn(h, params)
+            nodes = len(tape.nodes) - 1
+            T.backward(T.tsum(y * weight))
+        results.append((nodes, y.data, x.grad))
+        x.grad = None
+    (nodes, value, grad), (_, ref_value, ref_grad) = results
+    assert nodes == 1
+    assert value.tobytes() == ref_value.tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
