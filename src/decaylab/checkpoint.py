@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -30,6 +31,8 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, params: dict, config: ModelConfig):
+    """Write the checkpoint to a temporary file beside ``path`` and rename it
+    over ``path``, so that a failed write leaves any earlier file intact."""
     names = sorted(params)
     header = {
         "version": VERSION,
@@ -45,8 +48,15 @@ def save_checkpoint(path, params: dict, config: ModelConfig):
     for n in names:
         buf += np.ascontiguousarray(params[n].data, dtype="<f8").tobytes()
     buf += hashlib.sha256(bytes(buf)).digest()
-    with open(path, "wb") as f:
-        f.write(bytes(buf))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(buf)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

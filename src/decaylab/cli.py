@@ -199,12 +199,12 @@ def cmd_probe(args):
               f"({config.vocab})", file=sys.stderr)
         return EXIT_COMPAT
     os.makedirs(args.out, exist_ok=True)
-    trace = capture_trace(params, config, tokens)
+    stats = capture_trace(params, config, tokens).stats()
     table = os.path.join(args.out, "decay_medians.csv")
     plot = os.path.join(args.out, "decay_medians.svg")
-    export_table(trace, table)
-    export_plot({config.decay.strategy: trace}, plot)
-    for s in trace.stats():
+    export_table(stats, table)
+    export_plot({config.decay.strategy: stats}, plot)
+    for s in stats:
         print(f"layer {s.layer}: median {s.median:.6f} (min {s.min:.4f}, "
               f"max {s.max:.4f}, n={s.count})")
     print(f"wrote {table} and {plot}")

@@ -26,7 +26,6 @@ class ModelConfig:
     n_layers: int = 2
     hidden: int = 64
     heads: int = 4
-    value_dim: int | None = None
     vocab: int = 256
     decay: DecayConfig = field(default_factory=DecayConfig)
     posenc: str = "none"
@@ -38,18 +37,10 @@ class ModelConfig:
     rope_base: float = 10000.0
 
     def __post_init__(self):
-        if self.value_dim is None:
-            self.value_dim = self.hidden
         if self.n_layers < 1:
             raise ConfigError("n_layers must be >= 1")
         if self.hidden % self.heads != 0:
             raise ConfigError(f"hidden {self.hidden} not divisible by heads {self.heads}")
-        if self.value_dim % self.heads != 0:
-            raise ConfigError(f"value_dim {self.value_dim} not divisible by heads {self.heads}")
-        if self.value_dim != self.hidden:
-            # residual blocks add mixer output back to the stream; the token
-            # mixer has no output projection, so the widths must agree
-            raise ConfigError("value_dim must equal hidden")
         if self.vocab < 2:
             raise ConfigError("vocab must be >= 2")
         if self.posenc not in POSENCS:
@@ -66,10 +57,6 @@ class ModelConfig:
     def head_dim(self):
         return self.hidden // self.heads
 
-    @property
-    def head_value_dim(self):
-        return self.value_dim // self.heads
-
 
 def config_to_dict(config: ModelConfig) -> dict:
     return asdict(config)
@@ -77,6 +64,9 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 def config_from_dict(d: dict) -> ModelConfig:
     d = dict(d)
+    # older checkpoints store value_dim, which always equalled hidden
+    if d.get("value_dim") == d.get("hidden"):
+        d.pop("value_dim", None)
     d["decay"] = DecayConfig(**d.get("decay", {}))
     return ModelConfig(**d)
 
@@ -103,8 +93,7 @@ def init_params(config: ModelConfig, seed=None):
     """Full parameter set as a flat name -> Tensor dict, reproducible from seed."""
     rng = np.random.Generator(np.random.Philox(config.seed if seed is None else seed))
     d, h = config.hidden, config.heads
-    dk, dv = config.head_dim, config.head_value_dim
-    e = config.value_dim
+    dk = config.head_dim
     dc = config.decay
     row = D.STRATEGIES[dc.strategy]
     params: dict[str, Tensor] = {}
@@ -121,7 +110,9 @@ def init_params(config: ModelConfig, seed=None):
         params[pre + "wq"] = _leaf(rng, (h, d, dk))
         if dc.sharing != "shared":
             params[pre + "wk"] = _leaf(rng, (h, d, dk))
-        params[pre + "wv"] = _leaf(rng, (h, d, dv))
+        # values are head-wide too: the mixer has no output projection, so
+        # its output joins the residual stream at the model width
+        params[pre + "wv"] = _leaf(rng, (h, d, dk))
         if row.projected:
             if dc.granularity == "scalar":
                 params[pre + "decay.w_scalar"] = _leaf(rng, (h, d, 1))
@@ -138,8 +129,8 @@ def init_params(config: ModelConfig, seed=None):
             params[pre + "wkappa"] = _leaf(rng, (h, d, dk))
             params[pre + "wbeta"] = _leaf(rng, (h, d, 1))
         params[pre + "wu1"] = _leaf(rng, (d, dk))
-        params[pre + "wu2"] = _leaf(rng, (dk, e))
-        params[pre + "out_norm"] = Tensor(np.ones(e), requires_grad=True)
+        params[pre + "wu2"] = _leaf(rng, (dk, d))
+        params[pre + "out_norm"] = Tensor(np.ones(d), requires_grad=True)
         params[pre + "glu_norm"] = Tensor(np.ones(d), requires_grad=True)
         hidden = config.glu_ratio * d
         params[pre + "glu.wg"] = _leaf(rng, (d, hidden))
@@ -154,7 +145,7 @@ def init_params(config: ModelConfig, seed=None):
 def param_count(config: ModelConfig) -> int:
     """Closed-form parameter count; guards weight duplication across modes."""
     d, h = config.hidden, config.heads
-    dk, dv, e = config.head_dim, config.head_value_dim, config.value_dim
+    dk = config.head_dim
     dc = config.decay
     n = config.vocab * d                       # embedding
     if not config.tie_embeddings:
@@ -162,11 +153,11 @@ def param_count(config: ModelConfig) -> int:
     n += d                                     # final norm
     if config.posenc == "tpe":
         n += 3 * d * config.tpe_state
-    per_layer = 2 * d + e                      # attn/glu norms + out norm
+    per_layer = 3 * d                          # attn/glu norms + out norm
     per_layer += h * d * dk                    # wq
     if dc.sharing != "shared":
         per_layer += h * d * dk                # wk
-    per_layer += h * d * dv                    # wv
+    per_layer += h * d * dk                    # wv
     if dc.strategy not in ("none", "tnl", "tnl_l"):
         if dc.granularity == "scalar":
             per_layer += h * d
@@ -178,7 +169,7 @@ def param_count(config: ModelConfig) -> int:
                   "simple": h, "tnl_l": h}.get(dc.strategy, 0)
     if config.transition == "dplr":
         per_layer += h * d * dk + h * d
-    per_layer += d * dk + dk * e               # output gate
+    per_layer += 2 * d * dk                    # output gate
     per_layer += 3 * config.glu_ratio * d * d  # glu
     return n + config.n_layers * per_layer
 
@@ -239,10 +230,10 @@ def token_mixer_forward(x, params, config: ModelConfig, layer_idx, trace=None):
         o = forward_dplr(q, k, v, lam, DplrParams(kappa=kappa, beta=beta))
     else:
         o, _ = forward_sequential(q, k, v, lam)
-    # (..., h, n, dv) -> (..., n, h * dv)
+    # (..., h, n, dk) -> (..., n, h * dk)
     nb = len(batch)
     perm = tuple(range(nb)) + (nb + 1, nb, nb + 2)
-    o = T.reshape(T.transpose(o, perm), batch + (n, config.value_dim))
+    o = T.reshape(T.transpose(o, perm), batch + (n, config.hidden))
     u = T.sigmoid(T.matmul(T.matmul(x, params[pre + "wu1"]), params[pre + "wu2"]))
     return T.rmsnorm(o * u, params[pre + "out_norm"])
 
@@ -259,19 +250,30 @@ def glu_forward(x, params, layer_idx):
     return T.matmul(gate * T.matmul(x, params[pre + "wu"]), params[pre + "wo"])
 
 
-def lm_forward(tokens, params, config: ModelConfig, trace=None):
-    """Token ids (..., n) -> logits (..., n, vocab)."""
+def _embed(tokens, params, config: ModelConfig):
+    """Token ids (..., n) -> the residual stream entering layer 0."""
     tokens = np.asarray(tokens)
     if tokens.size and (tokens.min() < 0 or tokens.max() >= config.vocab):
         raise ValueError(f"token id out of range [0, {config.vocab})")
     x = params["embedding"][tokens]
     if config.posenc == "tpe":
         x = P.tpe_apply(x, P.TpeParams(params["tpe.a"], params["tpe.b"], params["tpe.gates"]))
+    return x
+
+
+def _block(x, params, config: ModelConfig, layer_idx, trace=None):
+    """One pre-norm residual block: token mixer, then GLU."""
+    pre = f"layers.{layer_idx}."
+    x = x + token_mixer_forward(T.rmsnorm(x, params[pre + "attn_norm"]),
+                                params, config, layer_idx, trace=trace)
+    return x + glu_forward(T.rmsnorm(x, params[pre + "glu_norm"]), params, layer_idx)
+
+
+def lm_forward(tokens, params, config: ModelConfig, trace=None):
+    """Token ids (..., n) -> logits (..., n, vocab)."""
+    x = _embed(tokens, params, config)
     for i in range(config.n_layers):
-        pre = f"layers.{i}."
-        x = x + token_mixer_forward(T.rmsnorm(x, params[pre + "attn_norm"]),
-                                    params, config, i, trace=trace)
-        x = x + glu_forward(T.rmsnorm(x, params[pre + "glu_norm"]), params, i)
+        x = _block(x, params, config, i, trace=trace)
     x = T.rmsnorm(x, params["final_norm"])
     if config.tie_embeddings:
         return T.matmul(x, T.transpose(params["embedding"], (1, 0)))

@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as T
 from .decay import ConfigError
-from .model import ModelConfig, lm_forward
+from .model import ModelConfig, _block, _embed, compute_decay
 
 
 @dataclass
@@ -56,16 +57,23 @@ def median(values):
 
 
 def capture_trace(params, config: ModelConfig, tokens) -> DecayTrace:
-    """One forward pass with tracing; returns the per-layer decay samples.
+    """Per-layer decay samples of the model on ``tokens``, bitwise equal to
+    what ``lm_forward(..., trace=...)`` records.
 
-    Capture happens outside any gradient tape and does not perturb the
-    forward computation.
+    A layer's decay depends only on the stream entering it, so the forward
+    runs the full blocks of all but the last layer and then only the last
+    layer's input norm and decay: no last-layer recurrence, GLU or LM head.
+    Capture happens outside any gradient tape.
     """
     if config.decay.strategy == "none":
         raise ConfigError("cannot probe a model with decay disabled")
     raw: list = []
-    lm_forward(tokens, params, config, trace=raw)
-    # each layer appends its decay exactly once per forward
+    x = _embed(tokens, params, config)
+    last = config.n_layers - 1
+    for i in range(last):
+        x = _block(x, params, config, i, trace=raw)
+    x = T.rmsnorm(x, params[f"layers.{last}.attn_norm"])
+    raw.append((last, compute_decay(x, params, config, last, x.shape[-2], x.shape[:-2]).data))
     return DecayTrace({layer_idx: lam.ravel() for layer_idx, lam in raw})
 
 
@@ -84,10 +92,11 @@ def _rewrite(path, text):
         f.truncate()
 
 
-def export_table(trace: DecayTrace, path):
-    """CSV with header layer,count,min,median,mean,max at 9 significant digits."""
+def export_table(stats: list[LayerStats], path):
+    """CSV of ``stats`` (one trace's :meth:`DecayTrace.stats`) with header
+    layer,count,min,median,mean,max at 9 significant digits."""
     lines = ["layer,count,min,median,mean,max"]
-    for s in trace.stats():
+    for s in stats:
         lines.append(f"{s.layer},{s.count},{s.min:.9g},{s.median:.9g},{s.mean:.9g},{s.max:.9g}")
     _rewrite(path, "\n".join(lines) + "\n")
 
@@ -98,12 +107,13 @@ _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#e377c2", "#17becf"]
 
 
-def export_plot(traces: dict, path):
-    """Layer index vs per-layer median for each named trace, as a single
-    self-contained SVG with legend and a fixed [0, 1] y-range."""
-    if not traces:
-        raise ValueError("export_plot: need at least one trace")
-    max_layer = max(max(t.samples) for t in traces.values())
+def export_plot(curves: dict[str, list[LayerStats]], path):
+    """Layer index vs per-layer median for each named curve (one trace's
+    :meth:`DecayTrace.stats`), as a single self-contained SVG with legend
+    and a fixed [0, 1] y-range."""
+    if not curves:
+        raise ValueError("export_plot: need at least one curve")
+    max_layer = max(s.layer for stats in curves.values() for s in stats)
     px0, px1 = _MARGIN, _SVG_W - _MARGIN
     py0, py1 = _SVG_H - _MARGIN, _MARGIN
 
@@ -131,9 +141,9 @@ def export_plot(traces: dict, path):
         parts.append(f'<text x="{px0 - 8}" y="{y:.1f}" text-anchor="end" '
                      f'font-size="11">{frac:g}</text>')
         parts.append(f'<line x1="{px0 - 4}" y1="{y:.1f}" x2="{px0}" y2="{y:.1f}" stroke="black"/>')
-    for i, (name, trace) in enumerate(sorted(traces.items())):
+    for i, (name, stats) in enumerate(sorted(curves.items())):
         color = _COLORS[i % len(_COLORS)]
-        pts = [(s.layer, s.median) for s in trace.stats()]
+        pts = [(s.layer, s.median) for s in stats]
         coords = " ".join(f"{xpix(l):.2f},{ypix(m):.2f}" for l, m in pts)
         if len(pts) > 1:
             parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '

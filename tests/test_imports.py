@@ -1,17 +1,28 @@
-"""No module of the package imports a name it never uses, and every public
-function of ``tensor.py`` is used by the package.
+"""No module of the package imports a name it never uses, every public
+function of ``tensor.py`` is used by the package, and every operator
+``Tensor`` defines is called by it.
 
 No linter ships with the project, so this walks each module's syntax tree:
 every name bound by an import must be read somewhere in the same module.
 ``__init__.py`` is skipped because its imports are the package's exports.
 A tensor op must be named somewhere in the package outside its own ``def``,
-so an op that only tests reach shows up here.
+so an op that only tests reach shows up here.  Operators are invoked by
+syntax, not by name, so those are counted at run time instead, while a small
+set of cells trains a step.
 """
 
 import ast
+import operator
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from decaylab.decay import STRATEGIES, DecayConfig
+from decaylab.model import ModelConfig, init_params
+from decaylab.tensor import Tape, Tensor, backward
+from decaylab.train import loss_on_batch
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "decaylab"
 
@@ -92,3 +103,45 @@ def test_every_public_tensor_function_is_used():
     tree = ast.parse((SRC / "tensor.py").read_text())
     others = [ast.parse(p.read_text()) for p in SRC.glob("*.py") if p.name != "tensor.py"]
     assert unused_functions(tree, others) == []
+
+
+# operator dunders and their reflected forms: __add__, __radd__, __getitem__, ...
+OPERATORS = {f"__{prefix}{name.rstrip('_')}__" for name in operator.__all__
+             for prefix in ("", "r")}
+
+
+def _training_cells():
+    """One cell per strategy, plus the shared, DPLR and positional-encoding paths."""
+    geometry = dict(n_layers=2, hidden=8, heads=2, vocab=17)
+    for strategy, row in STRATEGIES.items():
+        granularity = "scalar" if row.scalar_only else "vector"
+        yield ModelConfig(decay=DecayConfig(strategy=strategy, granularity=granularity),
+                          **geometry)
+    shared = DecayConfig(strategy="gla", sharing="shared")
+    yield ModelConfig(decay=shared, transition="dplr", posenc="rope", **geometry)
+    yield ModelConfig(decay=shared, posenc="lrpe", **geometry)
+    yield ModelConfig(decay=DecayConfig(strategy="mamba2", granularity="scalar"),
+                      posenc="tpe", **geometry)
+
+
+def test_every_tensor_operator_is_called(monkeypatch):
+    assert {"__add__", "__radd__", "__matmul__", "__rtruediv__", "__getitem__"} <= OPERATORS
+    defined = sorted(OPERATORS & set(vars(Tensor)))
+    assert "__add__" in defined
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in defined:
+        monkeypatch.setattr(Tensor, name, counted(name, vars(Tensor)[name]))
+    rng = np.random.Generator(np.random.Philox(0))
+    for config in _training_cells():
+        params = init_params(config)
+        tokens = rng.integers(0, config.vocab, size=(2, 9))
+        with Tape():
+            backward(loss_on_batch(params, config, tokens[:, :-1], tokens[:, 1:]))
+    assert [name for name in defined if not calls[name]] == []

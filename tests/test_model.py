@@ -1,7 +1,14 @@
+import hashlib
+import json
+import os
+import struct
+
 import numpy as np
 import pytest
 
+from decaylab import checkpoint, cli
 from decaylab import tensor as T
+from decaylab.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from decaylab.decay import ConfigError, DecayConfig
 from decaylab.model import (ModelConfig, config_from_dict, config_to_dict,
                             glu_forward, init_params, lm_forward, param_count,
@@ -21,8 +28,6 @@ def _tokens(rng, n, vocab=17):
 def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(hidden=10, heads=4)
-    with pytest.raises(ConfigError):
-        ModelConfig(hidden=16, heads=4, value_dim=32)
     with pytest.raises(ConfigError):
         ModelConfig(vocab=1)
     with pytest.raises(ConfigError):
@@ -48,6 +53,67 @@ def test_config_round_trip():
                          posenc="rope", **SMALL)
     again = config_from_dict(config_to_dict(config))
     assert config_to_dict(again) == config_to_dict(config)
+
+
+def _store_value_dim(path, value_dim):
+    """Rewrite the checkpoint at ``path`` so its stored config carries
+    ``value_dim``, as checkpoints written before the field was removed do;
+    the digest stays valid."""
+    raw = path.read_bytes()[:-32]
+    start = len(MAGIC) + 4
+    hlen = struct.unpack("<I", raw[len(MAGIC):start])[0]
+    header = json.loads(raw[start:start + hlen])
+    header["config"]["value_dim"] = value_dim
+    hbytes = json.dumps(header, sort_keys=True).encode()
+    body = MAGIC + struct.pack("<I", len(hbytes)) + hbytes + raw[start + hlen:]
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def test_stored_value_dim_loads_only_when_equal_to_hidden(tmp_path, capsys):
+    config = ModelConfig(**SMALL)
+    params = init_params(config)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(str(path), params, config)
+    _store_value_dim(path, config.hidden)
+    loaded, again = load_checkpoint(str(path))
+    assert config_to_dict(again) == config_to_dict(config)
+    assert all(np.array_equal(loaded[n].data, params[n].data) for n in params)
+    _store_value_dim(path, 32)
+    with pytest.raises(CheckpointError, match="value_dim"):
+        load_checkpoint(str(path))
+    assert cli.main(["export", str(path)]) == cli.EXIT_COMPAT
+    assert "malformed checkpoint" in capsys.readouterr().err
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    config = ModelConfig(**SMALL)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(str(path), init_params(config), config)
+    before = path.read_bytes()
+
+    class HalfWrite:
+        """A file that takes half of the first write, then fails."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(bytes(data[: len(data) // 2]))
+            self.f.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(checkpoint, "open", lambda p, mode: HalfWrite(open(p, mode)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(str(path), init_params(config, seed=1), config)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["ckpt.bin"]
 
 
 def test_init_determinism():

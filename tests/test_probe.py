@@ -1,10 +1,17 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from decaylab.decay import ConfigError, DecayConfig, tnl_decay
-from decaylab.model import ModelConfig, init_params, lm_forward
+from decaylab import cli, model
+from decaylab.checkpoint import save_checkpoint
+from decaylab.decay import (GRANULARITIES, SHARINGS, STRATEGIES, ConfigError,
+                            DecayConfig, tnl_decay)
+from decaylab.model import POSENCS, TRANSITIONS, ModelConfig, init_params, lm_forward
 from decaylab.probe import (DecayTrace, capture_trace, export_plot,
                             export_table, median)
+from decaylab.tensor import Tensor
 
 
 def _model(strategy="mamba2", **decay_kwargs):
@@ -86,7 +93,7 @@ def test_export_table_row_count(tmp_path, rng):
     config, params = _model()
     trace = capture_trace(params, config, rng.integers(0, 256, size=16))
     path = tmp_path / "medians.csv"
-    export_table(trace, str(path))
+    export_table(trace.stats(), str(path))
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 3
     assert lines[0] == "layer,count,min,median,mean,max"
@@ -95,11 +102,11 @@ def test_export_table_row_count(tmp_path, rng):
 def test_export_table_deterministic_and_round_trip(tmp_path, rng):
     config, params = _model()
     trace = capture_trace(params, config, rng.integers(0, 256, size=16))
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    export_table(trace, str(p1))
-    export_table(trace, str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
     stats = trace.stats()
+    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    export_table(stats, str(p1))
+    export_table(stats, str(p2))
+    assert p1.read_bytes() == p2.read_bytes()
     for line, s in zip(p1.read_text().strip().split("\n")[1:], stats):
         fields = line.split(",")
         assert int(fields[0]) == s.layer
@@ -109,19 +116,19 @@ def test_export_table_deterministic_and_round_trip(tmp_path, rng):
 
 def test_exports_rewrite_a_longer_file_exactly(tmp_path, rng):
     config, params = _model()
-    trace = capture_trace(params, config, rng.integers(0, 256, size=16))
+    stats = capture_trace(params, config, rng.integers(0, 256, size=16)).stats()
     for export, name in ((export_table, "t.csv"), (lambda t, p: export_plot({"m": t}, p), "p.svg")):
         fresh, reused = tmp_path / ("fresh_" + name), tmp_path / name
-        export(trace, str(fresh))
+        export(stats, str(fresh))
         reused.write_text("x" * (3 * len(fresh.read_bytes())))
-        export(trace, str(reused))
+        export(stats, str(reused))
         assert reused.read_bytes() == fresh.read_bytes()
 
 
 def test_export_table_nine_significant_digits(tmp_path):
     trace = DecayTrace(samples={0: np.array([0.123456789123456])})
     path = tmp_path / "t.csv"
-    export_table(trace, str(path))
+    export_table(trace.stats(), str(path))
     row = path.read_text().strip().split("\n")[1]
     assert "0.123456789" in row
 
@@ -130,7 +137,7 @@ def test_export_plot_marker_count(tmp_path, rng):
     config, params = _model()
     trace = capture_trace(params, config, rng.integers(0, 256, size=16))
     path = tmp_path / "plot.svg"
-    export_plot({"mamba2": trace}, str(path))
+    export_plot({"mamba2": trace.stats()}, str(path))
     svg = path.read_text()
     assert svg.startswith("<svg") or svg.startswith("<?xml") or "<svg" in svg
     assert svg.count("<circle") == 2
@@ -140,7 +147,7 @@ def test_export_plot_marker_count(tmp_path, rng):
 def test_export_plot_y_axis_clamps(tmp_path):
     trace = DecayTrace(samples={0: np.array([5.0]), 1: np.array([-3.0])})
     path = tmp_path / "p.svg"
-    export_plot({"x": trace}, str(path))
+    export_plot({"x": trace.stats()}, str(path))
     svg = path.read_text()
     # both markers land on the axis extremes rather than outside the frame
     import re
@@ -153,11 +160,115 @@ def test_export_plot_deterministic(tmp_path, rng):
     config, params = _model()
     trace = capture_trace(params, config, rng.integers(0, 256, size=16))
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    export_plot({"m": trace}, str(p1))
-    export_plot({"m": trace}, str(p2))
+    export_plot({"m": trace.stats()}, str(p1))
+    export_plot({"m": trace.stats()}, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_export_plot_requires_traces(tmp_path):
     with pytest.raises(ValueError):
         export_plot({}, str(tmp_path / "never.svg"))
+
+
+def _full_forward_trace(params, config, tokens):
+    """The reference trace: every layer's decay as ``lm_forward`` records it."""
+    raw = []
+    lm_forward(tokens, params, config, trace=raw)
+    return DecayTrace({layer: lam.ravel() for layer, lam in raw})
+
+
+def _cells(strategy, n_layers):
+    """Every runnable granularity x sharing x transition x posenc cell of
+    ``strategy`` at a small geometry."""
+    for granularity, sharing, transition, posenc in itertools.product(
+            GRANULARITIES, SHARINGS, TRANSITIONS, POSENCS):
+        try:
+            yield ModelConfig(n_layers=n_layers, hidden=8, heads=2, vocab=17,
+                              transition=transition, posenc=posenc,
+                              decay=DecayConfig(strategy=strategy, granularity=granularity,
+                                                sharing=sharing))
+        except ConfigError:
+            continue
+
+
+@pytest.mark.parametrize("strategy", [s for s in STRATEGIES if s != "none"])
+def test_capture_trace_equals_full_forward_bitwise(strategy, rng):
+    cells = 0
+    for n_layers in (1, 2, 3):
+        for config in _cells(strategy, n_layers):
+            # scale every weight, so that the norms are not all ones
+            params = {name: Tensor(p.data * rng.uniform(0.5, 1.5, p.shape))
+                      for name, p in init_params(config, seed=cells).items()}
+            tokens = rng.integers(0, 17, size=12)
+            fast = capture_trace(params, config, tokens).samples
+            full = _full_forward_trace(params, config, tokens).samples
+            assert sorted(fast) == sorted(full) == list(range(n_layers))
+            for layer in full:
+                assert fast[layer].dtype == full[layer].dtype
+                assert fast[layer].tobytes() == full[layer].tobytes(), (config, layer)
+            cells += 1
+    assert cells >= 3 * 4
+
+
+@pytest.mark.parametrize("transition", TRANSITIONS)
+def test_capture_trace_skips_the_last_layers_work(transition, monkeypatch, rng):
+    n_layers = 3
+    config = ModelConfig(n_layers=n_layers, hidden=8, heads=2, vocab=17, transition=transition,
+                         decay=DecayConfig(strategy="gla"))
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(model, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("forward_sequential", "forward_dplr", "glu_forward"):
+        monkeypatch.setattr(model, name, counted(name))
+    read = set()
+
+    class Reads(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            read.add(key)
+            return super().get(key, default)
+
+    capture_trace(Reads(init_params(config)), config, rng.integers(0, 17, size=16))
+    assert calls["forward_sequential"] + calls["forward_dplr"] == n_layers - 1
+    assert calls["glu_forward"] == n_layers - 1
+    last = f"layers.{n_layers - 1}."
+    assert "lm_head" not in read and "final_norm" not in read
+    assert last + "attn_norm" in read
+    assert {k for k in read if k.startswith(last)
+            and not k.startswith(last + "decay.")} == {last + "attn_norm"}
+
+
+def test_cmd_probe_takes_stats_once_and_writes_the_full_forward_outputs(
+        tmp_path, monkeypatch, rng):
+    config = ModelConfig(n_layers=3, hidden=8, heads=2, decay=DecayConfig(strategy="hgrn2"))
+    params = init_params(config)
+    ckpt, text = tmp_path / "m.bin", tmp_path / "probe.txt"
+    save_checkpoint(str(ckpt), params, config)
+    tokens = rng.integers(0, 256, size=48)
+    text.write_bytes(tokens.astype(np.uint8).tobytes())
+    real_stats, calls = DecayTrace.stats, []
+
+    def counted_stats(self):
+        calls.append(self)
+        return real_stats(self)
+
+    monkeypatch.setattr(DecayTrace, "stats", counted_stats)
+    out = tmp_path / "probe"
+    assert cli.main(["probe", str(ckpt), str(text), "--out", str(out)]) == cli.EXIT_OK
+    assert len(calls) == 1
+    stats = real_stats(_full_forward_trace(params, config, tokens))
+    export_table(stats, str(tmp_path / "ref.csv"))
+    export_plot({"hgrn2": stats}, str(tmp_path / "ref.svg"))
+    for name in ("csv", "svg"):
+        assert ((out / f"decay_medians.{name}").read_bytes()
+                == (tmp_path / f"ref.{name}").read_bytes())
