@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .decay import ConfigError
-from .model import ModelConfig, _block, _embed, compute_decay
+from .model import ModelConfig, _block, _embed, token_mixer_forward
 
 
 @dataclass
@@ -62,8 +62,8 @@ def capture_trace(params, config: ModelConfig, tokens) -> DecayTrace:
 
     A layer's decay depends only on the stream entering it, so the forward
     runs the full blocks of all but the last layer and then only the last
-    layer's input norm and decay: no last-layer recurrence, GLU or LM head.
-    Capture happens outside any gradient tape.
+    layer's token mixer, which records its decay: no last-layer GLU, final
+    norm or LM head.  Capture happens outside any gradient tape.
     """
     if config.decay.strategy == "none":
         raise ConfigError("cannot probe a model with decay disabled")
@@ -72,8 +72,8 @@ def capture_trace(params, config: ModelConfig, tokens) -> DecayTrace:
     last = config.n_layers - 1
     for i in range(last):
         x = _block(x, params, config, i, trace=raw)
-    x = T.rmsnorm(x, params[f"layers.{last}.attn_norm"])
-    raw.append((last, compute_decay(x, params, config, last, x.shape[-2], x.shape[:-2]).data))
+    token_mixer_forward(T.rmsnorm(x, params[f"layers.{last}.attn_norm"]),
+                        params, config, last, trace=raw)
     return DecayTrace({layer_idx: lam.ravel() for layer_idx, lam in raw})
 
 

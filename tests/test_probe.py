@@ -211,7 +211,7 @@ def test_capture_trace_equals_full_forward_bitwise(strategy, rng):
 
 
 @pytest.mark.parametrize("transition", TRANSITIONS)
-def test_capture_trace_skips_the_last_layers_work(transition, monkeypatch, rng):
+def test_capture_trace_skips_the_last_glu_and_the_head(transition, monkeypatch, rng):
     n_layers = 3
     config = ModelConfig(n_layers=n_layers, hidden=8, heads=2, vocab=17, transition=transition,
                          decay=DecayConfig(strategy="gla"))
@@ -239,13 +239,13 @@ def test_capture_trace_skips_the_last_layers_work(transition, monkeypatch, rng):
             return super().get(key, default)
 
     capture_trace(Reads(init_params(config)), config, rng.integers(0, 17, size=16))
-    assert calls["forward_sequential"] + calls["forward_dplr"] == n_layers - 1
+    # one recurrence per layer; the last layer stops after its token mixer
+    assert calls["forward_sequential"] + calls["forward_dplr"] == n_layers
     assert calls["glu_forward"] == n_layers - 1
     last = f"layers.{n_layers - 1}."
     assert "lm_head" not in read and "final_norm" not in read
-    assert last + "attn_norm" in read
-    assert {k for k in read if k.startswith(last)
-            and not k.startswith(last + "decay.")} == {last + "attn_norm"}
+    assert last + "attn_norm" in read and last + "out_norm" in read
+    assert not {k for k in read if k.startswith(last + "glu")}
 
 
 def test_cmd_probe_takes_stats_once_and_writes_the_full_forward_outputs(
