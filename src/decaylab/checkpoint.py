@@ -19,7 +19,7 @@ import struct
 
 import numpy as np
 
-from .model import ModelConfig, config_from_dict, config_to_dict
+from .model import ModelConfig, _layout, config_from_dict, config_to_dict
 from .tensor import Tensor
 
 MAGIC = b"DLABCKP1"
@@ -61,7 +61,8 @@ def save_checkpoint(path, params: dict, config: ModelConfig):
 
 def load_checkpoint(path):
     """Returns (params, config); raises CheckpointError for a corrupt file,
-    and for a malformed header, tensor data or config under a valid digest."""
+    and for a malformed header, tensor data or config under a valid digest,
+    including tensor names or shapes that differ from the config's layout."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < len(MAGIC) + 4 + 32 or raw[: len(MAGIC)] != MAGIC:
@@ -88,6 +89,12 @@ def load_checkpoint(path):
             off += count * 8
         if off != len(body):
             raise ValueError("trailing or missing tensor data")
+        layout = {name: shape for name, shape, _ in _layout(config)}
+        found = {name: p.shape for name, p in params.items()}
+        if found != layout or len(found) != len(header["tensors"]):
+            wrong = sorted(n for n in layout.keys() | found.keys() if layout.get(n) != found.get(n))
+            raise ValueError("tensors do not match the config: " + (", ".join(
+                f"{n} {found.get(n)} (expected {layout.get(n)})" for n in wrong) or "a name repeats"))
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint: {exc!r}") from exc
     return params, config

@@ -16,9 +16,8 @@ knows about it:
 - ``scalar_only``: vector granularity and sharing are rejected;
 - ``sample(rng, f)``: the lambda ``decaylab verify`` checks its kernels on.
 
-A new strategy is one row here plus its count in ``model.param_count``.
-The module also holds the low-rank decay projections and key sharing
-(k = 1 - lambda).
+A new strategy is one row here and touches no other file.  The module
+also holds the low-rank decay projections and key sharing (k = 1 - lambda).
 """
 
 from __future__ import annotations
@@ -157,19 +156,6 @@ def decay_activations(x, proj: DecayProjection, config: DecayConfig):
         return T.head_project(x, proj.w_shared)
     xh = T.reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
     return T.matmul(T.matmul(xh, proj.w_low), proj.w_head)
-
-
-def pointwise_decay(f, strategy, *, a=None, delta=None, tau=None, lower_bound=None):
-    """Apply a pointwise parameterization formula elementwise to F.
-
-    ``a``, ``delta`` are the per-head learnable scalars (broadcastable to
-    F), ``tau`` the temperature, ``lower_bound`` the Hgrn2 floor.  LightNet
-    and TNL are not pointwise; use their dedicated entry points.
-    """
-    row = STRATEGIES.get(strategy)
-    if row is None or row.source != "pointwise":
-        raise ConfigError(f"{strategy!r} is not a pointwise decay strategy")
-    return row.decay(as_tensor(f), a=a, delta=delta, tau=tau, lower_bound=lower_bound)
 
 
 def lightnet_decay(f):

@@ -14,7 +14,7 @@ from . import decay as D
 from . import posenc as P
 from . import tensor as T
 from .decay import ConfigError, DecayConfig, DecayProjection
-from .recurrence import DplrParams, forward_dplr, forward_sequential
+from .recurrence import forward_dplr, forward_sequential
 from .tensor import Tensor
 
 POSENCS = ("none", "rope", "lrpe", "tpe")
@@ -85,61 +85,71 @@ def _trunc_normal(rng, shape, std=0.02, clip=2.0):
     return x
 
 
-def _leaf(rng, shape, std=0.02):
-    return Tensor(_trunc_normal(rng, shape, std), requires_grad=True)
+def _ones(rng, shape):
+    return np.ones(shape)
+
+
+def _layout(config: ModelConfig):
+    """(name, shape, init) of every parameter, in draw order: ``init(rng,
+    shape)`` returns its initial array.  ``init_params`` draws from it and
+    ``load_checkpoint`` checks a file's tensors against its shapes."""
+    d, h = config.hidden, config.heads
+    dk = config.head_dim
+    dc = config.decay
+    row = D.STRATEGIES[dc.strategy]
+    layout = [("embedding", (config.vocab, d), _trunc_normal)]
+    if config.posenc == "tpe":
+        m = config.tpe_state
+        scale = 1.0 / np.sqrt(m)
+        layout += [
+            ("tpe.a", (d, m), lambda rng, shape: rng.normal(0.0, scale, size=shape)),
+            ("tpe.b", (d, m), lambda rng, shape: rng.normal(0.0, scale, size=shape)),
+            ("tpe.gates", (d, m), lambda rng, shape: rng.uniform(1.0, 3.0, size=shape)),
+        ]
+    for i in range(config.n_layers):
+        pre = f"layers.{i}."
+        layout += [(pre + "attn_norm", (d,), _ones), (pre + "wq", (h, d, dk), _trunc_normal)]
+        if dc.sharing != "shared":
+            layout.append((pre + "wk", (h, d, dk), _trunc_normal))
+        # values are head-wide too: the mixer has no output projection, so
+        # its output joins the residual stream at the model width
+        layout.append((pre + "wv", (h, d, dk), _trunc_normal))
+        if row.projected:
+            if dc.granularity == "scalar":
+                layout.append((pre + "decay.w_scalar", (h, d, 1), _trunc_normal))
+            elif dc.sharing == "shared":
+                layout.append((pre + "decay.w_shared", (h, d, dk), _trunc_normal))
+            else:
+                layout += [(pre + "decay.w_low", (d, dk), _trunc_normal),
+                           (pre + "decay.w_head", (h, dk, dk), _trunc_normal)]
+        for name, init in row.scalars.items():
+            layout.append((pre + "decay." + name, (h, 1, 1),
+                           lambda rng, shape, init=init, layer=i + 1:
+                           init(**dc.inputs(h, layer, config.n_layers)).reshape(shape)))
+        if config.transition == "dplr":
+            layout += [(pre + "wkappa", (h, d, dk), _trunc_normal),
+                       (pre + "wbeta", (h, d, 1), _trunc_normal)]
+        hidden = config.glu_ratio * d
+        layout += [
+            (pre + "wu1", (d, dk), _trunc_normal),
+            (pre + "wu2", (dk, d), _trunc_normal),
+            (pre + "out_norm", (d,), _ones),
+            (pre + "glu_norm", (d,), _ones),
+            (pre + "glu.wg", (d, hidden), _trunc_normal),
+            (pre + "glu.wu", (d, hidden), _trunc_normal),
+            (pre + "glu.wo", (hidden, d), _trunc_normal),
+        ]
+    layout.append(("final_norm", (d,), _ones))
+    if not config.tie_embeddings:
+        layout.append(("lm_head", (d, config.vocab), _trunc_normal))
+    return layout
 
 
 def init_params(config: ModelConfig, seed=None):
     """Full parameter set as a flat name -> Tensor dict, reproducible from seed."""
     rng = np.random.Generator(np.random.Philox(config.seed if seed is None else seed))
-    d, h = config.hidden, config.heads
-    dk = config.head_dim
-    dc = config.decay
-    row = D.STRATEGIES[dc.strategy]
-    params: dict[str, Tensor] = {}
-    params["embedding"] = _leaf(rng, (config.vocab, d))
-    if config.posenc == "tpe":
-        m = config.tpe_state
-        scale = 1.0 / np.sqrt(m)
-        params["tpe.a"] = Tensor(rng.normal(0.0, scale, size=(d, m)), requires_grad=True)
-        params["tpe.b"] = Tensor(rng.normal(0.0, scale, size=(d, m)), requires_grad=True)
-        params["tpe.gates"] = Tensor(rng.uniform(1.0, 3.0, size=(d, m)), requires_grad=True)
-    for i in range(config.n_layers):
-        pre = f"layers.{i}."
-        params[pre + "attn_norm"] = Tensor(np.ones(d), requires_grad=True)
-        params[pre + "wq"] = _leaf(rng, (h, d, dk))
-        if dc.sharing != "shared":
-            params[pre + "wk"] = _leaf(rng, (h, d, dk))
-        # values are head-wide too: the mixer has no output projection, so
-        # its output joins the residual stream at the model width
-        params[pre + "wv"] = _leaf(rng, (h, d, dk))
-        if row.projected:
-            if dc.granularity == "scalar":
-                params[pre + "decay.w_scalar"] = _leaf(rng, (h, d, 1))
-            elif dc.sharing == "shared":
-                params[pre + "decay.w_shared"] = _leaf(rng, (h, d, dk))
-            else:
-                params[pre + "decay.w_low"] = _leaf(rng, (d, dk))
-                params[pre + "decay.w_head"] = _leaf(rng, (h, dk, dk))
-        inputs = dc.inputs(h, i + 1, config.n_layers)
-        for name, init in row.scalars.items():
-            params[pre + "decay." + name] = Tensor(init(**inputs).reshape(h, 1, 1),
-                                                   requires_grad=True)
-        if config.transition == "dplr":
-            params[pre + "wkappa"] = _leaf(rng, (h, d, dk))
-            params[pre + "wbeta"] = _leaf(rng, (h, d, 1))
-        params[pre + "wu1"] = _leaf(rng, (d, dk))
-        params[pre + "wu2"] = _leaf(rng, (dk, d))
-        params[pre + "out_norm"] = Tensor(np.ones(d), requires_grad=True)
-        params[pre + "glu_norm"] = Tensor(np.ones(d), requires_grad=True)
-        hidden = config.glu_ratio * d
-        params[pre + "glu.wg"] = _leaf(rng, (d, hidden))
-        params[pre + "glu.wu"] = _leaf(rng, (d, hidden))
-        params[pre + "glu.wo"] = _leaf(rng, (hidden, d))
-    params["final_norm"] = Tensor(np.ones(d), requires_grad=True)
-    if not config.tie_embeddings:
-        params["lm_head"] = _leaf(rng, (d, config.vocab))
-    return params
+    return {name: Tensor(init(rng, shape), requires_grad=True)
+            for name, shape, init in _layout(config)}
 
 
 def param_count(config: ModelConfig) -> int:
@@ -158,15 +168,15 @@ def param_count(config: ModelConfig) -> int:
     if dc.sharing != "shared":
         per_layer += h * d * dk                # wk
     per_layer += h * d * dk                    # wv
-    if dc.strategy not in ("none", "tnl", "tnl_l"):
+    row = D.STRATEGIES[dc.strategy]
+    if row.projected:
         if dc.granularity == "scalar":
             per_layer += h * d
         elif dc.sharing == "shared":
             per_layer += h * d * dk
         else:
             per_layer += d * dk + h * dk * dk
-    per_layer += {"mamba2": 2 * h, "mamba2_no_a": h, "mamba2_no_delta": h,
-                  "simple": h, "tnl_l": h}.get(dc.strategy, 0)
+    per_layer += len(row.scalars) * h          # learned decay scalars
     if config.transition == "dplr":
         per_layer += h * d * dk + h * d
     per_layer += 2 * d * dk                    # output gate
@@ -178,8 +188,8 @@ def param_count(config: ModelConfig) -> int:
 # forward
 # ---------------------------------------------------------------------------
 
-def compute_decay(x, params, config: ModelConfig, layer_idx, n, batch):
-    """Decay values lambda for one layer, shaped (..., h, n, dk) or (..., h, n, 1)."""
+def compute_decay(x, params, config: ModelConfig, layer_idx):
+    """Lambda for one layer's input x (..., n, d), shaped (..., h, n, dk) or (..., h, n, 1)."""
     dc = config.decay
     h = config.heads
     pre = f"layers.{layer_idx}.decay."
@@ -187,7 +197,7 @@ def compute_decay(x, params, config: ModelConfig, layer_idx, n, batch):
     inputs = dc.inputs(h, layer_idx + 1, config.n_layers)
     inputs.update((name, params[pre + name]) for name in row.scalars)
     if not row.projected:
-        return T.broadcast_to(row.decay(None, **inputs), batch + (h, n, 1))
+        return T.broadcast_to(row.decay(None, **inputs), x.shape[:-2] + (h, x.shape[-2], 1))
     proj = DecayProjection(
         w_scalar=params.get(pre + "w_scalar"),
         w_low=params.get(pre + "w_low"),
@@ -208,7 +218,7 @@ def token_mixer_forward(x, params, config: ModelConfig, layer_idx, trace=None):
     batch = x.shape[:-2]
     pre = f"layers.{layer_idx}."
     q = T.silu(T.head_project(x, params[pre + "wq"]))
-    lam = compute_decay(x, params, config, layer_idx, n, batch)
+    lam = compute_decay(x, params, config, layer_idx)
     if trace is not None:
         trace.append((layer_idx, lam.data.copy()))
     if dc.sharing == "shared":
@@ -227,9 +237,11 @@ def token_mixer_forward(x, params, config: ModelConfig, layer_idx, trace=None):
     if config.transition == "dplr":
         kappa = T.silu(T.head_project(x, params[pre + "wkappa"]))
         beta = T.sigmoid(T.head_project(x, params[pre + "wbeta"]))
-        o = forward_dplr(q, k, v, lam, DplrParams(kappa=kappa, beta=beta))
+        # unit rows, as in DeltaNet: the layer normalizes kappa, not the kernel
+        kappa = kappa / T.sqrt(T.tsum(kappa * kappa, axis=-1, keepdims=True) + 1e-12)
+        o = forward_dplr(q, k, v, lam, kappa, beta)
     else:
-        o, _ = forward_sequential(q, k, v, lam)
+        o = forward_sequential(q, k, v, lam)
     # (..., h, n, dk) -> (..., n, h * dk)
     nb = len(batch)
     perm = tuple(range(nb)) + (nb + 1, nb, nb + 2)

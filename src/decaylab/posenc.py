@@ -34,14 +34,13 @@ class RopeParams:
         return self.base ** (-2.0 * np.arange(half) / self.head_dim)
 
 
-def _angles(thetas, n, positions=None):
-    """(n, len(thetas)) angles t * theta, t = 0..n-1 unless positions are given."""
-    t = np.arange(n, dtype=np.float64) if positions is None else np.asarray(positions, dtype=np.float64)
-    return t[:, None] * thetas[None, :]
+def _angles(thetas, positions):
+    """(len(positions), len(thetas)) angles t * theta."""
+    return np.asarray(positions, dtype=np.float64)[:, None] * thetas[None, :]
 
 
-def _rope_trig(params: RopeParams, n, positions=None):
-    angles = _angles(params.thetas, n, positions)
+def _rope_trig(params: RopeParams, positions):
+    angles = _angles(params.thetas, positions)
     return np.cos(angles), np.sin(angles)
 
 
@@ -54,8 +53,8 @@ def _rotate(x, cos, sin):
     return y
 
 
-def rope_apply(x, params: RopeParams, positions=None):
-    """Rotate consecutive pairs of x (..., n, d) by position-scaled angles.
+def rope_apply(x, params: RopeParams):
+    """Rotate consecutive pairs of x (..., n, d) by angles t * theta, t = 0..n-1.
 
     One tape node: the rotation is orthogonal, so the gradient is ``g``
     rotated back by the same angles.
@@ -63,7 +62,7 @@ def rope_apply(x, params: RopeParams, positions=None):
     x = as_tensor(x)
     if x.shape[-1] != params.head_dim:
         raise ValueError(f"rope: expected last dim {params.head_dim}, got {x.shape[-1]}")
-    cos, sin = _rope_trig(params, x.shape[-2], positions)
+    cos, sin = _rope_trig(params, np.arange(x.shape[-2]))
     out = Tensor(_rotate(x.data, cos, sin))
 
     def bw(g):
@@ -82,13 +81,13 @@ class LrpeParams:
             raise ValueError("lrpe: thetas must be finite")
 
 
-def lrpe_apply(x, params: LrpeParams, positions=None):
-    """concat[x cos(t theta), x sin(t theta)]; doubles the head dimension.
+def lrpe_apply(x, params: LrpeParams):
+    """concat[x cos(t theta), x sin(t theta)], t = 0..n-1; doubles the head dimension.
 
     Inner products of encoded q/k depend on positions only through t - s.
     """
     x = as_tensor(x)
-    angles = _angles(params.thetas, x.shape[-2], positions)
+    angles = _angles(params.thetas, np.arange(x.shape[-2]))
     return T.concat([x * np.cos(angles), x * np.sin(angles)], axis=-1)
 
 
@@ -132,8 +131,7 @@ def tpe_apply(x, params: TpeParams):
     q = T.broadcast_to(T.reshape(params.a, (d, 1, m)), full)
     k = T.broadcast_to(T.reshape(params.b, (d, 1, m)), full)
     lam = T.broadcast_to(T.reshape(T.sigmoid(params.gate_logits), (d, 1, m)), full)
-    o, _ = forward_sequential(q, k, v, lam)
-    o = T.reshape(o, batch + (d, n))
+    o = T.reshape(forward_sequential(q, k, v, lam), batch + (d, n))
     return T.transpose(o, perm)
 
 
@@ -169,7 +167,7 @@ def _pairwise_lambda(lam, dk):
     return lam.copy()
 
 
-def rope_decay_equivalence(q, k, v, lam, params: RopeParams, positions=None):
+def rope_decay_equivalence(q, k, v, lam, params: RopeParams):
     """Max abs deviation between the rotated-recurrence and closed relative forms.
 
     Path (i): rotate q and k with :func:`rope_apply`, then run the scan.
@@ -181,16 +179,15 @@ def rope_decay_equivalence(q, k, v, lam, params: RopeParams, positions=None):
                for x in (q, k, v))
     n, dk = q.shape[-2], q.shape[-1]
     lam_full = _pairwise_lambda(lam, dk)
-    qr, kr = (rope_apply(x, params, positions).data for x in (q, k))
+    qr, kr = (rope_apply(x, params).data for x in (q, k))
     o_rec = _scan(qr, kr, v, lam_full)[0]
 
-    t_idx = np.arange(n, dtype=np.float64) if positions is None else np.asarray(positions, dtype=np.float64)
     o_rel = np.zeros_like(o_rec)
     w = np.zeros((n, dk))
     for t in range(n):
         w[:t, :] *= lam_full[t, None, :]
         w[t, :] = 1.0
-        k_rot = _rotate(k[: t + 1], *_rope_trig(params, t + 1, t_idx[: t + 1] - t_idx[t]))
+        k_rot = _rotate(k[: t + 1], *_rope_trig(params, np.arange(-t, 1)))
         coef = (q[t, None, :] * w[: t + 1] * k_rot).sum(axis=-1)
         o_rel[t] = coef @ v[: t + 1]
     return float(np.max(np.abs(o_rec - o_rel)))

@@ -10,8 +10,11 @@ scan and about 23 ms for the time-major scan below.  The DPLR kernel
 extends the diagonal transition with a delta-rule rank-one correction;
 both kernels share one scan.
 
-Shapes: ``q``/``k`` are (..., n, dk), ``v`` is (..., n, dv), ``lam`` is
-(..., n, dk) or (..., n, 1) (scalar decay broadcasts across dimensions).
+Both kernels take plain tensors (arrays or Tensors) and return only the
+outputs ``o``.  Shapes: ``q``/``k`` are (..., n, dk), ``v`` is (..., n, dv),
+``lam`` is (..., n, dk) or (..., n, 1) (scalar decay broadcasts across
+dimensions); the DPLR ``kappa`` is (..., n, dk) and ``beta`` (..., n, 1),
+taken as given: the model L2-normalizes kappa before the call.
 
 The scan runs time-major: inputs are moved to (n, ..., d) so that each
 step's state is one contiguous block.  The Python loop holds only the
@@ -20,8 +23,6 @@ gradients are batched matmuls over the stored states and adjoints.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,9 +56,9 @@ def _scan(q, k, v, lam, kap=None, bk=None, keep=False):
 
     s_t = lam_t * s_{t-1} + k_t v_t^T - bk_t u_t^T with u_t = kap_t^T s_{t-1},
     and o_t = s_t^T q_t.  The rank-one term is present only when ``kap``
-    is given (``bk`` is beta * kappa).  Returns (o, final state, states, u):
-    ``states`` is the full (n, ..., dk, dv) buffer when ``keep`` is set and
-    None otherwise; ``u`` is (n, ..., 1, dv), or None without ``kap``.
+    is given (``bk`` is beta * kappa).  Returns (o, states, u): ``states``
+    is the full (n, ..., dk, dv) buffer when ``keep`` is set and None
+    otherwise; ``u`` is (n, ..., 1, dv), or None without ``kap``.
     """
     n, dk, dv = q.shape[0], q.shape[-1], v.shape[-1]
     batch = q.shape[1:-1]
@@ -81,7 +82,7 @@ def _scan(q, k, v, lam, kap=None, bk=None, keep=False):
             prev = s[i]
         np.matmul(q[t0:t1, ..., None, :], s, out=o[t0:t1])
         prev = prev.copy()  # the next block may overwrite the buffer
-    return o[..., 0, :], prev, (states if keep else None), u
+    return o[..., 0, :], (states if keep else None), u
 
 
 def _adjoint(g, q, lam, kap=None, bk=None):
@@ -116,7 +117,7 @@ def _time_major_inputs(parents):
 
 
 def _recurrence(q, k, v, lam, kappa=None, beta=None):
-    """Run the scan on Tensors and record its backward; returns (o, final).
+    """Run the scan on Tensors and record its backward; returns o.
 
     The full state buffer is kept only while a tape records the call; the
     backward rebuilds the time-major inputs rather than holding copies.
@@ -124,10 +125,10 @@ def _recurrence(q, k, v, lam, kappa=None, beta=None):
     parents = (q, k, v, lam) if kappa is None else (q, k, v, lam, kappa, beta)
     keep = T.active_tape() is not None and any(p.requires_grad for p in parents)
     qt, kt, vt, lt, kap, _, bk = _time_major_inputs(parents)
-    o, final, states, u = _scan(qt, kt, vt, lt, kap, bk, keep)
+    o, states, u = _scan(qt, kt, vt, lt, kap, bk, keep)
     out = Tensor(np.ascontiguousarray(np.moveaxis(o, 0, -2)))
     if not keep:
-        return out, final
+        return out
 
     def bw(g):
         qt, kt, vt, lt, kap, bet, bk = _time_major_inputs(parents)
@@ -155,19 +156,17 @@ def _recurrence(q, k, v, lam, kappa=None, beta=None):
         for p, grad in zip(parents, grads):
             T._accum(p, np.moveaxis(grad, 0, -2))
 
-    return T._record(out, parents, bw), final
+    return T._record(out, parents, bw)
 
 
 def forward_sequential(q, k, v, lam):
     """Recurrence s_t = diag(lam_t) s_{t-1} + k_t v_t^T, o_t = s_t^T q_t.
 
-    Returns (o, final_state); ``o`` is differentiable in q, k, v and lam,
-    the final state is returned detached.
+    Returns ``o``, differentiable in q, k, v and lam.
     """
     q, k, v, lam = as_tensor(q), as_tensor(k), as_tensor(v), as_tensor(lam)
     _check_shapes(q.data, k.data, v.data, lam.data)
-    o, final = _recurrence(q, k, v, lam)
-    return o, Tensor(final)
+    return _recurrence(q, k, v, lam)
 
 
 def forward_oracle(q, k, v, lam):
@@ -242,43 +241,16 @@ def forward_chunked(q, k, v, lam, chunk):
     return o
 
 
-@dataclass
-class DplrParams:
-    """Delta-rule low-rank correction: transition diag(lam) - beta kappa kappa^T.
-
-    ``kappa`` is (..., n, dk) with unit rows (L2-normalized unless
-    ``normalize`` is disabled, in which case unit norm is asserted),
-    ``beta`` is (..., n, 1) with entries in (0, 1).
-    """
-
-    kappa: object
-    beta: object
-    normalize: bool = True
-
-
-def _normalize_rows(kappa):
-    nrm = T.sqrt(T.tsum(kappa * kappa, axis=-1, keepdims=True) + 1e-12)
-    return kappa / nrm
-
-
-def forward_dplr(q, k, v, lam, params: DplrParams):
+def forward_dplr(q, k, v, lam, kappa, beta):
     """Scan with transition M_t = diag(lam_t) - beta_t kappa_t kappa_t^T.
 
-    With beta = 0 this is exactly the diagonal recurrence; with lam = 1
-    and beta = 1 it is the classical delta-rule overwrite.  Differentiable
-    in all inputs including kappa and beta.
+    With beta = 0 this is exactly the diagonal recurrence; with lam = 1,
+    beta = 1 and unit kappa it is the classical delta-rule overwrite.
+    Differentiable in all inputs including kappa and beta.
     """
     q, k, v, lam = as_tensor(q), as_tensor(k), as_tensor(v), as_tensor(lam)
     _check_shapes(q.data, k.data, v.data, lam.data)
-    kappa = as_tensor(params.kappa)
-    beta = as_tensor(params.beta)
-    if params.normalize:
-        kappa = _normalize_rows(kappa)
-    else:
-        nrm = np.linalg.norm(kappa.data, axis=-1)
-        if not np.allclose(nrm, 1.0, atol=1e-8):
-            raise ValueError("forward_dplr: kappa rows must be unit-norm when normalization is disabled")
-    return _recurrence(q, k, v, lam, kappa, beta)[0]
+    return _recurrence(q, k, v, lam, as_tensor(kappa), as_tensor(beta))
 
 
 def dplr_dense_oracle(q, k, v, lam, kappa, beta):

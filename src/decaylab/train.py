@@ -187,9 +187,7 @@ class AdamW:
         bc2 = 1.0 - b2 ** self.t
         for name in sorted(params):
             p = params[name]
-            g = grads.get(name)
-            if g is None:
-                g = np.zeros_like(p.data)
+            g = grads[name]
             if g.shape != p.data.shape:
                 raise T.ShapeError(f"grad shape {g.shape} != param shape {p.data.shape} for {name}")
             self.m[name] = b1 * self.m[name] + (1.0 - b1) * g

@@ -49,7 +49,7 @@ def suite_sequential_vs_oracle(level="full"):
             k = (1.0 - np.broadcast_to(lam, (n, dk))
                  if sharing == "shared" else rng.normal(size=(n, dk)))
             v = rng.normal(size=(n, dv))
-            o_seq, _ = R.forward_sequential(q, k, v, lam)
+            o_seq = R.forward_sequential(q, k, v, lam)
             o_ref = R.forward_oracle(q, k, v, lam)
             worst = max(worst, float(np.max(np.abs(o_seq.data - o_ref))))
         if worst > 1e-10:
@@ -75,7 +75,7 @@ def suite_chunked_vs_sequential(level="full"):
         dk, dv = 6, 5
         lam = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 2.0, size=(n, dk))))
         q, k, v = (rng.normal(size=(n, d)) for d in (dk, dk, dv))
-        o_seq, _ = R.forward_sequential(q, k, v, lam)
+        o_seq = R.forward_sequential(q, k, v, lam)
         for chunk in (1, 2, 16, 64, n):
             o_ch = R.forward_chunked(q, k, v, lam, chunk)
             diff = float(np.max(np.abs(o_ch - o_seq.data)))
@@ -95,14 +95,13 @@ def suite_dplr(level="full"):
         kappa = rng.normal(size=(n, dk))
         kappa /= np.linalg.norm(kappa, axis=-1, keepdims=True)
         beta = rng.uniform(0.05, 0.95, size=(n, 1))
-        o_dplr = R.forward_dplr(q, k, v, lam, R.DplrParams(kappa, beta, normalize=False))
+        o_dplr = R.forward_dplr(q, k, v, lam, kappa, beta)
         o_ref = R.dplr_dense_oracle(q, k, v, lam, kappa, beta)
         diff = float(np.max(np.abs(o_dplr.data - o_ref)))
         if diff > 1e-10:
             failures.append(f"dense oracle diff {diff:.3e}")
-        o_zero = R.forward_dplr(q, k, v, lam,
-                                R.DplrParams(kappa, np.zeros((n, 1)), normalize=False))
-        o_diag, _ = R.forward_sequential(q, k, v, lam)
+        o_zero = R.forward_dplr(q, k, v, lam, kappa, np.zeros((n, 1)))
+        o_diag = R.forward_sequential(q, k, v, lam)
         diff = float(np.max(np.abs(o_zero.data - o_diag.data)))
         if diff > 1e-12:
             failures.append(f"beta=0 reduction diff {diff:.3e}")
@@ -111,8 +110,7 @@ def suite_dplr(level="full"):
     kap = np.zeros((2, 3))
     kap[:, 0] = 1.0
     v2 = np.array([[1.0, 2.0], [5.0, -1.0]])
-    o = R.forward_dplr(kap, kap, v2, np.ones((2, 3)),
-                       R.DplrParams(kap, np.ones((2, 1)), normalize=False))
+    o = R.forward_dplr(kap, kap, v2, np.ones((2, 3)), kap, np.ones((2, 1)))
     if float(np.max(np.abs(o.data[1] - v2[1]))) > 1e-12:
         failures.append("delta-rule overwrite: o_1 does not read back v_2")
     return failures
@@ -193,7 +191,7 @@ def suite_gradients(level="full"):
     lam = Tensor(rng.uniform(0.2, 0.95, size=(n, dk)), requires_grad=True)
 
     def scan_loss(leaves):
-        o, _ = R.forward_sequential(leaves["q"], leaves["k"], leaves["v"], leaves["lam"])
+        o = R.forward_sequential(leaves["q"], leaves["k"], leaves["v"], leaves["lam"])
         return T.tsum(o * o)
 
     failures += [f"scan {m}" for m in grad_check(scan_loss, {"q": q, "k": k, "v": v, "lam": lam})]
@@ -206,8 +204,8 @@ def suite_gradients(level="full"):
         lb = Tensor(np.array(0.4), requires_grad=True)
 
         def decay_loss(leaves, _s=strategy):
-            lam_ = D.pointwise_decay(leaves["f"], _s, a=leaves["a"], delta=leaves["delta"],
-                                     tau=leaves["tau"], lower_bound=leaves["lb"])
+            lam_ = D.STRATEGIES[_s].decay(leaves["f"], a=leaves["a"], delta=leaves["delta"],
+                                          tau=leaves["tau"], lower_bound=leaves["lb"])
             return T.tsum(lam_ * lam_)
 
         failures += [f"{strategy} {m}" for m in grad_check(
@@ -272,11 +270,11 @@ def suite_decay_identities(level="full"):
     # ranges and hgrn2 floor
     fs = Tensor(rng.normal(0.0, 3.0, size=(draws,)))
     for strategy in D.POINTWISE:
-        lam_s = D.pointwise_decay(fs, strategy, a=0.2, delta=0.3, tau=16.0,
-                                  lower_bound=0.25).data
+        lam_s = D.STRATEGIES[strategy].decay(fs, a=0.2, delta=0.3, tau=16.0,
+                                             lower_bound=0.25).data
         if not (np.all(lam_s > 0.0) and np.all(lam_s < 1.0)):
             failures.append(f"{strategy} decay leaves (0, 1)")
-    lam_h = D.pointwise_decay(fs, "hgrn2", lower_bound=0.25).data
+    lam_h = D.STRATEGIES["hgrn2"].decay(fs, lower_bound=0.25).data
     if not np.all(lam_h >= 0.25):
         failures.append("hgrn2 decay below its lower bound")
     return failures

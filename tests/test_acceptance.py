@@ -121,10 +121,10 @@ def test_criterion_7_scalar_vector_coherence():
     fs = rng.normal(size=(6, 1))
     fv = np.broadcast_to(fs, (6, 4)).copy()
     for strategy in D.POINTWISE:
-        lam_s = D.pointwise_decay(Tensor(fs), strategy, a=0.1, delta=-0.2,
-                                  tau=16.0, lower_bound=0.3).data
-        lam_v = D.pointwise_decay(Tensor(fv), strategy, a=0.1, delta=-0.2,
-                                  tau=16.0, lower_bound=0.3).data
+        lam_s = D.STRATEGIES[strategy].decay(Tensor(fs), a=0.1, delta=-0.2,
+                                             tau=16.0, lower_bound=0.3).data
+        lam_v = D.STRATEGIES[strategy].decay(Tensor(fv), a=0.1, delta=-0.2,
+                                             tau=16.0, lower_bound=0.3).data
         if not np.array_equal(np.broadcast_to(lam_s, (6, 4)), lam_v):
             ok, detail = False, f"pointwise {strategy} not bitwise"
 
@@ -132,8 +132,8 @@ def test_criterion_7_scalar_vector_coherence():
     n, dk, dv = 7, 4, 3
     q, k, v = (rng.normal(size=(n, d)) for d in (dk, dk, dv))
     lam_s = rng.uniform(0.2, 1.0, size=(n, 1))
-    o_s, _ = R.forward_sequential(q, k, v, lam_s)
-    o_v, _ = R.forward_sequential(q, k, v, np.broadcast_to(lam_s, (n, dk)).copy())
+    o_s = R.forward_sequential(q, k, v, lam_s)
+    o_v = R.forward_sequential(q, k, v, np.broadcast_to(lam_s, (n, dk)).copy())
     if not np.array_equal(o_s.data, o_v.data):
         ok, detail = False, "scan scalar vs broadcast vector not bitwise"
 
@@ -270,12 +270,18 @@ def test_criterion_10_probe_integrity():
 
     config = ModelConfig(n_layers=2, hidden=16, heads=2, vocab=256,
                          decay=DecayConfig(strategy="mamba2"))
-    params = init_params(config)
+    # scale every weight, so that the norms are not all ones
+    params = {name: Tensor(p.data * rng.uniform(0.5, 1.5, p.shape))
+              for name, p in init_params(config).items()}
     toks = rng.integers(0, 256, size=48)
     plain = lm_forward(toks, params, config).data
-    traced = lm_forward(toks, params, config, trace=[]).data
+    recorded = []
+    traced = lm_forward(toks, params, config, trace=recorded).data
     if not np.array_equal(plain, traced):
         ok, detail = False, "tracing perturbs logits"
+    probed = capture_trace(params, config, toks).samples
+    if any(probed[layer].tobytes() != lam.ravel().tobytes() for layer, lam in recorded):
+        ok, detail = False, "probe samples differ from the full forward's decay"
 
     tnl_cfg = ModelConfig(n_layers=3, hidden=16, heads=2, vocab=256,
                           decay=DecayConfig(strategy="tnl", granularity="scalar"))

@@ -12,6 +12,7 @@ from decaylab import recurrence
 from decaylab.checkpoint import MAGIC, save_checkpoint
 from decaylab.decay import STRATEGIES, ConfigError, DecayConfig
 from decaylab.model import ModelConfig, config_to_dict, init_params
+from decaylab.tensor import Tensor
 
 
 TINY_CONFIG = """\
@@ -335,6 +336,38 @@ def test_malformed_checkpoint_exits_3(case, tmp_path, corpus_path, capsys):
     assert cli.main(["export", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.count("malformed checkpoint") == 2
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("case", ["missing tensor", "extra tensor", "wrong shape",
+                                  "repeated name"])
+def test_tensors_that_do_not_match_the_config_exit_3(case, tmp_path, corpus_path, capsys):
+    config = ModelConfig(n_layers=2, hidden=8, heads=2)
+    params = init_params(config)
+    if case == "missing tensor":
+        del params["layers.0.wq"]
+    elif case == "extra tensor":
+        params["layers.0.spare"] = params["layers.0.attn_norm"]
+    elif case == "wrong shape":
+        params["layers.1.wv"] = Tensor(np.zeros((2, 8, 3)))
+    path = str(tmp_path / "bad.bin")
+    save_checkpoint(path, params, config)
+    if case == "repeated name":
+        # the full tensor set plus a second final_norm, under a valid digest
+        with open(path, "rb") as f:
+            raw = f.read()[:-32]
+        hlen = struct.unpack("<I", raw[8:12])[0]
+        header = json.loads(raw[12:12 + hlen])
+        header["tensors"].append({"name": "final_norm", "shape": [8]})
+        hbytes = json.dumps(header).encode()
+        body = (MAGIC + struct.pack("<I", len(hbytes)) + hbytes + raw[12 + hlen:]
+                + np.full(8, 7.0).tobytes())
+        with open(path, "wb") as f:
+            f.write(body + hashlib.sha256(body).digest())
+    assert cli.main(["probe", path, corpus_path, "--out", str(tmp_path / "p")]) == 3
+    assert cli.main(["export", path]) == 3
+    err = capsys.readouterr().err
+    assert err.count("tensors do not match the config") == 2
     assert not (tmp_path / "p").exists()
 
 

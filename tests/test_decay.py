@@ -117,60 +117,53 @@ def test_projection_check_rejects_mismatch(rng):
 # ---------------------------------------------------------------------------
 
 def test_mamba2_neutral_point():
-    lam = D.pointwise_decay(Tensor(0.0), "mamba2", a=0.0, delta=0.0)
+    lam = D.STRATEGIES["mamba2"].decay(Tensor(0.0), a=0.0, delta=0.0)
     assert lam.item() == 0.5
 
 
 def test_mamba2_exponent_ln2():
-    lam = D.pointwise_decay(Tensor(0.0), "mamba2", a=math.log(2.0), delta=0.0)
+    lam = D.STRATEGIES["mamba2"].decay(Tensor(0.0), a=math.log(2.0), delta=0.0)
     assert abs(lam.item() - 0.25) <= 1e-15
 
 
 def test_gla_temperature():
-    lam = D.pointwise_decay(Tensor(0.0), "gla", tau=16.0)
+    lam = D.STRATEGIES["gla"].decay(Tensor(0.0), tau=16.0)
     assert abs(lam.item() - 0.5 ** (1.0 / 16.0)) <= 1e-15
     assert abs(lam.item() - 0.9576) < 1e-4
 
 
 def test_hgrn2_floor_interpolation():
-    lam = D.pointwise_decay(Tensor(0.0), "hgrn2", lower_bound=0.5)
+    lam = D.STRATEGIES["hgrn2"].decay(Tensor(0.0), lower_bound=0.5)
     assert abs(lam.item() - 0.75) <= 1e-15
 
 
 def test_simple_decay_inverse_pair():
     delta = D.simple_decay_init(0.99)
-    lam = D.pointwise_decay(Tensor(0.0), "simple", delta=delta)
+    lam = D.STRATEGIES["simple"].decay(Tensor(0.0), delta=delta)
     assert abs(lam.item() - 0.99) <= 1e-12
-
-
-def test_pointwise_rejects_non_pointwise_strategy():
-    with pytest.raises(ConfigError):
-        D.pointwise_decay(Tensor(0.0), "lightnet")
-    with pytest.raises(ConfigError):
-        D.pointwise_decay(Tensor(0.0), "tnl")
 
 
 def test_mamba2_ablations_agree_at_deleted_parameters(rng):
     f = Tensor(rng.normal(size=(7,)))
-    full = D.pointwise_decay(f, "mamba2", a=0.0, delta=0.3).data
-    no_a = D.pointwise_decay(f, "mamba2_no_a", delta=0.3).data
+    full = D.STRATEGIES["mamba2"].decay(f, a=0.0, delta=0.3).data
+    no_a = D.STRATEGIES["mamba2_no_a"].decay(f, delta=0.3).data
     assert np.max(np.abs(full - no_a)) <= 1e-15
-    full = D.pointwise_decay(f, "mamba2", a=0.4, delta=0.0).data
-    no_d = D.pointwise_decay(f, "mamba2_no_delta", a=0.4).data
+    full = D.STRATEGIES["mamba2"].decay(f, a=0.4, delta=0.0).data
+    no_d = D.STRATEGIES["mamba2_no_delta"].decay(f, a=0.4).data
     assert np.max(np.abs(full - no_d)) <= 1e-15
 
 
 def test_monotonicity_directions():
     f = Tensor(np.linspace(-4.0, 4.0, 33))
-    gla = D.pointwise_decay(f, "gla", tau=16.0).data
+    gla = D.STRATEGIES["gla"].decay(f, tau=16.0).data
     assert np.all(np.diff(gla) > 0)
-    m2 = D.pointwise_decay(f, "mamba2", a=0.1, delta=0.2).data
+    m2 = D.STRATEGIES["mamba2"].decay(f, a=0.1, delta=0.2).data
     assert np.all(np.diff(m2) < 0)
 
 
 def test_hgrn2_limits():
-    lo = D.pointwise_decay(Tensor(-50.0), "hgrn2", lower_bound=0.3).item()
-    hi = D.pointwise_decay(Tensor(50.0), "hgrn2", lower_bound=0.3).item()
+    lo = D.STRATEGIES["hgrn2"].decay(Tensor(-50.0), lower_bound=0.3).item()
+    hi = D.STRATEGIES["hgrn2"].decay(Tensor(50.0), lower_bound=0.3).item()
     assert abs(lo - 0.3) <= 1e-15
     assert abs(hi - 1.0) <= 1e-15
 
@@ -178,8 +171,8 @@ def test_hgrn2_limits():
 def test_pointwise_ranges_on_random_draws(rng):
     f = Tensor(rng.normal(0.0, 3.0, size=(10_000,)))
     for strategy in D.POINTWISE:
-        lam = D.pointwise_decay(f, strategy, a=0.2, delta=0.3, tau=16.0,
-                                lower_bound=0.25).data
+        lam = D.STRATEGIES[strategy].decay(f, a=0.2, delta=0.3, tau=16.0,
+                                           lower_bound=0.25).data
         assert np.all(lam > 0.0) and np.all(lam < 1.0), strategy
 
 
@@ -189,10 +182,10 @@ def test_scalar_vector_tied_coherence(rng):
     fs = rng.normal(size=(6, 1))
     fv = np.broadcast_to(fs, (6, 4)).copy()
     for strategy in D.POINTWISE:
-        lam_s = D.pointwise_decay(Tensor(fs), strategy, a=0.1, delta=-0.2,
-                                  tau=16.0, lower_bound=0.3).data
-        lam_v = D.pointwise_decay(Tensor(fv), strategy, a=0.1, delta=-0.2,
-                                  tau=16.0, lower_bound=0.3).data
+        lam_s = D.STRATEGIES[strategy].decay(Tensor(fs), a=0.1, delta=-0.2,
+                                             tau=16.0, lower_bound=0.3).data
+        lam_v = D.STRATEGIES[strategy].decay(Tensor(fv), a=0.1, delta=-0.2,
+                                             tau=16.0, lower_bound=0.3).data
         assert np.array_equal(np.broadcast_to(lam_s, (6, 4)), lam_v), strategy
 
 
@@ -353,8 +346,8 @@ def test_pointwise_gradients_wrt_scalars(rng):
         }
 
         def build(lv, _s=strategy):
-            lam = D.pointwise_decay(lv["f"], _s, a=lv["a"], delta=lv["delta"],
-                                    tau=lv["tau"], lower_bound=lv["lb"])
+            lam = D.STRATEGIES[_s].decay(lv["f"], a=lv["a"], delta=lv["delta"],
+                                         tau=lv["tau"], lower_bound=lv["lb"])
             return T.tsum(lam * lam)
 
         assert grad_check(build, leaves, rel_tol=1e-4) == [], strategy

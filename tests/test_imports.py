@@ -1,12 +1,13 @@
 """No module of the package imports a name it never uses, every public
-function of ``tensor.py`` is used by the package, and every operator
+function or class of a module is used by the package, and every operator
 ``Tensor`` defines is called by it.
 
 No linter ships with the project, so this walks each module's syntax tree:
 every name bound by an import must be read somewhere in the same module.
 ``__init__.py`` is skipped because its imports are the package's exports.
-A tensor op must be named somewhere in the package outside its own ``def``,
-so an op that only tests reach shows up here.  Operators are invoked by
+A public top-level function or class must be named somewhere in the package
+outside its own definition, so code that only tests reach shows up here;
+the README's entry points are listed by name.  Operators are invoked by
 syntax, not by name, so those are counted at run time instead, while a small
 set of cells trains a step.
 """
@@ -67,42 +68,53 @@ def names_read(tree, skip=None):
     return found
 
 
-def tensor_names(tree):
-    """Names a module takes from ``tensor``: imported from it, or read as
-    attributes of the module (``T.matmul`` after ``from . import tensor as T``)."""
+def taken_from(tree, module):
+    """Names ``tree`` takes from the sibling ``module``: imported from it, or
+    read as attributes of it (``T.matmul`` after ``from . import tensor as T``)."""
     aliases, found = set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "tensor":
+        if isinstance(node, ast.ImportFrom) and node.module == module:
             found |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module is None:
             aliases |= {alias.asname or alias.name for alias in node.names
-                        if alias.name == "tensor"}
+                        if alias.name == module}
     return found | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                     and isinstance(node.value, ast.Name) and node.value.id in aliases}
 
 
-def unused_functions(tensor_tree, others):
-    """Public top-level functions of ``tensor_tree`` that it names nowhere
-    outside their own ``def`` and that no tree in ``others`` takes from it."""
-    elsewhere = set().union(*(tensor_names(t) for t in others))
-    return sorted(node.name for node in tensor_tree.body
-                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-                  and node.name not in elsewhere | names_read(tensor_tree, skip=node))
+def unused_definitions(tree, module, others):
+    """Public top-level functions and classes of ``tree`` (the source of
+    ``module``) that it names nowhere outside their own definition and that
+    no tree in ``others`` takes from it."""
+    elsewhere = set().union(*(taken_from(t, module) for t in others))
+    return sorted(node.name for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")
+                  and node.name not in elsewhere | names_read(tree, skip=node))
 
 
 def test_function_checker_ignores_a_def_naming_itself():
     tree = ast.parse("def f(n):\n    return f(n - 1)\n\ndef g():\n    pass\n\n"
                      "def _h():\n    pass\n\ndef k():\n    pass\n\ndef log():\n    pass\n\n"
-                     "def m():\n    pass\n\nalias = g\n")
-    user = ast.parse("import numpy as np\nfrom . import tensor as T\nfrom .tensor import m\n"
-                     "T.k(np.log(m))\n")
-    assert unused_functions(tree, [user]) == ["f", "log"]
+                     "def m():\n    pass\n\nclass A:\n    def a(self):\n        return A\n\n"
+                     "class B:\n    pass\n\nclass C:\n    pass\n\nalias = g\n"
+                     "def uses_b(x: B):\n    pass\n")
+    user = ast.parse("import numpy as np\nfrom . import mod as M\nfrom .mod import m\n"
+                     "from .other import C\nM.k(np.log(m))\n")
+    assert unused_definitions(tree, "mod", [user]) == ["A", "C", "f", "log", "uses_b"]
 
 
-def test_every_public_tensor_function_is_used():
-    tree = ast.parse((SRC / "tensor.py").read_text())
-    others = [ast.parse(p.read_text()) for p in SRC.glob("*.py") if p.name != "tensor.py"]
-    assert unused_functions(tree, others) == []
+# Entry points that the README documents and nothing in the package calls.
+ENTRY_POINTS = {"model.param_count", "train.make_corpus"}
+
+
+def test_every_public_definition_is_used():
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")
+             if p.name != "__init__.py"}
+    unused = [f"{module}.{name}" for module, tree in sorted(trees.items())
+              for name in unused_definitions(
+                  tree, module, [t for m, t in trees.items() if m != module])]
+    assert [name for name in unused if name not in ENTRY_POINTS] == []
 
 
 # operator dunders and their reflected forms: __add__, __radd__, __getitem__, ...

@@ -294,7 +294,7 @@ def test_mixer_reduces_to_raw_recurrence(rng):
     q = sil(x @ params["layers.0.wq"].data[0])
     k = sil(x @ params["layers.0.wk"].data[0])
     v = x @ params["layers.0.wv"].data[0]
-    o_raw, _ = forward_sequential(q, k, v, np.ones((6, 1)))
+    o_raw = forward_sequential(q, k, v, np.ones((6, 1)))
     gated = 0.5 * o_raw.data
     ref = gated / np.sqrt((gated ** 2).mean(axis=-1, keepdims=True) + 1e-6)
     assert np.max(np.abs(out.data - ref)) <= 1e-12

@@ -28,8 +28,8 @@ def test_rope_identity_at_t0(rng):
 def test_rope_quarter_turn():
     params = P.RopeParams(2)
     x = np.array([[0.0, 0.0], [1.0, 0.0]])
-    out = P.rope_apply(Tensor(x), params, positions=[0.0, np.pi / 2.0])
-    assert np.max(np.abs(out.data[1] - np.array([0.0, 1.0]))) <= 1e-12
+    out = P._rotate(x, *P._rope_trig(params, [0.0, np.pi / 2.0]))
+    assert np.max(np.abs(out[1] - np.array([0.0, 1.0]))) <= 1e-12
 
 
 def test_rope_norm_preserving(rng):
@@ -46,9 +46,8 @@ def test_rope_composition(rng):
     x = rng.normal(size=(3, 4))
     t = np.array([1.0, 2.0, 5.0])
     s = np.array([3.0, 0.5, 2.0])
-    once = P.rope_apply(Tensor(x), params, positions=t + s).data
-    twice = P.rope_apply(P.rope_apply(Tensor(x), params, positions=t),
-                         params, positions=s).data
+    once = P._rotate(x, *P._rope_trig(params, t + s))
+    twice = P._rotate(P._rotate(x, *P._rope_trig(params, t)), *P._rope_trig(params, s))
     assert np.max(np.abs(once - twice)) <= 1e-12
 
 
@@ -56,8 +55,7 @@ def test_rope_inverse(rng):
     params = P.RopeParams(6)
     x = rng.normal(size=(4, 6))
     pos = np.arange(4, dtype=np.float64)
-    back = P.rope_apply(P.rope_apply(Tensor(x), params, positions=pos),
-                        params, positions=-pos).data
+    back = P._rotate(P.rope_apply(Tensor(x), params).data, *P._rope_trig(params, -pos))
     assert np.max(np.abs(back - x)) <= 1e-12
 
 
@@ -93,9 +91,10 @@ def test_lrpe_inner_product_identity(rng):
     params = P.LrpeParams(thetas)
     q = rng.normal(size=6)
     k = rng.normal(size=6)
-    t, s = 7.0, 3.0
-    eq = P.lrpe_apply(Tensor(q[None, :]), params, positions=[t]).data[0]
-    ek = P.lrpe_apply(Tensor(k[None, :]), params, positions=[s]).data[0]
+    t, s = 7, 3
+    # row t of an encoded sequence sits at position t
+    eq = P.lrpe_apply(Tensor(np.tile(q, (8, 1))), params).data[t]
+    ek = P.lrpe_apply(Tensor(np.tile(k, (8, 1))), params).data[s]
     ref = float((q * k * np.cos((t - s) * thetas)).sum())
     assert abs(float(eq @ ek) - ref) <= 1e-12
 
@@ -233,7 +232,7 @@ def test_rope_apply_gradient(rng):
 
 def _composed_rope(x, params):
     # the rotation as generic tape ops: strided takes, products, interleave
-    cos, sin = P._rope_trig(params, x.shape[-2])
+    cos, sin = P._rope_trig(params, np.arange(x.shape[-2]))
     xe, xo = x[..., 0::2], x[..., 1::2]
     ye = xe * cos - xo * sin
     yo = xe * sin + xo * cos

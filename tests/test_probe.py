@@ -63,6 +63,9 @@ def test_capture_trace_rejects_no_decay(rng):
 
 def test_tracing_does_not_change_logits(rng):
     config, params = _model()
+    # scale every weight, so that the norms are not all ones
+    params = {name: Tensor(p.data * rng.uniform(0.5, 1.5, p.shape))
+              for name, p in params.items()}
     tokens = rng.integers(0, 256, size=24)
     plain = lm_forward(tokens, params, config).data
     traced_list = []

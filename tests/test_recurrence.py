@@ -14,13 +14,13 @@ def _ones(n):
 
 def test_sequential_prefix_sum():
     q, k, v = _ones(3)
-    o, _ = R.forward_sequential(q, k, v, np.ones((3, 1)))
+    o = R.forward_sequential(q, k, v, np.ones((3, 1)))
     assert np.array_equal(o.data[:, 0], np.array([1.0, 2.0, 3.0]))
 
 
 def test_sequential_half_decay():
     q, k, v = _ones(3)
-    o, _ = R.forward_sequential(q, k, v, np.full((3, 1), 0.5))
+    o = R.forward_sequential(q, k, v, np.full((3, 1), 0.5))
     assert np.max(np.abs(o.data[:, 0] - np.array([1.0, 1.5, 1.75]))) <= 1e-15
 
 
@@ -29,20 +29,8 @@ def test_sequential_zero_keys(rng):
     q = rng.normal(size=(n, dk))
     v = rng.normal(size=(n, dv))
     lam = rng.uniform(0.0, 1.0, size=(n, dk))
-    o, s = R.forward_sequential(q, np.zeros((n, dk)), v, lam)
+    o = R.forward_sequential(q, np.zeros((n, dk)), v, lam)
     assert np.array_equal(o.data, np.zeros((n, dv)))
-    assert np.array_equal(s.data, np.zeros((dk, dv)))
-
-
-def test_sequential_final_state(rng):
-    n, dk, dv = 4, 2, 3
-    q, k, v = (rng.normal(size=(n, d)) for d in (dk, dk, dv))
-    lam = rng.uniform(0.2, 1.0, size=(n, dk))
-    _, final = R.forward_sequential(q, k, v, lam)
-    s = np.zeros((dk, dv))
-    for t in range(n):
-        s = lam[t][:, None] * s + np.outer(k[t], v[t])
-    assert np.max(np.abs(final.data - s)) <= 1e-15
 
 
 def test_sequential_shape_validation():
@@ -79,7 +67,7 @@ def test_oracle_matches_sequential_sweep(rng):
         dv = int(rng.integers(1, 9))
         q, k, v = (rng.normal(size=(n, d)) for d in (dk, dk, dv))
         lam = rng.uniform(0.0, 1.0, size=(n, dk))
-        o_seq, _ = R.forward_sequential(q, k, v, lam)
+        o_seq = R.forward_sequential(q, k, v, lam)
         o_ref = R.forward_oracle(q, k, v, lam)
         assert np.max(np.abs(o_seq.data - o_ref)) <= 1e-10
 
@@ -88,7 +76,7 @@ def test_oracle_handles_scalar_lambda(rng):
     n, dk, dv = 7, 4, 3
     q, k, v = (rng.normal(size=(n, d)) for d in (dk, dk, dv))
     lam = rng.uniform(0.1, 1.0, size=(n, 1))
-    o_seq, _ = R.forward_sequential(q, k, v, lam)
+    o_seq = R.forward_sequential(q, k, v, lam)
     o_ref = R.forward_oracle(q, k, v, lam)
     assert np.max(np.abs(o_seq.data - o_ref)) <= 1e-12
 
@@ -97,7 +85,7 @@ def test_chunked_degenerate_chunk_one(rng):
     n, dk, dv = 9, 3, 2
     q, k, v = (rng.normal(size=(n, d)) for d in (dk, dk, dv))
     lam = rng.uniform(0.0, 1.0, size=(n, dk))
-    o_seq, _ = R.forward_sequential(q, k, v, lam)
+    o_seq = R.forward_sequential(q, k, v, lam)
     o_ch = R.forward_chunked(q, k, v, lam, 1)
     assert np.max(np.abs(o_ch - o_seq.data)) <= 1e-12
 
@@ -115,7 +103,7 @@ def test_chunked_ragged_tail(rng):
     n, dk, dv = 257, 4, 3
     q, k, v = (rng.normal(size=(n, d)) for d in (dk, dk, dv))
     lam = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 2.0, size=(n, dk))))
-    o_seq, _ = R.forward_sequential(q, k, v, lam)
+    o_seq = R.forward_sequential(q, k, v, lam)
     o_ch = R.forward_chunked(q, k, v, lam, 64)
     assert np.max(np.abs(o_ch - o_seq.data)) <= 1e-8
 
@@ -124,7 +112,7 @@ def test_chunked_all_chunk_sizes(rng):
     n, dk, dv = 33, 3, 2
     q, k, v = (rng.normal(size=(n, d)) for d in (dk, dk, dv))
     lam = rng.uniform(0.0, 1.0, size=(n, dk))
-    o_seq, _ = R.forward_sequential(q, k, v, lam)
+    o_seq = R.forward_sequential(q, k, v, lam)
     for chunk in (1, 2, 16, 64, n):
         o_ch = R.forward_chunked(q, k, v, lam, chunk)
         assert np.max(np.abs(o_ch - o_seq.data)) <= 1e-8
@@ -137,7 +125,7 @@ def test_chunked_handles_zero_decay(rng):
     lam = rng.uniform(0.0, 1.0, size=(n, dk))
     lam[0] = 0.0
     lam[7] = 0.0
-    o_seq, _ = R.forward_sequential(q, k, v, lam)
+    o_seq = R.forward_sequential(q, k, v, lam)
     o_ch = R.forward_chunked(q, k, v, lam, 4)
     assert np.max(np.abs(o_ch - o_seq.data)) <= 1e-10
 
@@ -154,9 +142,8 @@ def test_dplr_beta_zero_reduces_to_diagonal(rng):
     lam = rng.uniform(0.1, 1.0, size=(n, dk))
     kappa = rng.normal(size=(n, dk))
     kappa /= np.linalg.norm(kappa, axis=-1, keepdims=True)
-    o_dplr = R.forward_dplr(q, k, v, lam,
-                            R.DplrParams(kappa, np.zeros((n, 1)), normalize=False))
-    o_diag, _ = R.forward_sequential(q, k, v, lam)
+    o_dplr = R.forward_dplr(q, k, v, lam, kappa, np.zeros((n, 1)))
+    o_diag = R.forward_sequential(q, k, v, lam)
     assert np.max(np.abs(o_dplr.data - o_diag.data)) <= 1e-12
 
 
@@ -168,7 +155,7 @@ def test_dplr_matches_dense_oracle(rng):
         kappa = rng.normal(size=(n, dk))
         kappa /= np.linalg.norm(kappa, axis=-1, keepdims=True)
         beta = rng.uniform(0.05, 0.95, size=(n, 1))
-        o = R.forward_dplr(q, k, v, lam, R.DplrParams(kappa, beta, normalize=False))
+        o = R.forward_dplr(q, k, v, lam, kappa, beta)
         o_ref = R.dplr_dense_oracle(q, k, v, lam, kappa, beta)
         assert np.max(np.abs(o.data - o_ref)) <= 1e-10
 
@@ -179,30 +166,20 @@ def test_dplr_delta_rule_overwrite():
     kap = np.zeros((2, 3))
     kap[:, 0] = 1.0
     v = np.array([[1.0, 2.0], [5.0, -1.0]])
-    o = R.forward_dplr(kap, kap, v, np.ones((2, 3)),
-                       R.DplrParams(kap, np.ones((2, 1)), normalize=False))
+    o = R.forward_dplr(kap, kap, v, np.ones((2, 3)), kap, np.ones((2, 1)))
     assert np.max(np.abs(o.data[1] - v[1])) <= 1e-12
 
 
-def test_dplr_rejects_non_unit_kappa():
-    n, dk = 3, 2
-    kappa = np.full((n, dk), 2.0)
-    with pytest.raises(ValueError):
-        R.forward_dplr(np.zeros((n, dk)), np.zeros((n, dk)), np.zeros((n, 1)),
-                       np.ones((n, dk)), R.DplrParams(kappa, np.zeros((n, 1)),
-                                                      normalize=False))
-
-
-def test_dplr_normalization_path(rng):
+def test_dplr_matches_dense_oracle_for_non_unit_kappa(rng):
+    # the kernel takes kappa as given: the transition is diag(lam) - beta kappa kappa^T
     n, dk, dv = 5, 3, 2
     q, k, v = (rng.normal(size=(n, d)) for d in (dk, dk, dv))
     lam = rng.uniform(0.1, 1.0, size=(n, dk))
     kappa = rng.normal(size=(n, dk)) * 3.0
     beta = rng.uniform(0.1, 0.9, size=(n, 1))
-    o_auto = R.forward_dplr(q, k, v, lam, R.DplrParams(kappa, beta))
-    unit = kappa / np.sqrt((kappa ** 2).sum(axis=-1, keepdims=True) + 1e-12)
-    o_ref = R.dplr_dense_oracle(q, k, v, lam, unit, beta)
-    assert np.max(np.abs(o_auto.data - o_ref)) <= 1e-10
+    o = R.forward_dplr(q, k, v, lam, kappa, beta)
+    o_ref = R.dplr_dense_oracle(q, k, v, lam, kappa, beta)
+    assert np.max(np.abs(o.data - o_ref)) <= 1e-10 * max(1.0, np.max(np.abs(o_ref)))
 
 
 def test_scan_gradients(rng):
@@ -215,7 +192,7 @@ def test_scan_gradients(rng):
     }
 
     def build(lv):
-        o, _ = R.forward_sequential(lv["q"], lv["k"], lv["v"], lv["lam"])
+        o = R.forward_sequential(lv["q"], lv["k"], lv["v"], lv["lam"])
         return T.tsum(o * o)
 
     assert grad_check(build, leaves, rel_tol=1e-4) == []
@@ -231,7 +208,7 @@ def test_scan_gradients_scalar_lambda(rng):
     }
 
     def build(lv):
-        o, _ = R.forward_sequential(lv["q"], lv["k"], lv["v"], lv["lam"])
+        o = R.forward_sequential(lv["q"], lv["k"], lv["v"], lv["lam"])
         return T.tsum(T.sigmoid(o))
 
     assert grad_check(build, leaves, rel_tol=1e-4) == []
@@ -251,10 +228,15 @@ def test_dplr_gradients(rng):
 
     def build(lv):
         o = R.forward_dplr(lv["q"], lv["k"], lv["v"], lv["lam"],
-                           R.DplrParams(lv["kappa"], lv["beta"]))
+                           _unit_rows(lv["kappa"]), lv["beta"])
         return T.tsum(o * o)
 
     assert grad_check(build, leaves, rel_tol=1e-4) == []
+
+
+def _unit_rows(kappa):
+    """kappa L2-normalized row by row, with the ops the model uses."""
+    return kappa / T.sqrt(T.tsum(kappa * kappa, axis=-1, keepdims=True) + 1e-12)
 
 
 def _batched_inputs(rng, batch, n, scalar, dk=3, dv=2):
@@ -282,12 +264,11 @@ BATCHED_LENGTHS = [1, 9, R._BLOCK + 5]
 @pytest.mark.parametrize("n", BATCHED_LENGTHS)
 def test_sequential_batched_matches_oracle(rng, n, scalar):
     q, k, v, lam = _batched_inputs(rng, (2, 3), n, scalar)
-    o, final = R.forward_sequential(q, k, v, lam)
-    assert o.shape == (2, 3, n, 2) and final.shape == (2, 3, 3, 2)
+    o = R.forward_sequential(q, k, v, lam)
+    assert o.shape == (2, 3, n, 2)
     assert np.max(np.abs(o.data - R.forward_oracle(q, k, v, lam))) <= 1e-10
-    o_tape, final_tape = _on_tape(R.forward_sequential, q, k, v, lam)
+    o_tape = _on_tape(R.forward_sequential, q, k, v, lam)
     assert np.array_equal(o_tape.data, o.data)
-    assert np.array_equal(final_tape.data, final.data)
 
 
 @pytest.mark.parametrize("scalar", [False, True])
@@ -298,7 +279,7 @@ def test_sequential_batched_gradients(rng, batch, n, scalar):
               for name, x in zip(("q", "k", "v", "lam"), (q, k, v, lam))}
 
     def build(lv):
-        o, _ = R.forward_sequential(lv["q"], lv["k"], lv["v"], lv["lam"])
+        o = R.forward_sequential(lv["q"], lv["k"], lv["v"], lv["lam"])
         return T.tsum(o * o)
 
     assert grad_check(build, leaves, rel_tol=1e-4) == []
@@ -313,7 +294,7 @@ def test_dplr_batched_matches_dense_oracle(rng, n, scalar):
     beta = rng.uniform(0.05, 0.95, size=(2, 3, n, 1))
 
     def run(q_, k_, v_, lam_, kappa_, beta_):
-        return R.forward_dplr(q_, k_, v_, lam_, R.DplrParams(kappa_, beta_, normalize=False))
+        return R.forward_dplr(q_, k_, v_, lam_, kappa_, beta_)
 
     o = run(q, k, v, lam, kappa, beta)
     o_ref = R.dplr_dense_oracle(q, k, v, lam, kappa, beta)
@@ -332,7 +313,7 @@ def test_dplr_batched_gradients(rng, batch, n, scalar):
 
     def build(lv):
         o = R.forward_dplr(lv["q"], lv["k"], lv["v"], lv["lam"],
-                           R.DplrParams(lv["kappa"], lv["beta"]))
+                           _unit_rows(lv["kappa"]), lv["beta"])
         return T.tsum(o * o)
 
     assert grad_check(build, leaves, rel_tol=1e-4) == []

@@ -1,5 +1,6 @@
 """A strategy added only to ``decay.STRATEGIES`` works end to end: config,
-init, training gradient, weight-decay rule, export and verify cells."""
+init, parameter count, training gradient, weight-decay rule, export and
+verify cells."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from decaylab import decay as D
 from decaylab import tensor as T
 from decaylab.checkpoint import save_checkpoint
 from decaylab.decay import DecayConfig, Strategy
-from decaylab.model import ModelConfig, init_params, lm_forward
+from decaylab.model import ModelConfig, init_params, lm_forward, param_count
 from decaylab.tensor import Tape, backward
 from decaylab.train import cross_entropy, decays_weight
 
@@ -36,6 +37,12 @@ def test_init_creates_the_learned_scalar(toy):
     params = init_params(toy)
     for i in range(2):
         assert np.array_equal(params[f"layers.{i}.decay.b"].data, np.full((2, 1, 1), i + 1.0))
+
+
+@pytest.mark.parametrize("granularity,sharing", LAYOUTS)
+def test_param_count_reads_the_row(toy, granularity, sharing):
+    toy.decay = DecayConfig(strategy="toy", granularity=granularity, sharing=sharing)
+    assert param_count(toy) == sum(p.size for p in init_params(toy).values())
 
 
 @pytest.mark.parametrize("granularity,sharing", LAYOUTS)

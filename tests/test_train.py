@@ -182,6 +182,16 @@ def test_adamw_shape_mismatch():
         opt.step(params, {"w": np.zeros(4)}, lr=0.1)
 
 
+def test_adamw_missing_gradient_raises():
+    # a missing gradient must not pass as zero, which would only decay the weight
+    cfg = TrainConfig(weight_decay=0.01)
+    params = {"a": Tensor(np.ones(2), requires_grad=True),
+              "w": Tensor(np.ones(2), requires_grad=True)}
+    opt = AdamW(params, cfg)
+    with pytest.raises(KeyError, match="w"):
+        opt.step(params, {"a": np.zeros(2)}, lr=0.1)
+
+
 def test_decays_weight_rules():
     assert decays_weight("layers.0.wq")
     assert decays_weight("embedding")
