@@ -14,7 +14,7 @@ from . import decay as D
 from . import posenc as P
 from . import tensor as T
 from .decay import ConfigError, DecayConfig, DecayProjection
-from .recurrence import forward_dplr, forward_sequential
+from .recurrence import forward_chunked, forward_dplr, forward_sequential
 from .tensor import Tensor
 
 POSENCS = ("none", "rope", "lrpe", "tpe")
@@ -240,6 +240,8 @@ def token_mixer_forward(x, params, config: ModelConfig, layer_idx, trace=None):
         # unit rows, as in DeltaNet: the layer normalizes kappa, not the kernel
         kappa = kappa / T.sqrt(T.tsum(kappa * kappa, axis=-1, keepdims=True) + 1e-12)
         o = forward_dplr(q, k, v, lam, kappa, beta)
+    elif lam.shape[-1] == 1:
+        o = forward_chunked(q, k, v, lam)
     else:
         o = forward_sequential(q, k, v, lam)
     # (..., h, n, dk) -> (..., n, h * dk)

@@ -1,16 +1,20 @@
 """State-update kernels for decayed linear attention.
 
-The sequential scan is the canonical semantics and the training kernel.
-The quadratic-cost closed-form expansion (``forward_oracle``) and the
-chunkwise-parallel form (``forward_chunked``) are verify references only.
-A chunkwise form does not speed up training in numpy: at (8, 4, 128, 16)
-with vector decay on one core, a chunkwise forward and backward took 87,
-153 and 338 ms at chunk 16, 32 and 64, against 45 ms for a batch-major
-scan and about 23 ms for the time-major scan below.  The DPLR kernel
-extends the diagonal transition with a delta-rule rank-one correction;
-both kernels share one scan.
+The sequential scan is the canonical semantics.  It trains vector decay
+and, extended with a delta-rule rank-one correction, the DPLR transition;
+both share one scan.  Scalar decay (one value per head and position)
+trains through the chunkwise kernel ``forward_chunked``: each chunk of
+``CHUNK`` positions is a few batched GEMMs, ((Q K^T) . D) V plus the
+carried state, and only that state loops, once per chunk.  At
+(8, 4, 128, 16) on one BLAS thread its forward and backward took about
+5 ms against about 14.5 ms for the scan.  Vector decay needs a
+(c x c x dk) pair mask instead, and a chunkwise form of it was slower
+than the scan (87 to 338 ms against about 23 ms at that shape), so for
+vector decay ``forward_chunked`` is a forward-only verify reference.  The
+quadratic closed-form expansion ``forward_oracle`` and the dense DPLR
+recurrence ``dplr_dense_oracle`` are references only.
 
-Both kernels take plain tensors (arrays or Tensors) and return only the
+All kernels take plain tensors (arrays or Tensors) and return only the
 outputs ``o``.  Shapes: ``q``/``k`` are (..., n, dk), ``v`` is (..., n, dv),
 ``lam`` is (..., n, dk) or (..., n, 1) (scalar decay broadcasts across
 dimensions); the DPLR ``kappa`` is (..., n, dk) and ``beta`` (..., n, 1),
@@ -32,17 +36,25 @@ from .tensor import ShapeError, Tensor, as_tensor
 # Time steps per block of the scan.  Outputs are read from each block of
 # states at once; without a recording tape only one block is alive.
 _BLOCK = 64
+# Positions per chunk of ``forward_chunked``.  At (8, 4, 128, 16) on one BLAS
+# thread, 16 was faster than 8, 32 and 64.
+CHUNK = 16
 
 
-def _check_shapes(q, k, v, lam):
+def _check_shapes(q, k, v, lam, kappa=None, beta=None):
     if q.shape != k.shape:
         raise ShapeError(f"q/k shapes differ: {q.shape} vs {k.shape}")
     if q.shape[:-1] != v.shape[:-1]:
         raise ShapeError(f"q/v leading shapes differ: {q.shape} vs {v.shape}")
     if lam.shape[:-1] != q.shape[:-1] or lam.shape[-1] not in (1, q.shape[-1]):
         raise ShapeError(f"lam shape {lam.shape} incompatible with q shape {q.shape}")
-    for name, arr in (("q", q), ("k", k), ("v", v), ("lam", lam)):
-        if not np.all(np.isfinite(arr)):
+    if kappa is not None and kappa.shape != q.shape:
+        raise ShapeError(f"kappa shape {kappa.shape} differs from q shape {q.shape}")
+    if beta is not None and beta.shape != q.shape[:-1] + (1,):
+        raise ShapeError(f"beta shape {beta.shape} incompatible with q shape {q.shape}")
+    named = (("q", q), ("k", k), ("v", v), ("lam", lam), ("kappa", kappa), ("beta", beta))
+    for name, arr in named:
+        if arr is not None and not np.all(np.isfinite(arr)):
             raise ValueError(f"non-finite values in {name}")
 
 
@@ -197,48 +209,126 @@ def forward_oracle(q, k, v, lam):
     return o
 
 
-def forward_chunked(q, k, v, lam, chunk):
-    """Chunkwise-parallel evaluation, equivalent to the sequential scan.
+def _chunks(x, c, fill):
+    """(..., n, d) -> (..., N, c, d), the tail padded with ``fill``."""
+    pad = -x.shape[-2] % c
+    if pad:
+        x = np.concatenate([x, np.full(x.shape[:-2] + (pad, x.shape[-1]), fill)], axis=-2)
+    return x.reshape(x.shape[:-2] + (-1, c, x.shape[-1]))
 
-    Inter-chunk state is carried through cumulative decay products;
-    intra-chunk terms use a masked quadratic form with telescoped
-    pair products (no divisions).  Plain numpy, forward only.
+
+def _unchunk(x, n):
+    """(..., N, c, d) -> (..., n, d), dropping the padded tail."""
+    return x.reshape(x.shape[:-3] + (-1, x.shape[-1]))[..., :n, :]
+
+
+def _pair_decay(lam):
+    """D[..., t, j, :] = prod_{i=j+1}^t lam_i for j <= t and 0 above the
+    diagonal, for every chunk of lam (..., N, c, w) at once: (..., N, c, c, w).
+
+    A running product down the rows, D[t, :t] = lam_t D[t-1, :t], with no
+    division, so a zero decay stays exact."""
+    c = lam.shape[-2]
+    D = np.zeros(lam.shape[:-1] + (c,) + lam.shape[-1:])
+    diag = np.arange(c)
+    D[..., diag, diag, :] = 1.0
+    for t in range(1, c):
+        np.multiply(lam[..., t, None, :], D[..., t - 1, :t, :], out=D[..., t, :t, :])
+    return D
+
+
+def _chunk_scan(x, decay, reverse=False):
+    """y_m = x_m + decay_m y_{m-1} over the chunks m of x (..., N, dk, dv),
+    or y_m = x_m + decay_m y_{m+1} with ``reverse``; decay is (..., N, w).
+
+    The loop runs chunk-major, on one contiguous (..., dk, dv) block per step.
+    """
+    y = np.moveaxis(x, -3, 0).copy()
+    decay = np.moveaxis(decay, -2, 0)[..., None]
+    tmp = np.empty(y.shape[1:])
+    for m in (range(len(y) - 2, -1, -1) if reverse else range(1, len(y))):
+        np.multiply(decay[m], y[m + 1 if reverse else m - 1], out=tmp)
+        y[m] += tmp
+    return np.moveaxis(y, 0, -3)
+
+
+def forward_chunked(q, k, v, lam, chunk=CHUNK):
+    """Chunkwise-parallel evaluation of the recurrence of ``forward_sequential``.
+
+    Within a chunk o = ((Q K^T) . D) V + (Q . gamma) S, with S the state
+    entering the chunk and gamma_t = prod_{i=0}^t lam_i over the chunk.
+    With scalar decay (lam (..., n, 1)) this is the training kernel, and it
+    is differentiable in q, k, v and lam: the backward is the transposed
+    GEMMs plus a division-free decay gradient.  Vector decay
+    (lam (..., n, dk)) is a forward-only verify reference and raises under
+    a recording tape.  Returns ``o``.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    q, k, v, lam = (x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-                    for x in (q, k, v, lam))
-    _check_shapes(q, k, v, lam)
-    n, dk = q.shape[-2], q.shape[-1]
-    dv = v.shape[-1]
-    batch = np.broadcast_shapes(q.shape[:-2], v.shape[:-2])
-    lam = np.broadcast_to(lam, batch + (n, lam.shape[-1]))
-    if lam.shape[-1] == 1:
-        lam = np.broadcast_to(lam, batch + (n, dk))
-    q = np.broadcast_to(q, batch + (n, dk))
-    k = np.broadcast_to(k, batch + (n, dk))
-    v = np.broadcast_to(v, batch + (n, dv))
-    o = np.zeros(batch + (n, dv))
-    s = np.zeros(batch + (dk, dv))
-    for start in range(0, n, chunk):
-        end = min(start + chunk, n)
-        c = end - start
-        ql, kl, vl, ll = (a[..., start:end, :] for a in (q, k, v, lam))
-        # pair products D[t, j] = prod_{i=j+1}^t lam_i (local indices, j <= t)
-        D = np.zeros(batch + (c, c, dk))
-        for t in range(c):
-            if t > 0:
-                D[..., t, :t, :] = ll[..., t, None, :] * D[..., t - 1, :t, :]
-            D[..., t, t, :] = 1.0
-        # carried state: gamma_t = prod_{i=start}^t lam_i = lam_start * D[t, 0]
-        gamma = ll[..., 0, None, :] * D[..., :, 0, :]
-        o[..., start:end, :] = np.einsum("...td,...de->...te", ql * gamma, s)
-        scores = np.einsum("...td,...tjd,...jd->...tj", ql, D, kl)
-        mask = np.tril(np.ones((c, c)))
-        o[..., start:end, :] += np.einsum("...tj,...je->...te", scores * mask, vl)
-        s = gamma[..., -1, :, None] * s + np.einsum(
-            "...jd,...je->...de", D[..., -1, :, :] * kl, vl)
-    return o
+    q, k, v, lam = as_tensor(q), as_tensor(k), as_tensor(v), as_tensor(lam)
+    _check_shapes(q.data, k.data, v.data, lam.data)
+    parents = (q, k, v, lam)
+    record = T.active_tape() is not None and any(p.requires_grad for p in parents)
+    if record and lam.shape[-1] != 1:
+        raise ValueError("forward_chunked has no backward for vector decay; "
+                         "use forward_sequential")
+    n = q.shape[-2]
+    qc, kc, vc = (_chunks(p.data, chunk, 0.0) for p in (q, k, v))
+    lc = _chunks(lam.data, chunk, 1.0)
+    D = _pair_decay(lc)
+    gamma = lc[..., :1, :] * D[..., :, 0, :]
+    # state entering each chunk: the state after chunk m is gamma_last times
+    # the state before it plus U_m = sum_j D[last, j] k_j v_j^T
+    U = np.matmul(np.swapaxes(D[..., -1, :, :] * kc, -1, -2), vc)
+    S = np.zeros_like(U)
+    S[..., 1:, :, :] = _chunk_scan(U, gamma[..., -1, :])[..., :-1, :, :]
+    if lam.shape[-1] != 1:
+        P = np.einsum("...td,...tjd,...jd->...tj", qc, D, kc)
+        return Tensor(_unchunk(np.matmul(P, vc) + np.matmul(qc * gamma, S), n))
+    D = D[..., 0]
+    A = np.matmul(qc, np.swapaxes(kc, -1, -2))
+    P = A * D
+    QS = np.matmul(qc, S)
+    o = np.matmul(P, vc)
+    o += gamma * QS
+    out = Tensor(_unchunk(o, n))
+    if not record:
+        return out
+
+    def bw(g):
+        gc = _chunks(g, chunk, 0.0)
+        dP = np.matmul(gc, np.swapaxes(vc, -1, -2))     # dL/d((Q K^T) . D)
+        dA = dP * D
+        # H_m = dL/dS_m, from chunk m's outputs and from S_{m+1}
+        H = _chunk_scan(np.matmul(np.swapaxes(qc * gamma, -1, -2), gc), gamma[..., -1, :],
+                        reverse=True)
+        dU = np.zeros_like(H)
+        dU[..., :-1, :, :] = H[..., 1:, :, :]
+        last = D[..., -1, :, None]
+        VH = np.matmul(vc, np.swapaxes(dU, -1, -2))
+        dq = np.matmul(dA, kc) + gamma * np.matmul(gc, np.swapaxes(S, -1, -2))
+        dk = np.matmul(np.swapaxes(dA, -1, -2), qc) + last * VH
+        dv = np.matmul(np.swapaxes(P, -1, -2), gc) + np.matmul(last * kc, dU)
+        for p, grad in zip(parents, (dq, dk, dv)):
+            T._accum(p, _unchunk(grad, n))
+        if not lam.requires_grad:
+            return
+        # Every path from lam to the loss runs through D: gamma_t = lam_0 D[t, 0]
+        # and U reads row D[last].  As D[t, j] = D[t, i] D[i-1, j] for
+        # j < i <= t, dlam_i = sum_t D[t, i] (dD D_shift^T)[t, i] with
+        # D_shift[i, j] = D[i-1, j]; lam_0 also scales gamma directly.
+        dgam = np.einsum("...te,...te->...t", QS, gc)
+        dgam[..., :-1, -1] += np.einsum("...de,...de->...", H[..., 1:, :, :], S[..., :-1, :, :])
+        dD = dP * A
+        dD[..., -1, :] += np.einsum("...jd,...jd->...j", kc, VH)
+        dD[..., :, 0] += lc[..., 0, :] * dgam
+        dlam = np.zeros(D.shape[:-1])
+        np.einsum("...ti,...ti->...i", D[..., :, 1:],
+                  np.matmul(dD, np.swapaxes(D[..., :-1, :], -1, -2)), out=dlam[..., 1:])
+        dlam[..., 0] = np.einsum("...t,...t->...", dgam, D[..., :, 0])
+        T._accum(lam, _unchunk(dlam[..., None], n))
+
+    return T._record(out, parents, bw)
 
 
 def forward_dplr(q, k, v, lam, kappa, beta):
@@ -249,8 +339,9 @@ def forward_dplr(q, k, v, lam, kappa, beta):
     Differentiable in all inputs including kappa and beta.
     """
     q, k, v, lam = as_tensor(q), as_tensor(k), as_tensor(v), as_tensor(lam)
-    _check_shapes(q.data, k.data, v.data, lam.data)
-    return _recurrence(q, k, v, lam, as_tensor(kappa), as_tensor(beta))
+    kappa, beta = as_tensor(kappa), as_tensor(beta)
+    _check_shapes(q.data, k.data, v.data, lam.data, kappa.data, beta.data)
+    return _recurrence(q, k, v, lam, kappa, beta)
 
 
 def dplr_dense_oracle(q, k, v, lam, kappa, beta):

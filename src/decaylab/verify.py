@@ -67,6 +67,32 @@ def suite_sequential_vs_oracle(level="full"):
     return failures
 
 
+def _kernel_grads(kernel, arrays, weight, *args):
+    """Output and the gradients of sum(o * weight) wrt every input array."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape():
+        o = kernel(*leaves, *args)
+        backward(T.tsum(o * weight))
+    return o.data, [leaf.grad for leaf in leaves]
+
+
+def _rel_diff(a, b):
+    """max |a - b| relative to max |b|, or absolute below 1."""
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1.0))
+
+
+# Scalar-decay cases of the training kernel: (batch, n, positions with
+# lambda = 0).  They cover a zero at t = 0 and on a chunk boundary, n not a
+# multiple of the chunk, n below the chunk, n = 1 and a (2, 3) batch.
+_SCALAR_CHUNK_CASES = [
+    ((), 2 * R.CHUNK + 7, (0, R.CHUNK)),
+    ((), 4 * R.CHUNK, (0, R.CHUNK, 3 * R.CHUNK - 1)),
+    ((), R.CHUNK - 3, (0,)),
+    ((), 1, (0,)),
+    ((2, 3), R.CHUNK + 5, (0, R.CHUNK)),
+]
+
+
 def suite_chunked_vs_sequential(level="full"):
     failures = []
     rng = np.random.Generator(np.random.Philox(2))
@@ -78,9 +104,24 @@ def suite_chunked_vs_sequential(level="full"):
         o_seq = R.forward_sequential(q, k, v, lam)
         for chunk in (1, 2, 16, 64, n):
             o_ch = R.forward_chunked(q, k, v, lam, chunk)
-            diff = float(np.max(np.abs(o_ch - o_seq.data)))
+            diff = float(np.max(np.abs(o_ch.data - o_seq.data)))
             if diff > 1e-8:
                 failures.append(f"n={n} chunk={chunk}: diff {diff:.3e}")
+    # scalar decay: the kernel that trains, outputs and all four gradients
+    for batch, n, zeros in _SCALAR_CHUNK_CASES:
+        dk, dv = 6, 5
+        lam = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 2.0, size=batch + (n, 1))))
+        lam[..., list(zeros), :] = 0.0
+        arrays = [rng.normal(size=batch + (n, d)) for d in (dk, dk, dv)] + [lam]
+        weight = rng.normal(size=batch + (n, dv))
+        o_seq, g_seq = _kernel_grads(R.forward_sequential, arrays, weight)
+        o_ch, g_ch = _kernel_grads(R.forward_chunked, arrays, weight, R.CHUNK)
+        case = f"scalar batch={batch} n={n}"
+        if _rel_diff(o_ch, o_seq) > 1e-10:
+            failures.append(f"{case}: output rel diff {_rel_diff(o_ch, o_seq):.3e}")
+        for name, a, b in zip(("q", "k", "v", "lam"), g_ch, g_seq):
+            if _rel_diff(a, b) > 1e-10:
+                failures.append(f"{case}: d{name} rel diff {_rel_diff(a, b):.3e}")
     return failures
 
 

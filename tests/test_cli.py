@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from decaylab import cli
-from decaylab import recurrence
+from decaylab import recurrence, tensor
 from decaylab.checkpoint import MAGIC, save_checkpoint
 from decaylab.decay import STRATEGIES, ConfigError, DecayConfig
 from decaylab.model import ModelConfig, config_to_dict, init_params
@@ -261,6 +261,23 @@ def test_cmd_verify_detects_corrupted_chunked_kernel(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL chunked-vs-sequential" in out
     assert "chunked-vs-sequential" in out.split("verification failed:")[-1]
+
+
+def test_cmd_verify_detects_a_scaled_chunked_decay_gradient(monkeypatch, capsys):
+    real = recurrence.forward_chunked
+
+    def scaled_dlam(q, k, v, lam, chunk):
+        # lam passes through unchanged; its gradient comes back 1.001 times too large
+        lam = tensor.as_tensor(lam)
+        through = tensor._record(Tensor(lam.data), (lam,),
+                                 lambda g: tensor._accum(lam, 1.001 * g))
+        return real(q, k, v, through, chunk)
+
+    monkeypatch.setattr(recurrence, "forward_chunked", scaled_dlam)
+    assert cli.main(["verify", "--level", "quick"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL chunked-vs-sequential" in out
+    assert "dlam rel diff" in out and "dq rel diff" not in out
 
 
 def test_cmd_export(trained_run, tmp_path, capsys):

@@ -1,16 +1,18 @@
 import hashlib
+import itertools
 import json
 import os
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from decaylab import checkpoint, cli
+from decaylab import checkpoint, cli, model, recurrence
 from decaylab import tensor as T
 from decaylab.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
-from decaylab.decay import ConfigError, DecayConfig
-from decaylab.model import (ModelConfig, config_from_dict, config_to_dict,
+from decaylab.decay import GRANULARITIES, SHARINGS, STRATEGIES, ConfigError, DecayConfig
+from decaylab.model import (POSENCS, ModelConfig, config_from_dict, config_to_dict,
                             glu_forward, init_params, lm_forward, param_count,
                             token_mixer_forward)
 from decaylab.probe import median
@@ -364,3 +366,77 @@ def test_full_model_gradient_check(rng):
         return cross_entropy(lm_forward(toks, lv, config), targets)
 
     assert grad_check(build, params, rel_tol=1e-3) == []
+
+
+KERNELS = ("forward_chunked", "forward_sequential", "forward_dplr")
+
+
+@pytest.mark.parametrize("decay,transition,kernel", [
+    (DecayConfig(strategy="mamba2", granularity="scalar"), "diagonal", "forward_chunked"),
+    (DecayConfig(strategy="tnl", granularity="scalar"), "diagonal", "forward_chunked"),
+    (DecayConfig(strategy="none"), "diagonal", "forward_chunked"),
+    (DecayConfig(strategy="mamba2"), "diagonal", "forward_sequential"),
+    (DecayConfig(strategy="gla", sharing="shared"), "diagonal", "forward_sequential"),
+    (DecayConfig(strategy="mamba2", granularity="scalar"), "dplr", "forward_dplr"),
+    (DecayConfig(strategy="gla"), "dplr", "forward_dplr"),
+])
+def test_each_cell_runs_one_kernel_per_layer(decay, transition, kernel, monkeypatch, rng):
+    # scalar decay on the diagonal transition trains through the chunked
+    # kernel; vector decay keeps the scan and DPLR its own kernel
+    config = ModelConfig(n_layers=3, hidden=8, heads=2, vocab=17, transition=transition,
+                         decay=decay)
+    calls = Counter()
+    for name in KERNELS:
+        def counted(*args, _name=name, _fn=getattr(model, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(model, name, counted)
+    params = init_params(config)
+    with T.Tape():
+        T.backward(cross_entropy(lm_forward(_tokens(rng, 20), params, config),
+                                 _tokens(rng, 20)))
+    assert calls == {kernel: 3}
+
+
+def _scalar_cells():
+    """Every runnable cell whose decay is one value per head and position on
+    the diagonal transition: the cells that train through the chunked kernel."""
+    for strategy, granularity, sharing, posenc in itertools.product(
+            STRATEGIES, GRANULARITIES, SHARINGS, POSENCS):
+        if STRATEGIES[strategy].projected and granularity != "scalar":
+            continue
+        try:
+            yield ModelConfig(n_layers=2, hidden=8, heads=2, vocab=17, posenc=posenc,
+                              decay=DecayConfig(strategy=strategy, granularity=granularity,
+                                                sharing=sharing))
+        except ConfigError:
+            continue
+
+
+def test_scalar_cells_match_the_scan_route(monkeypatch, rng):
+    n = 2 * recurrence.CHUNK + 5
+    tokens, targets = _tokens(rng, 2 * n).reshape(2, n), _tokens(rng, 2 * n).reshape(2, n)
+
+    def loss_and_grads(config, params):
+        with T.Tape():
+            loss = cross_entropy(lm_forward(tokens, params, config), targets)
+            T.backward(loss)
+        grads = {name: p.grad for name, p in params.items()}
+        for p in params.values():
+            p.grad = None
+        return loss.item(), grads
+
+    cells = 0
+    for config in _scalar_cells():
+        # scale every weight, so that the decays spread and the norms are not all ones
+        params = {name: Tensor(p.data * rng.uniform(0.5, 1.5, p.shape), requires_grad=True)
+                  for name, p in init_params(config).items()}
+        loss, grads = loss_and_grads(config, params)
+        with monkeypatch.context() as m:
+            m.setattr(model, "forward_chunked", recurrence.forward_sequential)
+            loss_ref, grads_ref = loss_and_grads(config, params)
+        assert abs(loss - loss_ref) <= 1e-10 * abs(loss_ref), config
+        for name, ref in grads_ref.items():
+            assert np.max(np.abs(grads[name] - ref)) <= 1e-10 * np.max(np.abs(ref)), (config, name)
+        cells += 1
+    assert cells >= 30

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from decaylab import cli, model
+from decaylab import cli, model, recurrence
 from decaylab.checkpoint import save_checkpoint
 from decaylab.decay import (GRANULARITIES, SHARINGS, STRATEGIES, ConfigError,
                             DecayConfig, tnl_decay)
@@ -275,3 +275,32 @@ def test_cmd_probe_takes_stats_once_and_writes_the_full_forward_outputs(
     for name in ("csv", "svg"):
         assert ((out / f"decay_medians.{name}").read_bytes()
                 == (tmp_path / f"ref.{name}").read_bytes())
+
+
+def test_probe_of_a_scalar_model_matches_the_scan_route(tmp_path, monkeypatch, rng):
+    # The benchmark cannot see a kernel change in its tnl probe, whose decay
+    # is a constant.  A projected scalar decay at n = 2048 can: every layer-1
+    # value reads layer 0's recurrence.
+    config = ModelConfig(n_layers=2, hidden=16, heads=2,
+                         decay=DecayConfig(strategy="mamba2", granularity="scalar"))
+    params = {name: Tensor(p.data * rng.uniform(0.5, 1.5, p.shape))
+              for name, p in init_params(config).items()}
+    ckpt, text = tmp_path / "m.bin", tmp_path / "probe.txt"
+    save_checkpoint(str(ckpt), params, config)
+    tokens = rng.integers(0, 256, size=2048)
+    text.write_bytes(tokens.astype(np.uint8).tobytes())
+
+    def probe(out):
+        assert cli.main(["probe", str(ckpt), str(text), "--out", str(out)]) == cli.EXIT_OK
+        rows = (out / "decay_medians.csv").read_text().splitlines()[1:]
+        table = np.array([[float(x) for x in row.split(",")] for row in rows])
+        return table, capture_trace(params, config, tokens).samples
+
+    table, samples = probe(tmp_path / "chunked")
+    with monkeypatch.context() as m:
+        m.setattr(model, "forward_chunked", recurrence.forward_sequential)
+        table_ref, samples_ref = probe(tmp_path / "scan")
+    assert table.shape == (2, 6) and table[:, 1].tolist() == [2 * 2048] * 2
+    assert np.all(np.abs(table - table_ref) <= 1e-12 * np.abs(table_ref))
+    for layer, ref in samples_ref.items():
+        assert np.max(np.abs(samples[layer] - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -87,7 +87,7 @@ def test_chunked_degenerate_chunk_one(rng):
     lam = rng.uniform(0.0, 1.0, size=(n, dk))
     o_seq = R.forward_sequential(q, k, v, lam)
     o_ch = R.forward_chunked(q, k, v, lam, 1)
-    assert np.max(np.abs(o_ch - o_seq.data)) <= 1e-12
+    assert np.max(np.abs(o_ch.data - o_seq.data)) <= 1e-12
 
 
 def test_chunked_single_chunk_matches_oracle(rng):
@@ -96,7 +96,7 @@ def test_chunked_single_chunk_matches_oracle(rng):
     lam = rng.uniform(0.1, 1.0, size=(n, dk))
     o_ch = R.forward_chunked(q, k, v, lam, n)
     o_ref = R.forward_oracle(q, k, v, lam)
-    assert np.max(np.abs(o_ch - o_ref)) <= 1e-10
+    assert np.max(np.abs(o_ch.data - o_ref)) <= 1e-10
 
 
 def test_chunked_ragged_tail(rng):
@@ -105,7 +105,7 @@ def test_chunked_ragged_tail(rng):
     lam = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 2.0, size=(n, dk))))
     o_seq = R.forward_sequential(q, k, v, lam)
     o_ch = R.forward_chunked(q, k, v, lam, 64)
-    assert np.max(np.abs(o_ch - o_seq.data)) <= 1e-8
+    assert np.max(np.abs(o_ch.data - o_seq.data)) <= 1e-8
 
 
 def test_chunked_all_chunk_sizes(rng):
@@ -115,7 +115,7 @@ def test_chunked_all_chunk_sizes(rng):
     o_seq = R.forward_sequential(q, k, v, lam)
     for chunk in (1, 2, 16, 64, n):
         o_ch = R.forward_chunked(q, k, v, lam, chunk)
-        assert np.max(np.abs(o_ch - o_seq.data)) <= 1e-8
+        assert np.max(np.abs(o_ch.data - o_seq.data)) <= 1e-8
 
 
 def test_chunked_handles_zero_decay(rng):
@@ -127,13 +127,36 @@ def test_chunked_handles_zero_decay(rng):
     lam[7] = 0.0
     o_seq = R.forward_sequential(q, k, v, lam)
     o_ch = R.forward_chunked(q, k, v, lam, 4)
-    assert np.max(np.abs(o_ch - o_seq.data)) <= 1e-10
+    assert np.max(np.abs(o_ch.data - o_seq.data)) <= 1e-10
 
 
 def test_chunked_rejects_bad_chunk():
     with pytest.raises(ValueError):
         R.forward_chunked(np.zeros((2, 1)), np.zeros((2, 1)),
                           np.zeros((2, 1)), np.ones((2, 1)), 0)
+
+
+def _dplr_args(rng, n=4, dk=3, dv=2):
+    """Keyword arguments of a valid ``forward_dplr`` call."""
+    q, k, kappa = (rng.normal(size=(n, dk)) for _ in range(3))
+    return dict(q=q, k=k, v=rng.normal(size=(n, dv)), lam=rng.uniform(0.1, 1.0, size=(n, dk)),
+                kappa=kappa, beta=rng.uniform(0.1, 0.9, size=(n, 1)))
+
+
+@pytest.mark.parametrize("name,width", [("kappa", 4), ("beta", 2)])
+def test_dplr_rejects_bad_kappa_and_beta_widths(rng, name, width):
+    args = _dplr_args(rng)
+    args[name] = rng.normal(size=(4, width))
+    with pytest.raises(ShapeError, match=name):
+        R.forward_dplr(**args)
+
+
+@pytest.mark.parametrize("name", ["kappa", "beta"])
+def test_dplr_rejects_non_finite_kappa_and_beta(rng, name):
+    args = _dplr_args(rng)
+    args[name] = np.full_like(args[name], np.nan)
+    with pytest.raises(ValueError, match=f"non-finite values in {name}"):
+        R.forward_dplr(**args)
 
 
 def test_dplr_beta_zero_reduces_to_diagonal(rng):
@@ -317,3 +340,65 @@ def test_dplr_batched_gradients(rng, batch, n, scalar):
         return T.tsum(o * o)
 
     assert grad_check(build, leaves, rel_tol=1e-4) == []
+
+
+def _chunk_inputs(rng, batch, n, dk=3, dv=2):
+    """Scalar-decay inputs with lambda = 0 at t = 0, mid-sequence and on the
+    first chunk boundary."""
+    q, k, v, lam = _batched_inputs(rng, batch, n, True, dk=dk, dv=dv)
+    if n > R.CHUNK:
+        lam[..., R.CHUNK, :] = 0.0
+    return q, k, v, lam
+
+
+@pytest.mark.parametrize("batch,n", [((), 1), ((), R.CHUNK - 3), ((2, 3), R.CHUNK + 5),
+                                     ((1,), 2 * R.CHUNK)])
+def test_chunked_scalar_gradients(rng, batch, n):
+    leaves = {name: Tensor(x, requires_grad=True)
+              for name, x in zip(("q", "k", "v", "lam"), _chunk_inputs(rng, batch, n, dk=2))}
+
+    def build(lv):
+        o = R.forward_chunked(lv["q"], lv["k"], lv["v"], lv["lam"])
+        return T.tsum(o * o)
+
+    assert grad_check(build, leaves, rel_tol=1e-4) == []
+
+
+@pytest.mark.parametrize("n", [1, 9, 2 * R.CHUNK + 3])
+def test_chunked_scalar_is_bitwise_equal_with_and_without_a_tape(rng, n):
+    q, k, v, lam = _chunk_inputs(rng, (2, 3), n)
+    o = R.forward_chunked(q, k, v, lam)
+    assert o.shape == (2, 3, n, 2)
+    assert np.max(np.abs(o.data - R.forward_oracle(q, k, v, lam))) <= 1e-10
+    assert np.array_equal(_on_tape(R.forward_chunked, q, k, v, lam).data, o.data)
+
+
+def test_chunked_scalar_gradients_match_the_scan(rng):
+    q, k, v, lam = _chunk_inputs(rng, (2,), 3 * R.CHUNK + 1)
+    weight = rng.normal(size=(2, 3 * R.CHUNK + 1, 2))
+
+    def grads(kernel):
+        leaves = [Tensor(x, requires_grad=True) for x in (q, k, v, lam)]
+        with T.Tape():
+            T.backward(T.tsum(kernel(*leaves) * weight))
+        return [leaf.grad for leaf in leaves]
+
+    for a, b in zip(grads(R.forward_chunked), grads(R.forward_sequential)):
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+def test_chunked_skips_the_decay_gradient_for_a_constant_decay(rng):
+    q, k, v, lam = _chunk_inputs(rng, (2,), R.CHUNK + 2)
+    leaves = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+    lam_t = Tensor(lam)
+    with T.Tape():
+        T.backward(T.tsum(R.forward_chunked(*leaves, lam_t)))
+    assert lam_t.grad is None and all(leaf.grad is not None for leaf in leaves)
+
+
+def test_chunked_vector_decay_is_forward_only(rng):
+    q, k, v, lam = _batched_inputs(rng, (2,), 5, False)
+    with pytest.raises(ValueError, match="vector decay"):
+        _on_tape(R.forward_chunked, q, k, v, lam)
+    o = R.forward_chunked(q, k, v, lam)
+    assert np.max(np.abs(o.data - R.forward_oracle(q, k, v, lam))) <= 1e-10
