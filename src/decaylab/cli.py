@@ -154,7 +154,11 @@ def cmd_train(args):
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    _write_resolved(config, args.out)
+    try:
+        _write_resolved(config, args.out)
+    except OSError as exc:
+        print(f"error: cannot write outputs to {args.out!r}: {exc}", file=sys.stderr)
+        return EXIT_IO
     print(config.dump())
     try:
         train_loop(config.model, config.train, corpus, args.out, log=print)
@@ -176,6 +180,9 @@ def _load(path):
 
 
 def cmd_probe(args):
+    if args.length < 1:
+        print(f"error: --length must be positive, got {args.length}", file=sys.stderr)
+        return EXIT_IO
     params, config, code = _load(args.checkpoint)
     if code != EXIT_OK:
         return code
@@ -198,12 +205,16 @@ def cmd_probe(args):
         print(f"error: probe text has byte values outside the model vocabulary "
               f"({config.vocab})", file=sys.stderr)
         return EXIT_COMPAT
-    os.makedirs(args.out, exist_ok=True)
     stats = capture_trace(params, config, tokens).stats()
     table = os.path.join(args.out, "decay_medians.csv")
     plot = os.path.join(args.out, "decay_medians.svg")
-    export_table(stats, table)
-    export_plot({config.decay.strategy: stats}, plot)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        export_table(stats, table)
+        export_plot({config.decay.strategy: stats}, plot)
+    except OSError as exc:
+        print(f"error: cannot write outputs to {args.out!r}: {exc}", file=sys.stderr)
+        return EXIT_IO
     for s in stats:
         print(f"layer {s.layer}: median {s.median:.6f} (min {s.min:.4f}, "
               f"max {s.max:.4f}, n={s.count})")
@@ -242,10 +253,13 @@ def cmd_export(args):
             lines.append(f"  {name}: " + " ".join(f"{v:.6g}" for v in vals))
     text = "\n".join(lines) + "\n"
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "strategy_summary.txt")
-        with open(path, "w") as f:
-            f.write(text)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            with open(os.path.join(args.out, "strategy_summary.txt"), "w") as f:
+                f.write(text)
+        except OSError as exc:
+            print(f"error: cannot write outputs to {args.out!r}: {exc}", file=sys.stderr)
+            return EXIT_IO
     print(text, end="")
     return EXIT_OK
 

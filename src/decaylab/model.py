@@ -240,7 +240,8 @@ def token_mixer_forward(x, params, config: ModelConfig, layer_idx, trace=None):
         # unit rows, as in DeltaNet: the layer normalizes kappa, not the kernel
         kappa = kappa / T.sqrt(T.tsum(kappa * kappa, axis=-1, keepdims=True) + 1e-12)
         o = forward_dplr(q, k, v, lam, kappa, beta)
-    elif lam.shape[-1] == 1:
+    elif lam.shape[-1] == 1 or not T.recording(q, k, v, lam):
+        # vector decay trains through the scan; without a tape it runs chunked
         o = forward_chunked(q, k, v, lam)
     else:
         o = forward_sequential(q, k, v, lam)

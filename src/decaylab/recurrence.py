@@ -8,11 +8,14 @@ trains through the chunkwise kernel ``forward_chunked``: each chunk of
 carried state, and only that state loops, once per chunk.  At
 (8, 4, 128, 16) on one BLAS thread its forward and backward took about
 5 ms against about 14.5 ms for the scan.  Vector decay needs a
-(c x c x dk) pair mask instead, and a chunkwise form of it was slower
-than the scan (87 to 338 ms against about 23 ms at that shape), so for
-vector decay ``forward_chunked`` is a forward-only verify reference.  The
-quadratic closed-form expansion ``forward_oracle`` and the dense DPLR
-recurrence ``dplr_dense_oracle`` are references only.
+(c x c x dk) pair mask instead, and trained chunkwise it was slower than
+the scan (87 to 338 ms against about 23 ms at that shape).  Without a
+tape, though, only the forward runs, and at long n the scan's cost is its
+two small calls per position: there vector decay runs through
+``forward_chunked`` too, forward only, in spans of ``SPAN`` positions
+that carry the state from one to the next.  The quadratic closed-form
+expansion ``forward_oracle`` and the dense DPLR recurrence
+``dplr_dense_oracle`` are references only.
 
 All kernels take plain tensors (arrays or Tensors) and return only the
 outputs ``o``.  Shapes: ``q``/``k`` are (..., n, dk), ``v`` is (..., n, dv),
@@ -39,6 +42,10 @@ _BLOCK = 64
 # Positions per chunk of ``forward_chunked``.  At (8, 4, 128, 16) on one BLAS
 # thread, 16 was faster than 8, 32 and 64.
 CHUNK = 16
+# Positions per chunk and per span of ``forward_chunked`` with vector decay,
+# which keeps a (c x c x dk) pair decay per chunk alive for one span at a time.
+VECTOR_CHUNK = 8
+SPAN = 128
 
 
 def _check_shapes(q, k, v, lam, kappa=None, beta=None):
@@ -135,7 +142,7 @@ def _recurrence(q, k, v, lam, kappa=None, beta=None):
     backward rebuilds the time-major inputs rather than holding copies.
     """
     parents = (q, k, v, lam) if kappa is None else (q, k, v, lam, kappa, beta)
-    keep = T.active_tape() is not None and any(p.requires_grad for p in parents)
+    keep = T.recording(*parents)
     qt, kt, vt, lt, kap, _, bk = _time_major_inputs(parents)
     o, states, u = _scan(qt, kt, vt, lt, kap, bk, keep)
     out = Tensor(np.ascontiguousarray(np.moveaxis(o, 0, -2)))
@@ -252,26 +259,98 @@ def _chunk_scan(x, decay, reverse=False):
     return np.moveaxis(y, 0, -3)
 
 
-def forward_chunked(q, k, v, lam, chunk=CHUNK):
+def _vector_span(q, k, v, lam, state, buf, out):
+    """One span of ``forward_chunked`` with vector decay: q, k, v, lam are
+    (..., L, d) and ``state`` is the (..., dk, dv) state before the span.
+    Writes the outputs to ``out``, time-major (N c, ..., dv) with N c >= L,
+    and returns the state after the span.
+
+    ``buf`` is a (c, c + 1, N, ..., dk) array, reused from span to span and
+    zero above the diagonal, that receives the pair decays of the span's N
+    chunks of c positions, row-major: row t of every chunk is one contiguous
+    block.  Column 0 of row t is gamma_t = prod_{i<=t} lam_i and column j + 1
+    is D[t, j] k_j, with D the running product of ``_pair_decay``.  Then
+    P[t, j] = sum_d q_t[d] D[t, j, d] k_j[d] is one batched matvec.
+    """
+    c = buf.shape[0]
+    # (..., N, c, d) -> (c, N, ..., d)
+    qc, kc, vc = (np.moveaxis(_chunks(x, c, 0.0), (-2, -3), (0, 1)) for x in (q, k, v))
+    lc = np.ascontiguousarray(np.moveaxis(_chunks(lam, c, 1.0), (-2, -3), (0, 1)))
+    N = lc.shape[1]
+    D = buf[:, :, :N]
+    cols = np.arange(c)
+    D[0, 0] = lc[0]
+    D[cols, cols + 1] = kc
+    for t in range(1, c):
+        np.multiply(lc[t], D[t - 1, :t + 1], out=D[t, :t + 1])
+    gamma, keys = D[:, 0], D[:, 1:]
+    vm = np.moveaxis(vc, 0, -2)                                   # (N, ..., c, dv)
+    # the state entering each chunk: S_{m+1} = gamma_last S_m + U_m with
+    # U_m = sum_j D[last, j] k_j v_j^T
+    S = np.empty((N + 1,) + state.shape)
+    S[0] = state
+    np.matmul(np.moveaxis(keys[-1], 0, -1), vm, out=S[1:])
+    decay = gamma[-1, ..., None]
+    tmp = np.empty(state.shape)
+    for m in range(N):
+        np.multiply(decay[m], S[m], out=tmp)
+        S[m + 1] += tmp
+    P = np.matmul(np.moveaxis(keys, 1, -2), qc[..., None])[..., 0]   # (c, N, ..., c)
+    o = np.moveaxis(out.reshape((N, c) + out.shape[1:]), 1, -2)    # (N, ..., c, dv)
+    np.matmul(np.moveaxis(P, 0, -2), vm, out=o)
+    gamma *= qc
+    o += np.matmul(np.moveaxis(gamma, 0, -2), S[:N])
+    return S[N]
+
+
+def _vector_chunked(q, k, v, lam, chunk):
+    """Vector-decay forward of ``forward_chunked`` on arrays, span by span.
+
+    Spans hold a whole number of chunks, about ``SPAN`` positions; the state
+    is carried from one span to the next.  The output is laid out time-major
+    in memory, so that the model's (..., n, heads * dv) reshape of it is a
+    view.
+    """
+    n = q.shape[-2]
+    span = max(SPAN // chunk, 1) * chunk
+    out = np.empty((-(-n // chunk) * chunk,) + v.shape[:-2] + v.shape[-1:])
+    buf = np.zeros((chunk, chunk + 1, -(-min(span, n) // chunk)) + q.shape[:-2] + q.shape[-1:])
+    state = np.zeros(q.shape[:-2] + (q.shape[-1], v.shape[-1]))
+    for t0 in range(0, n, span):
+        part = (..., slice(t0, t0 + span), slice(None))
+        state = _vector_span(q[part], k[part], v[part], lam[part], state, buf,
+                             out[t0:t0 + span])
+    return np.moveaxis(out[:n], 0, -2)
+
+
+def forward_chunked(q, k, v, lam, chunk=None):
     """Chunkwise-parallel evaluation of the recurrence of ``forward_sequential``.
 
     Within a chunk o = ((Q K^T) . D) V + (Q . gamma) S, with S the state
     entering the chunk and gamma_t = prod_{i=0}^t lam_i over the chunk.
     With scalar decay (lam (..., n, 1)) this is the training kernel, and it
     is differentiable in q, k, v and lam: the backward is the transposed
-    GEMMs plus a division-free decay gradient.  Vector decay
-    (lam (..., n, dk)) is a forward-only verify reference and raises under
-    a recording tape.  Returns ``o``.
+    GEMMs plus a division-free decay gradient.  With vector decay
+    (lam (..., n, dk)) it is the forward kernel when no tape records: it
+    runs in spans of about ``SPAN`` positions, so that its allocation peak
+    stays below the scan's, and it raises under a recording tape.  ``chunk``
+    defaults to ``CHUNK`` for scalar and ``VECTOR_CHUNK`` for vector decay.
+    Returns ``o``.
     """
+    q, k, v, lam = as_tensor(q), as_tensor(k), as_tensor(v), as_tensor(lam)
+    vector = lam.shape[-1] != 1
+    if chunk is None:
+        chunk = VECTOR_CHUNK if vector else CHUNK
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    q, k, v, lam = as_tensor(q), as_tensor(k), as_tensor(v), as_tensor(lam)
     _check_shapes(q.data, k.data, v.data, lam.data)
     parents = (q, k, v, lam)
-    record = T.active_tape() is not None and any(p.requires_grad for p in parents)
-    if record and lam.shape[-1] != 1:
-        raise ValueError("forward_chunked has no backward for vector decay; "
-                         "use forward_sequential")
+    record = T.recording(*parents)
+    if vector:
+        if record:
+            raise ValueError("forward_chunked has no backward for vector decay; "
+                             "use forward_sequential")
+        return Tensor(_vector_chunked(q.data, k.data, v.data, lam.data, chunk))
     n = q.shape[-2]
     qc, kc, vc = (_chunks(p.data, chunk, 0.0) for p in (q, k, v))
     lc = _chunks(lam.data, chunk, 1.0)
@@ -282,9 +361,6 @@ def forward_chunked(q, k, v, lam, chunk=CHUNK):
     U = np.matmul(np.swapaxes(D[..., -1, :, :] * kc, -1, -2), vc)
     S = np.zeros_like(U)
     S[..., 1:, :, :] = _chunk_scan(U, gamma[..., -1, :])[..., :-1, :, :]
-    if lam.shape[-1] != 1:
-        P = np.einsum("...td,...tjd,...jd->...tj", qc, D, kc)
-        return Tensor(_unchunk(np.matmul(P, vc) + np.matmul(qc * gamma, S), n))
     D = D[..., 0]
     A = np.matmul(qc, np.swapaxes(kc, -1, -2))
     P = A * D

@@ -94,6 +94,12 @@ def active_tape():
     return _tape_stack[-1] if _tape_stack else None
 
 
+def recording(*tensors):
+    """True when a tape is active and one of ``tensors`` needs a gradient,
+    that is when a call on them must record its backward."""
+    return active_tape() is not None and any(t.requires_grad for t in tensors)
+
+
 class Tensor:
     """Immutable-by-convention dense float64 array.
 

@@ -93,6 +93,20 @@ _SCALAR_CHUNK_CASES = [
 ]
 
 
+# Vector-decay cases of the kernel that runs without a tape: (batch, n,
+# positions with lambda = 0).  They cover a zero at t = 0, on a chunk boundary
+# and on either side of a span boundary, n longer than two spans, n below the
+# chunk, n = 1 and a (2, 3) batch.  A zero at a span's first position drops
+# the state carried into it, so the first two cases leave another span
+# boundary without one.
+_VECTOR_CHUNK_CASES = [
+    ((), 2 * R.SPAN + R.VECTOR_CHUNK + 3, (0, R.VECTOR_CHUNK, R.SPAN)),
+    ((2, 3), R.SPAN + 5, (0, R.VECTOR_CHUNK, R.SPAN - 1)),
+    ((), R.VECTOR_CHUNK - 3, (0,)),
+    ((), 1, (0,)),
+]
+
+
 def suite_chunked_vs_sequential(level="full"):
     failures = []
     rng = np.random.Generator(np.random.Philox(2))
@@ -122,6 +136,17 @@ def suite_chunked_vs_sequential(level="full"):
         for name, a, b in zip(("q", "k", "v", "lam"), g_ch, g_seq):
             if _rel_diff(a, b) > 1e-10:
                 failures.append(f"{case}: d{name} rel diff {_rel_diff(a, b):.3e}")
+    # vector decay: the kernel that runs without a tape, in spans
+    for batch, n, zeros in _VECTOR_CHUNK_CASES:
+        dk, dv = 6, 5
+        lam = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 2.0, size=batch + (n, dk))))
+        lam[..., list(zeros), :] = 0.0
+        q, k, v = (rng.normal(size=batch + (n, d)) for d in (dk, dk, dv))
+        o_seq = R.forward_sequential(q, k, v, lam).data
+        o_ch = R.forward_chunked(q, k, v, lam, R.VECTOR_CHUNK).data
+        if _rel_diff(o_ch, o_seq) > 1e-10:
+            failures.append(f"vector batch={batch} n={n}: output rel diff "
+                            f"{_rel_diff(o_ch, o_seq):.3e}")
     return failures
 
 

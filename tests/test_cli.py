@@ -202,6 +202,17 @@ def test_cmd_probe_deterministic(trained_run, corpus_path, tmp_path):
     assert (o1 / "decay_medians.svg").read_bytes() == (o2 / "decay_medians.svg").read_bytes()
 
 
+@pytest.mark.parametrize("length", ["-3", "0"])
+def test_cmd_probe_rejects_a_non_positive_length(trained_run, corpus_path, tmp_path,
+                                                 capsys, length):
+    code = cli.main(["probe", str(trained_run / "ckpt_final.bin"), corpus_path,
+                     "--out", str(tmp_path / "p"), "--length", length])
+    assert code == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert "--length" in err and length in err and "empty" not in err
+    assert not (tmp_path / "p").exists()
+
+
 def test_cmd_probe_missing_checkpoint(tmp_path, corpus_path, capsys):
     code = cli.main(["probe", str(tmp_path / "none.bin"), corpus_path,
                      "--out", str(tmp_path / "o")])
@@ -280,6 +291,19 @@ def test_cmd_verify_detects_a_scaled_chunked_decay_gradient(monkeypatch, capsys)
     assert "dlam rel diff" in out and "dq rel diff" not in out
 
 
+def test_cmd_verify_detects_a_perturbed_span_state(monkeypatch, capsys):
+    real = recurrence._vector_span
+
+    def perturbed(*args):
+        return real(*args) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(recurrence, "_vector_span", perturbed)
+    assert cli.main(["verify", "--level", "quick"]) == cli.EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert "FAIL chunked-vs-sequential" in out
+    assert "vector batch=" in out and "scalar batch=" not in out
+
+
 def test_cmd_export(trained_run, tmp_path, capsys):
     out = tmp_path / "export"
     code = cli.main(["export", str(trained_run / "ckpt_final.bin"),
@@ -310,6 +334,20 @@ def test_cmd_export_every_strategy(strategy, tmp_path, capsys):
     for name in expected:
         values = " ".join(f"{v:.6g}" for v in params[name].data.ravel())
         assert printed[name] == f"  {name}: {values}"
+
+
+@pytest.mark.parametrize("command", ["train", "probe", "export"])
+def test_out_naming_a_file_exits_2(command, trained_run, corpus_path, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    ckpt = str(trained_run / "ckpt_final.bin")
+    argv = {"train": ["train", "--config", _write(tmp_path, TINY_CONFIG),
+                      "--corpus", corpus_path],
+            "probe": ["probe", ckpt, corpus_path, "--length", "64"],
+            "export": ["export", ckpt]}[command]
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("error:")
+    assert out.read_text() == "not a directory"
 
 
 def test_cmd_export_missing_checkpoint(tmp_path, capsys):

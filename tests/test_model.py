@@ -398,6 +398,29 @@ def test_each_cell_runs_one_kernel_per_layer(decay, transition, kernel, monkeypa
     assert calls == {kernel: 3}
 
 
+@pytest.mark.parametrize("decay,transition,kernel", [
+    (DecayConfig(strategy="mamba2", granularity="scalar"), "diagonal", "forward_chunked"),
+    (DecayConfig(strategy="tnl", granularity="scalar"), "diagonal", "forward_chunked"),
+    (DecayConfig(strategy="mamba2"), "diagonal", "forward_chunked"),
+    (DecayConfig(strategy="gla", sharing="shared"), "diagonal", "forward_chunked"),
+    (DecayConfig(strategy="mamba2", granularity="scalar"), "dplr", "forward_dplr"),
+    (DecayConfig(strategy="gla"), "dplr", "forward_dplr"),
+])
+def test_each_cell_runs_one_kernel_per_layer_without_a_tape(decay, transition, kernel,
+                                                            monkeypatch, rng):
+    # without a tape vector decay on the diagonal transition runs chunked too
+    config = ModelConfig(n_layers=3, hidden=8, heads=2, vocab=17, transition=transition,
+                         decay=decay)
+    calls = Counter()
+    for name in KERNELS:
+        def counted(*args, _name=name, _fn=getattr(model, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(model, name, counted)
+    lm_forward(_tokens(rng, 20), init_params(config), config)
+    assert calls == {kernel: 3}
+
+
 def _scalar_cells():
     """Every runnable cell whose decay is one value per head and position on
     the diagonal transition: the cells that train through the chunked kernel."""

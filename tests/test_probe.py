@@ -228,7 +228,8 @@ def test_capture_trace_skips_the_last_glu_and_the_head(transition, monkeypatch, 
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("forward_sequential", "forward_dplr", "glu_forward"):
+    model_kernels = ("forward_chunked", "forward_sequential", "forward_dplr")
+    for name in model_kernels + ("glu_forward",):
         monkeypatch.setattr(model, name, counted(name))
     read = set()
 
@@ -243,7 +244,7 @@ def test_capture_trace_skips_the_last_glu_and_the_head(transition, monkeypatch, 
 
     capture_trace(Reads(init_params(config)), config, rng.integers(0, 17, size=16))
     # one recurrence per layer; the last layer stops after its token mixer
-    assert calls["forward_sequential"] + calls["forward_dplr"] == n_layers
+    assert sum(calls[name] for name in model_kernels) == n_layers
     assert calls["glu_forward"] == n_layers - 1
     last = f"layers.{n_layers - 1}."
     assert "lm_head" not in read and "final_norm" not in read
@@ -277,12 +278,11 @@ def test_cmd_probe_takes_stats_once_and_writes_the_full_forward_outputs(
                 == (tmp_path / f"ref.{name}").read_bytes())
 
 
-def test_probe_of_a_scalar_model_matches_the_scan_route(tmp_path, monkeypatch, rng):
-    # The benchmark cannot see a kernel change in its tnl probe, whose decay
-    # is a constant.  A projected scalar decay at n = 2048 can: every layer-1
-    # value reads layer 0's recurrence.
-    config = ModelConfig(n_layers=2, hidden=16, heads=2,
-                         decay=DecayConfig(strategy="mamba2", granularity="scalar"))
+def _probe_matches_the_scan_route(tmp_path, monkeypatch, rng, decay):
+    """A probe at n = 2048 of a two-layer model with ``decay`` gives the same
+    table and samples, within 1e-12, as one that runs every layer's
+    recurrence through the scan."""
+    config = ModelConfig(n_layers=2, hidden=16, heads=2, decay=decay)
     params = {name: Tensor(p.data * rng.uniform(0.5, 1.5, p.shape))
               for name, p in init_params(config).items()}
     ckpt, text = tmp_path / "m.bin", tmp_path / "probe.txt"
@@ -300,7 +300,23 @@ def test_probe_of_a_scalar_model_matches_the_scan_route(tmp_path, monkeypatch, r
     with monkeypatch.context() as m:
         m.setattr(model, "forward_chunked", recurrence.forward_sequential)
         table_ref, samples_ref = probe(tmp_path / "scan")
-    assert table.shape == (2, 6) and table[:, 1].tolist() == [2 * 2048] * 2
+    width = 1 if decay.granularity == "scalar" else 8
+    assert table.shape == (2, 6) and table[:, 1].tolist() == [2 * 2048 * width] * 2
     assert np.all(np.abs(table - table_ref) <= 1e-12 * np.abs(table_ref))
     for layer, ref in samples_ref.items():
         assert np.max(np.abs(samples[layer] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_probe_of_a_scalar_model_matches_the_scan_route(tmp_path, monkeypatch, rng):
+    # The benchmark cannot see a kernel change in its tnl probe, whose decay
+    # is a constant.  A projected scalar decay at n = 2048 can: every layer-1
+    # value reads layer 0's recurrence.
+    _probe_matches_the_scan_route(tmp_path, monkeypatch, rng,
+                                  DecayConfig(strategy="mamba2", granularity="scalar"))
+
+
+@pytest.mark.parametrize("strategy", ["mamba2", "lightnet"])
+def test_probe_of_a_vector_model_matches_the_scan_route(tmp_path, monkeypatch, rng, strategy):
+    # without a tape vector decay runs chunked, in spans; the benchmark's two
+    # vector probes are these strategies
+    _probe_matches_the_scan_route(tmp_path, monkeypatch, rng, DecayConfig(strategy=strategy))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -402,3 +404,39 @@ def test_chunked_vector_decay_is_forward_only(rng):
         _on_tape(R.forward_chunked, q, k, v, lam)
     o = R.forward_chunked(q, k, v, lam)
     assert np.max(np.abs(o.data - R.forward_oracle(q, k, v, lam))) <= 1e-10
+
+
+@pytest.mark.parametrize("batch,n", [((), 1), ((), R.VECTOR_CHUNK - 3), ((2, 3), R.SPAN + 5),
+                                     ((1,), 2 * R.SPAN + R.VECTOR_CHUNK + 1)])
+def test_chunked_vector_matches_the_scan_across_spans(rng, batch, n):
+    q, k, v, lam = _batched_inputs(rng, batch, n, False)
+    if n > R.SPAN:
+        lam[..., R.SPAN - 1, 1:] = 0.0
+    o = R.forward_chunked(q, k, v, lam)
+    ref = R.forward_sequential(q, k, v, lam).data
+    assert o.shape == ref.shape
+    assert np.max(np.abs(o.data - ref)) <= 1e-10 * max(np.max(np.abs(ref)), 1.0)
+    assert np.array_equal(R.forward_chunked(q, k, v, lam).data, o.data)
+
+
+def _alloc_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "model"])
+def test_chunked_vector_peak_is_below_the_scan(rng, layout):
+    # "model": q, k, v are (h, n, d) views of time-major (n, h, d) arrays, as
+    # the per-head projections return them, and lam is contiguous
+    shape = (1, 4, 2048, 16)
+    q, k, v = (rng.normal(size=shape) for _ in range(3))
+    if layout == "model":
+        q, k, v = (np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -2, 0)), 0, -2)
+                   for x in (q, k, v))
+    lam = rng.uniform(0.5, 1.0, size=shape)
+    assert (_alloc_peak(R.forward_chunked, q, k, v, lam)
+            <= _alloc_peak(R.forward_sequential, q, k, v, lam))
