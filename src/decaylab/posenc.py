@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .recurrence import _scan, forward_sequential
+from .recurrence import forward_sequential
 from .tensor import Tensor, as_tensor
 
 
@@ -117,7 +117,11 @@ def tpe_apply(x, params: TpeParams):
     """Causal Toeplitz mixing o_t = sum_{s<=t} r_{t-s} x_s per channel.
 
     Runs as an m-dimensional linear recurrence per channel via the decay
-    scan; applied exactly once, right after the embedding layer.
+    scan; applied exactly once, right after the embedding layer.  The scan,
+    not ``forward_chunked``: with one value channel the chunk GEMMs are
+    degenerate.  At d = 64 and m = 4 on one BLAS thread the chunked kernel
+    took 31.1 ms against 30.5 ms for the scan at n = 2048 without a tape,
+    and 38.7 ms against 25.7 ms at a batch of 8 x 128 with its backward.
     """
     x = as_tensor(x)
     n, d = x.shape[-2], x.shape[-1]
@@ -180,7 +184,7 @@ def rope_decay_equivalence(q, k, v, lam, params: RopeParams):
     n, dk = q.shape[-2], q.shape[-1]
     lam_full = _pairwise_lambda(lam, dk)
     qr, kr = (rope_apply(x, params).data for x in (q, k))
-    o_rec = _scan(qr, kr, v, lam_full)[0]
+    o_rec = forward_sequential(qr, kr, v, lam_full).data
 
     o_rel = np.zeros_like(o_rec)
     w = np.zeros((n, dk))

@@ -1,21 +1,14 @@
 """State-update kernels for decayed linear attention.
 
-The sequential scan is the canonical semantics.  It trains vector decay
-and, extended with a delta-rule rank-one correction, the DPLR transition;
-both share one scan.  Scalar decay (one value per head and position)
-trains through the chunkwise kernel ``forward_chunked``: each chunk of
-``CHUNK`` positions is a few batched GEMMs, ((Q K^T) . D) V plus the
-carried state, and only that state loops, once per chunk.  At
-(8, 4, 128, 16) on one BLAS thread its forward and backward took about
-5 ms against about 14.5 ms for the scan.  Vector decay needs a
-(c x c x dk) pair mask instead, and trained chunkwise it was slower than
-the scan (87 to 338 ms against about 23 ms at that shape).  Without a
-tape, though, only the forward runs, and at long n the scan's cost is its
-two small calls per position: there vector decay runs through
-``forward_chunked`` too, forward only, in spans of ``SPAN`` positions
-that carry the state from one to the next.  The quadratic closed-form
-expansion ``forward_oracle`` and the dense DPLR recurrence
-``dplr_dense_oracle`` are references only.
+The sequential scan is the canonical semantics; extended with a delta-rule
+rank-one correction, it is also the DPLR kernel.  Diagonal decay, of width
+1 or dk, trains and runs through the factorized chunk kernel
+``forward_chunked``, which falls back to the scan where its divisions by
+running products of lam would lose precision.  At (8, 4, 128, 16) on one
+BLAS thread its forward and backward took 4.8 ms at width 1, against 5.3 ms
+for the pair-decay kernel it replaced, and 5.8 ms at width dk, against
+13 ms for the scan.  The quadratic closed-form expansion ``forward_oracle``
+and the dense DPLR recurrence ``dplr_dense_oracle`` are references only.
 
 All kernels take plain tensors (arrays or Tensors) and return only the
 outputs ``o``.  Shapes: ``q``/``k`` are (..., n, dk), ``v`` is (..., n, dv),
@@ -42,10 +35,11 @@ _BLOCK = 64
 # Positions per chunk of ``forward_chunked``.  At (8, 4, 128, 16) on one BLAS
 # thread, 16 was faster than 8, 32 and 64.
 CHUNK = 16
-# Positions per chunk and per span of ``forward_chunked`` with vector decay,
-# which keeps a (c x c x dk) pair decay per chunk alive for one span at a time.
-VECTOR_CHUNK = 8
-SPAN = 128
+# Positions per span of ``forward_chunked`` without a tape.
+SPAN = 256
+# The least lam past a chunk's first position that ``forward_chunked`` divides
+# by; below it the call runs the scan.
+FLOOR = 1e-4
 
 
 def _check_shapes(q, k, v, lam, kappa=None, beta=None):
@@ -229,182 +223,138 @@ def _unchunk(x, n):
     return x.reshape(x.shape[:-3] + (-1, x.shape[-1]))[..., :n, :]
 
 
-def _pair_decay(lam):
-    """D[..., t, j, :] = prod_{i=j+1}^t lam_i for j <= t and 0 above the
-    diagonal, for every chunk of lam (..., N, c, w) at once: (..., N, c, c, w).
+def _decays(lc):
+    """a, the first lam of each chunk (..., N, 1, w), and gamma (..., N, c, w),
+    the running product of lam from each chunk's second position (gamma = 1
+    at the first), of chunked lam; or None where the factorized form must not
+    divide by them: some lam past a chunk's first position lies below
+    ``FLOOR``, or some gamma below FLOOR ** (CHUNK - 1), the least gamma of
+    a default chunk."""
+    gamma = lc.copy()
+    gamma[..., 0, :] = 1.0
+    if not np.all(gamma >= FLOOR):
+        return None
+    np.cumprod(gamma, axis=-2, out=gamma)
+    if not np.all(gamma >= FLOOR ** (CHUNK - 1)):
+        return None
+    return lc[..., :1, :], gamma
 
-    A running product down the rows, D[t, :t] = lam_t D[t-1, :t], with no
-    division, so a zero decay stays exact."""
-    c = lam.shape[-2]
-    D = np.zeros(lam.shape[:-1] + (c,) + lam.shape[-1:])
-    diag = np.arange(c)
-    D[..., diag, diag, :] = 1.0
-    for t in range(1, c):
-        np.multiply(lam[..., t, None, :], D[..., t - 1, :t, :], out=D[..., t, :t, :])
-    return D
 
-
-def _chunk_scan(x, decay, reverse=False):
-    """y_m = x_m + decay_m y_{m-1} over the chunks m of x (..., N, dk, dv),
-    or y_m = x_m + decay_m y_{m+1} with ``reverse``; decay is (..., N, w).
-
-    The loop runs chunk-major, on one contiguous (..., dk, dv) block per step.
-    """
-    y = np.moveaxis(x, -3, 0).copy()
-    decay = np.moveaxis(decay, -2, 0)[..., None]
+def _carry(y, decay, reverse=False):
+    """y_{m+1} += decay_m y_m in place over chunk-major y (M, ..., dk, dv),
+    or y_m += decay_m y_{m+1} from the end with ``reverse``; decay_m is
+    chunk m's transition, (..., N, 1, w).  Returns y."""
+    decay = np.swapaxes(np.moveaxis(decay, -3, 0), -1, -2)
     tmp = np.empty(y.shape[1:])
-    for m in (range(len(y) - 2, -1, -1) if reverse else range(1, len(y))):
-        np.multiply(decay[m], y[m + 1 if reverse else m - 1], out=tmp)
-        y[m] += tmp
-    return np.moveaxis(y, 0, -3)
+    for m in (range(len(y) - 2, -1, -1) if reverse else range(len(y) - 1)):
+        np.multiply(decay[m], y[m + 1 if reverse else m], out=tmp)
+        y[m if reverse else m + 1] += tmp
+    return y
 
 
-def _vector_span(q, k, v, lam, state, buf, out):
-    """One span of ``forward_chunked`` with vector decay: q, k, v, lam are
-    (..., L, d) and ``state`` is the (..., dk, dv) state before the span.
-    Writes the outputs to ``out``, time-major (N c, ..., dv) with N c >= L,
-    and returns the state after the span.
-
-    ``buf`` is a (c, c + 1, N, ..., dk) array, reused from span to span and
-    zero above the diagonal, that receives the pair decays of the span's N
-    chunks of c positions, row-major: row t of every chunk is one contiguous
-    block.  Column 0 of row t is gamma_t = prod_{i<=t} lam_i and column j + 1
-    is D[t, j] k_j, with D the running product of ``_pair_decay``.  Then
-    P[t, j] = sum_d q_t[d] D[t, j, d] k_j[d] is one batched matvec.
-    """
-    c = buf.shape[0]
-    # (..., N, c, d) -> (c, N, ..., d)
-    qc, kc, vc = (np.moveaxis(_chunks(x, c, 0.0), (-2, -3), (0, 1)) for x in (q, k, v))
-    lc = np.ascontiguousarray(np.moveaxis(_chunks(lam, c, 1.0), (-2, -3), (0, 1)))
-    N = lc.shape[1]
-    D = buf[:, :, :N]
-    cols = np.arange(c)
-    D[0, 0] = lc[0]
-    D[cols, cols + 1] = kc
-    for t in range(1, c):
-        np.multiply(lc[t], D[t - 1, :t + 1], out=D[t, :t + 1])
-    gamma, keys = D[:, 0], D[:, 1:]
-    vm = np.moveaxis(vc, 0, -2)                                   # (N, ..., c, dv)
-    # the state entering each chunk: S_{m+1} = gamma_last S_m + U_m with
-    # U_m = sum_j D[last, j] k_j v_j^T
-    S = np.empty((N + 1,) + state.shape)
+def _span(qc, kc, vc, a, gamma, state):
+    """The factorized form over chunks (..., N, c, d) that follow the state
+    ``state`` (..., dk, dv).  Returns the outputs (..., N, c, dv), the states
+    entering each chunk and leaving the last, chunk-major (N + 1, ..., dk, dv),
+    and Q . gamma, K / gamma and tril((Q . gamma)(K / gamma)^T)."""
+    qg, kg = qc * gamma, kc / gamma
+    last = gamma[..., -1:, :]
+    S = np.empty((qc.shape[-3] + 1,) + state.shape)
     S[0] = state
-    np.matmul(np.moveaxis(keys[-1], 0, -1), vm, out=S[1:])
-    decay = gamma[-1, ..., None]
-    tmp = np.empty(state.shape)
-    for m in range(N):
-        np.multiply(decay[m], S[m], out=tmp)
-        S[m + 1] += tmp
-    P = np.matmul(np.moveaxis(keys, 1, -2), qc[..., None])[..., 0]   # (c, N, ..., c)
-    o = np.moveaxis(out.reshape((N, c) + out.shape[1:]), 1, -2)    # (N, ..., c, dv)
-    np.matmul(np.moveaxis(P, 0, -2), vm, out=o)
-    gamma *= qc
-    o += np.matmul(np.moveaxis(gamma, 0, -2), S[:N])
-    return S[N]
+    U = np.moveaxis(S[1:], 0, -3)
+    np.matmul(np.swapaxes(kg, -1, -2), vc, out=U)
+    U *= np.swapaxes(last, -1, -2)
+    _carry(S, a * last)
+    o = np.matmul(qg * a, np.moveaxis(S[:-1], 0, -3))
+    P = np.matmul(qg, np.swapaxes(kg, -1, -2))
+    P *= np.tri(qc.shape[-2])
+    o += np.matmul(P, vc)
+    return o, S, qg, kg, P
 
 
-def _vector_chunked(q, k, v, lam, chunk):
-    """Vector-decay forward of ``forward_chunked`` on arrays, span by span.
+def forward_chunked(q, k, v, lam, chunk=CHUNK):
+    """Chunkwise-parallel evaluation of the recurrence of ``forward_sequential``,
+    for lam of width 1 or dk.  Returns ``o``, differentiable in q, k, v and lam.
 
-    Spans hold a whole number of chunks, about ``SPAN`` positions; the state
-    is carried from one span to the next.  The output is laid out time-major
-    in memory, so that the model's (..., n, heads * dv) reshape of it is a
-    view.
-    """
-    n = q.shape[-2]
-    span = max(SPAN // chunk, 1) * chunk
-    out = np.empty((-(-n // chunk) * chunk,) + v.shape[:-2] + v.shape[-1:])
-    buf = np.zeros((chunk, chunk + 1, -(-min(span, n) // chunk)) + q.shape[:-2] + q.shape[-1:])
-    state = np.zeros(q.shape[:-2] + (q.shape[-1], v.shape[-1]))
-    for t0 in range(0, n, span):
-        part = (..., slice(t0, t0 + span), slice(None))
-        state = _vector_span(q[part], k[part], v[part], lam[part], state, buf,
-                             out[t0:t0 + span])
-    return np.moveaxis(out[:n], 0, -2)
-
-
-def forward_chunked(q, k, v, lam, chunk=None):
-    """Chunkwise-parallel evaluation of the recurrence of ``forward_sequential``.
-
-    Within a chunk o = ((Q K^T) . D) V + (Q . gamma) S, with S the state
-    entering the chunk and gamma_t = prod_{i=0}^t lam_i over the chunk.
-    With scalar decay (lam (..., n, 1)) this is the training kernel, and it
-    is differentiable in q, k, v and lam: the backward is the transposed
-    GEMMs plus a division-free decay gradient.  With vector decay
-    (lam (..., n, dk)) it is the forward kernel when no tape records: it
-    runs in spans of about ``SPAN`` positions, so that its allocation peak
-    stays below the scan's, and it raises under a recording tape.  ``chunk``
-    defaults to ``CHUNK`` for scalar and ``VECTOR_CHUNK`` for vector decay.
-    Returns ``o``.
+    The factorized form of GLA (Yang et al. 2023, arXiv 2312.06635, section 4):
+    with a the first lam of a chunk and gamma the running product of lam from
+    its second position, Q~ = Q . gamma and K~ = K / gamma, a chunk's outputs
+    are tril(Q~ K~^T) V + (a Q~) S and the state after it is
+    a gamma_last S + (K~ gamma_last)^T V.  Because gamma starts at the second
+    position, a zero first lam needs no division.  The backward is the
+    transposed GEMMs plus d log lam, the reverse in-chunk cumsum of
+    Q~ . dQ~ - K~ . dK~ with the gamma_last and state terms on the chunk's last
+    row; dlam = d log lam / lam, but for a, whose gradient is taken directly.
+    Without a tape the forward runs in spans of about ``SPAN`` positions and
+    carries the state from one to the next.  Where ``_decays`` refuses the
+    division, the call runs the scan.
     """
     q, k, v, lam = as_tensor(q), as_tensor(k), as_tensor(v), as_tensor(lam)
-    vector = lam.shape[-1] != 1
-    if chunk is None:
-        chunk = VECTOR_CHUNK if vector else CHUNK
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     _check_shapes(q.data, k.data, v.data, lam.data)
     parents = (q, k, v, lam)
-    record = T.recording(*parents)
-    if vector:
-        if record:
-            raise ValueError("forward_chunked has no backward for vector decay; "
-                             "use forward_sequential")
-        return Tensor(_vector_chunked(q.data, k.data, v.data, lam.data, chunk))
     n = q.shape[-2]
-    qc, kc, vc = (_chunks(p.data, chunk, 0.0) for p in (q, k, v))
+    state = np.zeros(q.shape[:-2] + (q.shape[-1], v.shape[-1]))
+    if not T.recording(*parents):
+        # the output is laid out time-major in memory, so that the model's
+        # (..., n, heads * dv) reshape of it is a view
+        span = max(SPAN // chunk, 1) * chunk
+        out = np.empty((n,) + v.shape[:-2] + v.shape[-1:])
+        for t0 in range(0, n, span):
+            part = (..., slice(t0, t0 + span), slice(None))
+            decays = _decays(_chunks(lam.data[part], chunk, 1.0))
+            if decays is None:
+                return _recurrence(q, k, v, lam)
+            o, S = _span(*(_chunks(x.data[part], chunk, 0.0) for x in (q, k, v)),
+                         *decays, state)[:2]
+            out[t0:t0 + span] = np.moveaxis(_unchunk(o, min(span, n - t0)), -2, 0)
+            state = S[-1].copy()
+            del o, S  # so that the next span's arrays replace them, not join them
+        return Tensor(np.moveaxis(out, 0, -2))
     lc = _chunks(lam.data, chunk, 1.0)
-    D = _pair_decay(lc)
-    gamma = lc[..., :1, :] * D[..., :, 0, :]
-    # state entering each chunk: the state after chunk m is gamma_last times
-    # the state before it plus U_m = sum_j D[last, j] k_j v_j^T
-    U = np.matmul(np.swapaxes(D[..., -1, :, :] * kc, -1, -2), vc)
-    S = np.zeros_like(U)
-    S[..., 1:, :, :] = _chunk_scan(U, gamma[..., -1, :])[..., :-1, :, :]
-    D = D[..., 0]
-    A = np.matmul(qc, np.swapaxes(kc, -1, -2))
-    P = A * D
-    QS = np.matmul(qc, S)
-    o = np.matmul(P, vc)
-    o += gamma * QS
-    out = Tensor(_unchunk(o, n))
-    if not record:
-        return out
+    decays = _decays(lc)
+    if decays is None:
+        return _recurrence(q, k, v, lam)
+    a, gamma = decays
+    qc, kc, vc = (_chunks(p.data, chunk, 0.0) for p in (q, k, v))
+    o, S, qg, kg, P = _span(qc, kc, vc, a, gamma, state)
+    S = np.moveaxis(S, 0, -3)
+    last = gamma[..., -1:, :]
 
     def bw(g):
         gc = _chunks(g, chunk, 0.0)
-        dP = np.matmul(gc, np.swapaxes(vc, -1, -2))     # dL/d((Q K^T) . D)
-        dA = dP * D
-        # H_m = dL/dS_m, from chunk m's outputs and from S_{m+1}
-        H = _chunk_scan(np.matmul(np.swapaxes(qc * gamma, -1, -2), gc), gamma[..., -1, :],
-                        reverse=True)
-        dU = np.zeros_like(H)
-        dU[..., :-1, :, :] = H[..., 1:, :, :]
-        last = D[..., -1, :, None]
-        VH = np.matmul(vc, np.swapaxes(dU, -1, -2))
-        dq = np.matmul(dA, kc) + gamma * np.matmul(gc, np.swapaxes(S, -1, -2))
-        dk = np.matmul(np.swapaxes(dA, -1, -2), qc) + last * VH
-        dv = np.matmul(np.swapaxes(P, -1, -2), gc) + np.matmul(last * kc, dU)
-        for p, grad in zip(parents, (dq, dk, dv)):
+        dP = np.matmul(gc, np.swapaxes(vc, -1, -2))
+        dP *= np.tri(chunk)
+        # H_m = dL/dS_m, from chunk m's outputs and from S_{m+1}; the state
+        # after chunk m is U_m plus its transition of S_m, so dL/dU_m = H_{m+1}
+        H = np.moveaxis(np.matmul(np.swapaxes(qg * a, -1, -2), gc), -3, 0)
+        dU = np.zeros_like(S[..., 1:, :, :])
+        dU[..., :-1, :, :] = np.moveaxis(_carry(H, a * last, reverse=True)[1:], 0, -3)
+        gS = np.matmul(gc, np.swapaxes(S[..., :-1, :, :], -1, -2))
+        dkl = np.matmul(vc, np.swapaxes(dU, -1, -2))        # dL/d(K~ gamma_last)
+        dqg = np.matmul(dP, kg) + a * gS
+        dkg = np.matmul(np.swapaxes(dP, -1, -2), qg) + last * dkl
+        dv = np.matmul(np.swapaxes(P, -1, -2), gc) + np.matmul(kg * last, dU)
+        for p, grad in zip(parents, (dqg * gamma, dkg / gamma, dv)):
             T._accum(p, _unchunk(grad, n))
         if not lam.requires_grad:
             return
-        # Every path from lam to the loss runs through D: gamma_t = lam_0 D[t, 0]
-        # and U reads row D[last].  As D[t, j] = D[t, i] D[i-1, j] for
-        # j < i <= t, dlam_i = sum_t D[t, i] (dD D_shift^T)[t, i] with
-        # D_shift[i, j] = D[i-1, j]; lam_0 also scales gamma directly.
-        dgam = np.einsum("...te,...te->...t", QS, gc)
-        dgam[..., :-1, -1] += np.einsum("...de,...de->...", H[..., 1:, :, :], S[..., :-1, :, :])
-        dD = dP * A
-        dD[..., -1, :] += np.einsum("...jd,...jd->...j", kc, VH)
-        dD[..., :, 0] += lc[..., 0, :] * dgam
-        dlam = np.zeros(D.shape[:-1])
-        np.einsum("...ti,...ti->...i", D[..., :, 1:],
-                  np.matmul(dD, np.swapaxes(D[..., :-1, :], -1, -2)), out=dlam[..., 1:])
-        dlam[..., 0] = np.einsum("...t,...t->...", dgam, D[..., :, 0])
-        T._accum(lam, _unchunk(dlam[..., None], n))
+        # the products in d log lam; at width 1 they are summed over d at once,
+        # so that the cumsum and the last-row terms run one column wide
+        d = "d" if lam.shape[-1] > 1 else ""
+        dlog = (np.einsum(f"...cd,...cd->...c{d}", qg, dqg)
+                - np.einsum(f"...cd,...cd->...c{d}", kg, dkg)).reshape(lc.shape)
+        # the transition a gamma_last of S_m into S_{m+1}, per row of the state
+        dtrans = np.einsum(f"...de,...de->...{d}", dU, S[..., :-1, :, :]).reshape(a.shape)
+        dlog[..., -1:, :] += last * (
+            np.einsum(f"...cd,...cd->...{d}", kg, dkl).reshape(a.shape) + a * dtrans)
+        da = np.einsum(f"...cd,...cd->...{d}", qg, gS).reshape(a.shape) + last * dtrans
+        dlam = np.cumsum(dlog[..., :0:-1, :], axis=-2)[..., ::-1, :]
+        dlam /= lc[..., 1:, :]
+        T._accum(lam, _unchunk(np.concatenate([da, dlam], axis=-2), n))
 
-    return T._record(out, parents, bw)
+    return T._record(Tensor(_unchunk(o, n)), parents, bw)
 
 
 def forward_dplr(q, k, v, lam, kappa, beta):

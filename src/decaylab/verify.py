@@ -5,6 +5,7 @@ compatibility, gradient checks, and the algebraic decay identities.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -81,29 +82,25 @@ def _rel_diff(a, b):
     return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1.0))
 
 
-# Scalar-decay cases of the training kernel: (batch, n, positions with
-# lambda = 0).  They cover a zero at t = 0 and on a chunk boundary, n not a
-# multiple of the chunk, n below the chunk, n = 1 and a (2, 3) batch.
-_SCALAR_CHUNK_CASES = [
-    ((), 2 * R.CHUNK + 7, (0, R.CHUNK)),
-    ((), 4 * R.CHUNK, (0, R.CHUNK, 3 * R.CHUNK - 1)),
-    ((), R.CHUNK - 3, (0,)),
-    ((), 1, (0,)),
-    ((2, 3), R.CHUNK + 5, (0, R.CHUNK)),
-]
-
-
-# Vector-decay cases of the kernel that runs without a tape: (batch, n,
-# positions with lambda = 0).  They cover a zero at t = 0, on a chunk boundary
-# and on either side of a span boundary, n longer than two spans, n below the
-# chunk, n = 1 and a (2, 3) batch.  A zero at a span's first position drops
-# the state carried into it, so the first two cases leave another span
-# boundary without one.
-_VECTOR_CHUNK_CASES = [
-    ((), 2 * R.SPAN + R.VECTOR_CHUNK + 3, (0, R.VECTOR_CHUNK, R.SPAN)),
-    ((2, 3), R.SPAN + 5, (0, R.VECTOR_CHUNK, R.SPAN - 1)),
-    ((), R.VECTOR_CHUNK - 3, (0,)),
-    ((), 1, (0,)),
+# Cases of the chunk kernel, run at both widths of lam: (batch, n, value,
+# positions with lam = value).  Zeros at t = 0, on a chunk boundary and at a
+# span's first position keep the factorized form, over more than two spans
+# and, with a (2, 3) batch, across one span boundary; so does a run just
+# above FLOOR.  A zero at a span's last position or in the
+# middle of a chunk, a run of 1e-30 and a run just below FLOOR send the call
+# to the scan.  They also cover n not a multiple of the chunk, n below the
+# chunk, n = 1 and a (2, 3) batch.
+_CHUNK_CASES = [
+    ((), 2 * R.SPAN + R.CHUNK + 3, 0.0, (0, R.CHUNK, R.SPAN)),
+    ((2, 3), R.SPAN + 5, 0.0, (0, R.CHUNK)),
+    ((2, 3), R.SPAN + 5, 0.0, (0, R.CHUNK, R.SPAN - 1)),
+    ((2, 3), R.CHUNK + 5, 0.0, (0, R.CHUNK)),
+    ((), R.CHUNK - 3, 0.0, (0,)),
+    ((), 1, 0.0, (0,)),
+    ((), 2 * R.CHUNK + 7, 0.0, (0, R.CHUNK + R.CHUNK // 2)),
+    ((2, 3), 2 * R.CHUNK + 7, 1e-30, tuple(range(R.CHUNK + 3, R.CHUNK + 9))),
+    ((), 3 * R.CHUNK, R.FLOOR * (1 - 1e-6), tuple(range(R.CHUNK + 1, 2 * R.CHUNK))),
+    ((), 3 * R.CHUNK, R.FLOOR * (1 + 1e-6), tuple(range(R.CHUNK + 1, 2 * R.CHUNK))),
 ]
 
 
@@ -119,34 +116,23 @@ def suite_chunked_vs_sequential(level="full"):
         for chunk in (1, 2, 16, 64, n):
             o_ch = R.forward_chunked(q, k, v, lam, chunk)
             diff = float(np.max(np.abs(o_ch.data - o_seq.data)))
-            if diff > 1e-8:
+            if not diff <= 1e-8:
                 failures.append(f"n={n} chunk={chunk}: diff {diff:.3e}")
-    # scalar decay: the kernel that trains, outputs and all four gradients
-    for batch, n, zeros in _SCALAR_CHUNK_CASES:
-        dk, dv = 6, 5
-        lam = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 2.0, size=batch + (n, 1))))
-        lam[..., list(zeros), :] = 0.0
+    # outputs with and without a tape, and all four gradients
+    dk, dv = 6, 5
+    for (batch, n, value, positions), width in itertools.product(_CHUNK_CASES, (1, dk)):
+        lam = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 2.0, size=batch + (n, width))))
+        lam[..., list(positions), :] = value
         arrays = [rng.normal(size=batch + (n, d)) for d in (dk, dk, dv)] + [lam]
         weight = rng.normal(size=batch + (n, dv))
         o_seq, g_seq = _kernel_grads(R.forward_sequential, arrays, weight)
         o_ch, g_ch = _kernel_grads(R.forward_chunked, arrays, weight, R.CHUNK)
-        case = f"scalar batch={batch} n={n}"
-        if _rel_diff(o_ch, o_seq) > 1e-10:
-            failures.append(f"{case}: output rel diff {_rel_diff(o_ch, o_seq):.3e}")
-        for name, a, b in zip(("q", "k", "v", "lam"), g_ch, g_seq):
-            if _rel_diff(a, b) > 1e-10:
-                failures.append(f"{case}: d{name} rel diff {_rel_diff(a, b):.3e}")
-    # vector decay: the kernel that runs without a tape, in spans
-    for batch, n, zeros in _VECTOR_CHUNK_CASES:
-        dk, dv = 6, 5
-        lam = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 2.0, size=batch + (n, dk))))
-        lam[..., list(zeros), :] = 0.0
-        q, k, v = (rng.normal(size=batch + (n, d)) for d in (dk, dk, dv))
-        o_seq = R.forward_sequential(q, k, v, lam).data
-        o_ch = R.forward_chunked(q, k, v, lam, R.VECTOR_CHUNK).data
-        if _rel_diff(o_ch, o_seq) > 1e-10:
-            failures.append(f"vector batch={batch} n={n}: output rel diff "
-                            f"{_rel_diff(o_ch, o_seq):.3e}")
+        o_free = R.forward_chunked(*arrays, R.CHUNK).data
+        case = f"width={width} batch={batch} n={n} lam={value:g}"
+        for name, a, b in zip(("output", "no-tape output", "dq", "dk", "dv", "dlam"),
+                              [o_ch, o_free] + g_ch, [o_seq, o_seq] + g_seq):
+            if not _rel_diff(a, b) <= 1e-10:
+                failures.append(f"{case}: {name} rel diff {_rel_diff(a, b):.3e}")
     return failures
 
 

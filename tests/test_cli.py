@@ -1,17 +1,19 @@
+import contextlib
 import hashlib
 import json
 import os
 import struct
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from decaylab import cli
-from decaylab import recurrence, tensor
+from decaylab import model, recurrence, tensor
 from decaylab.checkpoint import MAGIC, save_checkpoint
 from decaylab.decay import STRATEGIES, ConfigError, DecayConfig
-from decaylab.model import ModelConfig, config_to_dict, init_params
+from decaylab.model import ModelConfig, config_to_dict, init_params, lm_forward
 from decaylab.tensor import Tensor
 
 
@@ -292,16 +294,72 @@ def test_cmd_verify_detects_a_scaled_chunked_decay_gradient(monkeypatch, capsys)
 
 
 def test_cmd_verify_detects_a_perturbed_span_state(monkeypatch, capsys):
-    real = recurrence._vector_span
+    real = recurrence._span
 
     def perturbed(*args):
-        return real(*args) * (1.0 + 1e-6)
+        o, S, *rest = real(*args)
+        S[-1] *= 1.0 + 1e-6  # the state carried into the next span
+        return (o, S, *rest)
 
-    monkeypatch.setattr(recurrence, "_vector_span", perturbed)
+    monkeypatch.setattr(recurrence, "_span", perturbed)
     assert cli.main(["verify", "--level", "quick"]) == cli.EXIT_VERIFY
     out = capsys.readouterr().out
     assert "FAIL chunked-vs-sequential" in out
-    assert "vector batch=" in out and "scalar batch=" not in out
+    assert "no-tape output rel diff" in out
+    assert ": output rel diff" not in out and "dq rel diff" not in out
+
+
+def _chunked_paths(monkeypatch):
+    """Counts of the spans forward_chunked runs in the factorized form and of
+    its calls that fall back to the scan."""
+    counts = Counter()
+    real_chunked, real_span, real_scan = (recurrence.forward_chunked, recurrence._span,
+                                          recurrence._recurrence)
+    inside = []
+
+    def chunked(*args):
+        inside.append(args)
+        try:
+            return real_chunked(*args)
+        finally:
+            inside.pop()
+
+    def span(*args):
+        counts["factorized"] += 1
+        return real_span(*args)
+
+    def scan(*args):
+        counts["fallback"] += bool(inside)
+        return real_scan(*args)
+
+    for owner in (recurrence, model):
+        monkeypatch.setattr(owner, "forward_chunked", chunked)
+    monkeypatch.setattr(recurrence, "_span", span)
+    monkeypatch.setattr(recurrence, "_recurrence", scan)
+    return counts
+
+
+def test_cmd_verify_reaches_the_factorized_form_and_the_fallback(monkeypatch):
+    counts = _chunked_paths(monkeypatch)
+    assert cli.main(["verify", "--level", "quick"]) == cli.EXIT_OK
+    assert counts["factorized"] > 0 and counts["fallback"] > 0
+
+
+def test_benchmark_cells_take_no_fallback_at_init(monkeypatch, rng):
+    # the six strategies of the training smoke runs at their geometry, and the
+    # three probed checkpoints at n = 2048, without a tape
+    counts = _chunked_paths(monkeypatch)
+    smoke = [DecayConfig(strategy=s) for s in ("mamba2", "gla", "hgrn2", "lightnet")]
+    smoke += [DecayConfig(strategy="tnl", granularity="scalar"),
+              DecayConfig(strategy="simple", p=0.99)]
+    probed = [smoke[0], smoke[3], smoke[4]]
+    for decays, shape, tape in ((smoke, (8, 128), True), (probed, (2048,), False)):
+        for decay in decays:
+            config = ModelConfig(n_layers=2, hidden=64, heads=4, vocab=256, decay=decay)
+            params = init_params(config)
+            with tensor.Tape() if tape else contextlib.nullcontext():
+                lm_forward(rng.integers(0, 256, size=shape), params, config)
+    assert counts["fallback"] == 0 and counts["factorized"] > 0
 
 
 def test_cmd_export(trained_run, tmp_path, capsys):

@@ -371,20 +371,9 @@ def test_full_model_gradient_check(rng):
 KERNELS = ("forward_chunked", "forward_sequential", "forward_dplr")
 
 
-@pytest.mark.parametrize("decay,transition,kernel", [
-    (DecayConfig(strategy="mamba2", granularity="scalar"), "diagonal", "forward_chunked"),
-    (DecayConfig(strategy="tnl", granularity="scalar"), "diagonal", "forward_chunked"),
-    (DecayConfig(strategy="none"), "diagonal", "forward_chunked"),
-    (DecayConfig(strategy="mamba2"), "diagonal", "forward_sequential"),
-    (DecayConfig(strategy="gla", sharing="shared"), "diagonal", "forward_sequential"),
-    (DecayConfig(strategy="mamba2", granularity="scalar"), "dplr", "forward_dplr"),
-    (DecayConfig(strategy="gla"), "dplr", "forward_dplr"),
-])
-def test_each_cell_runs_one_kernel_per_layer(decay, transition, kernel, monkeypatch, rng):
-    # scalar decay on the diagonal transition trains through the chunked
-    # kernel; vector decay keeps the scan and DPLR its own kernel
-    config = ModelConfig(n_layers=3, hidden=8, heads=2, vocab=17, transition=transition,
-                         decay=decay)
+def _kernel_calls(config, monkeypatch, rng, tape):
+    """Kernel calls of one forward of `config`: a training step under a tape,
+    or a plain forward without one."""
     calls = Counter()
     for name in KERNELS:
         def counted(*args, _name=name, _fn=getattr(model, name)):
@@ -392,10 +381,30 @@ def test_each_cell_runs_one_kernel_per_layer(decay, transition, kernel, monkeypa
             return _fn(*args)
         monkeypatch.setattr(model, name, counted)
     params = init_params(config)
-    with T.Tape():
-        T.backward(cross_entropy(lm_forward(_tokens(rng, 20), params, config),
-                                 _tokens(rng, 20)))
-    assert calls == {kernel: 3}
+    if tape:
+        with T.Tape():
+            T.backward(cross_entropy(lm_forward(_tokens(rng, 20), params, config),
+                                     _tokens(rng, 20)))
+    else:
+        lm_forward(_tokens(rng, 20), params, config)
+    return calls
+
+
+@pytest.mark.parametrize("decay,transition,kernel", [
+    (DecayConfig(strategy="mamba2", granularity="scalar"), "diagonal", "forward_chunked"),
+    (DecayConfig(strategy="tnl", granularity="scalar"), "diagonal", "forward_chunked"),
+    (DecayConfig(strategy="none"), "diagonal", "forward_chunked"),
+    (DecayConfig(strategy="mamba2"), "diagonal", "forward_chunked"),
+    (DecayConfig(strategy="gla", sharing="shared"), "diagonal", "forward_chunked"),
+    (DecayConfig(strategy="mamba2", granularity="scalar"), "dplr", "forward_dplr"),
+    (DecayConfig(strategy="gla"), "dplr", "forward_dplr"),
+])
+def test_each_cell_runs_one_kernel_per_layer(decay, transition, kernel, monkeypatch, rng):
+    # the diagonal transition trains through the chunked kernel at either
+    # width of decay, and DPLR through its own kernel
+    config = ModelConfig(n_layers=3, hidden=8, heads=2, vocab=17, transition=transition,
+                         decay=decay)
+    assert _kernel_calls(config, monkeypatch, rng, tape=True) == {kernel: 3}
 
 
 @pytest.mark.parametrize("decay,transition,kernel", [
@@ -408,17 +417,17 @@ def test_each_cell_runs_one_kernel_per_layer(decay, transition, kernel, monkeypa
 ])
 def test_each_cell_runs_one_kernel_per_layer_without_a_tape(decay, transition, kernel,
                                                             monkeypatch, rng):
-    # without a tape vector decay on the diagonal transition runs chunked too
+    # without a tape each cell takes the same kernel as under one
     config = ModelConfig(n_layers=3, hidden=8, heads=2, vocab=17, transition=transition,
                          decay=decay)
-    calls = Counter()
-    for name in KERNELS:
-        def counted(*args, _name=name, _fn=getattr(model, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(model, name, counted)
-    lm_forward(_tokens(rng, 20), init_params(config), config)
-    assert calls == {kernel: 3}
+    assert _kernel_calls(config, monkeypatch, rng, tape=False) == {kernel: 3}
+
+
+def test_a_head_width_of_one_runs_the_scan(monkeypatch, rng):
+    config = ModelConfig(n_layers=3, hidden=8, heads=8, vocab=17,
+                         decay=DecayConfig(strategy="mamba2", granularity="scalar"))
+    for tape in (True, False):
+        assert _kernel_calls(config, monkeypatch, rng, tape) == {"forward_sequential": 3}
 
 
 def _scalar_cells():
@@ -463,3 +472,41 @@ def test_scalar_cells_match_the_scan_route(monkeypatch, rng):
             assert np.max(np.abs(grads[name] - ref)) <= 1e-10 * np.max(np.abs(ref)), (config, name)
         cells += 1
     assert cells >= 30
+
+
+def test_saturated_decay_inputs_give_a_finite_loss_and_gradients(monkeypatch, rng):
+    # f = +-800 in runs of three positions drives lambda to 0 and 1 inside
+    # chunks; the chunked kernel must fall back to the scan there
+    n = 2 * recurrence.CHUNK + 5
+    real_activations, real_scan = model.D.decay_activations, recurrence._recurrence
+    scans = []
+
+    def saturated(x, proj, config):
+        f = real_activations(x, proj, config)
+        sign = np.where(np.arange(n) // 3 % 2 == 0, 800.0, -800.0)[:, None]
+        return f * 0.0 + np.broadcast_to(sign, f.shape)
+
+    def counted(*args):
+        scans.append(args)
+        return real_scan(*args)
+
+    monkeypatch.setattr(model.D, "decay_activations", saturated)
+    monkeypatch.setattr(recurrence, "_recurrence", counted)
+    cells = 0
+    for strategy, granularity, sharing in itertools.product(STRATEGIES, GRANULARITIES, SHARINGS):
+        try:
+            config = ModelConfig(n_layers=2, hidden=8, heads=2, vocab=17,
+                                 decay=DecayConfig(strategy=strategy, granularity=granularity,
+                                                   sharing=sharing))
+        except ConfigError:
+            continue
+        params = init_params(config)
+        with T.Tape():
+            loss = cross_entropy(lm_forward(_tokens(rng, 2 * n).reshape(2, n), params, config),
+                                 _tokens(rng, 2 * n).reshape(2, n))
+            T.backward(loss)
+        assert np.isfinite(loss.item()), config
+        for name, p in params.items():
+            assert p.grad is None or np.all(np.isfinite(p.grad)), (config, name)
+        cells += 1
+    assert cells >= 10 and scans

@@ -121,7 +121,7 @@ def test_chunked_all_chunk_sizes(rng):
 
 
 def test_chunked_handles_zero_decay(rng):
-    # zero decay values must not break the pair-product construction
+    # a zero inside a chunk sends the call to the scan
     n, dk, dv = 16, 3, 2
     q, k, v = (rng.normal(size=(n, d)) for d in (dk, dk, dv))
     lam = rng.uniform(0.0, 1.0, size=(n, dk))
@@ -344,10 +344,11 @@ def test_dplr_batched_gradients(rng, batch, n, scalar):
     assert grad_check(build, leaves, rel_tol=1e-4) == []
 
 
-def _chunk_inputs(rng, batch, n, dk=3, dv=2):
-    """Scalar-decay inputs with lambda = 0 at t = 0, mid-sequence and on the
-    first chunk boundary."""
-    q, k, v, lam = _batched_inputs(rng, batch, n, True, dk=dk, dv=dv)
+def _chunk_inputs(rng, batch, n, dk=3, dv=2, scalar=True):
+    """Inputs with lambda = 0 at t = 0 and on the first chunk boundary, where
+    the factorized form of the chunked kernel needs no division."""
+    q, k, v, lam = _batched_inputs(rng, batch, n, scalar, dk=dk, dv=dv)
+    lam[..., n // 2, :] = 0.5
     if n > R.CHUNK:
         lam[..., R.CHUNK, :] = 0.0
     return q, k, v, lam
@@ -398,22 +399,28 @@ def test_chunked_skips_the_decay_gradient_for_a_constant_decay(rng):
     assert lam_t.grad is None and all(leaf.grad is not None for leaf in leaves)
 
 
-def test_chunked_vector_decay_is_forward_only(rng):
-    q, k, v, lam = _batched_inputs(rng, (2,), 5, False)
-    with pytest.raises(ValueError, match="vector decay"):
-        _on_tape(R.forward_chunked, q, k, v, lam)
-    o = R.forward_chunked(q, k, v, lam)
-    assert np.max(np.abs(o.data - R.forward_oracle(q, k, v, lam))) <= 1e-10
+def test_chunked_vector_gradients(rng):
+    inputs = _chunk_inputs(rng, (2,), 2 * R.CHUNK + 3, dk=2, scalar=False)
+    leaves = {name: Tensor(x, requires_grad=True)
+              for name, x in zip(("q", "k", "v", "lam"), inputs)}
+
+    def build(lv):
+        o = R.forward_chunked(lv["q"], lv["k"], lv["v"], lv["lam"])
+        return T.tsum(o * o)
+
+    assert grad_check(build, leaves, rel_tol=1e-4) == []
 
 
-@pytest.mark.parametrize("batch,n", [((), 1), ((), R.VECTOR_CHUNK - 3), ((2, 3), R.SPAN + 5),
-                                     ((1,), 2 * R.SPAN + R.VECTOR_CHUNK + 1)])
-def test_chunked_vector_matches_the_scan_across_spans(rng, batch, n):
-    q, k, v, lam = _batched_inputs(rng, batch, n, False)
-    if n > R.SPAN:
-        lam[..., R.SPAN - 1, 1:] = 0.0
-    o = R.forward_chunked(q, k, v, lam)
+@pytest.mark.parametrize("batch,n", [((), 1), ((), 5), ((2, 3), R.SPAN // 2 + 5),
+                                     ((1,), R.SPAN + 9), ((2, 3), R.SPAN + 5),
+                                     ((2,), 2 * R.SPAN + R.CHUNK + 1)])
+def test_chunked_vector_matches_the_scan_across_spans(rng, batch, n, monkeypatch):
+    # no zero past a chunk's first position and none on a span boundary, so
+    # the whole call stays on the factorized path and carries the state
+    q, k, v, lam = _chunk_inputs(rng, batch, n, scalar=False)
     ref = R.forward_sequential(q, k, v, lam).data
+    monkeypatch.setattr(R, "_recurrence", None)
+    o = R.forward_chunked(q, k, v, lam)
     assert o.shape == ref.shape
     assert np.max(np.abs(o.data - ref)) <= 1e-10 * max(np.max(np.abs(ref)), 1.0)
     assert np.array_equal(R.forward_chunked(q, k, v, lam).data, o.data)
@@ -437,6 +444,7 @@ def test_chunked_vector_peak_is_below_the_scan(rng, layout):
     if layout == "model":
         q, k, v = (np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -2, 0)), 0, -2)
                    for x in (q, k, v))
-    lam = rng.uniform(0.5, 1.0, size=shape)
-    assert (_alloc_peak(R.forward_chunked, q, k, v, lam)
-            <= _alloc_peak(R.forward_sequential, q, k, v, lam))
+    for width in (1, shape[-1]):
+        lam = rng.uniform(0.5, 1.0, size=shape[:-1] + (width,))
+        assert (_alloc_peak(R.forward_chunked, q, k, v, lam)
+                <= _alloc_peak(R.forward_sequential, q, k, v, lam)), width
