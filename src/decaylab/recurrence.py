@@ -1,14 +1,17 @@
 """State-update kernels for decayed linear attention.
 
 The sequential scan is the canonical semantics; extended with a delta-rule
-rank-one correction, it is also the DPLR kernel.  Diagonal decay, of width
-1 or dk, trains and runs through the factorized chunk kernel
-``forward_chunked``, which falls back to the scan where its divisions by
+rank-one correction, it is also the semantics of DPLR.  Diagonal decay, of
+width 1 or dk, trains and runs through the factorized chunk kernel
+``forward_chunked``, and the DPLR transition through the chunkwise UT form
+``forward_dplr``; both fall back to the scan where their divisions by
 running products of lam would lose precision.  At (8, 4, 128, 16) on one
-BLAS thread its forward and backward took 4.8 ms at width 1, against 5.3 ms
-for the pair-decay kernel it replaced, and 5.8 ms at width dk, against
-13 ms for the scan.  The quadratic closed-form expansion ``forward_oracle``
-and the dense DPLR recurrence ``dplr_dense_oracle`` are references only.
+BLAS thread the forward and backward of ``forward_chunked`` took 4.8 ms at
+width 1, against 5.3 ms for the pair-decay kernel it replaced, and 5.8 ms
+at width dk, against 13 ms for the scan; inside a training step the two
+DPLR layers took 38 ms against 59 ms for the scan.  The quadratic
+closed-form expansion ``forward_oracle`` and the dense DPLR recurrence
+``dplr_dense_oracle`` are references only.
 
 All kernels take plain tensors (arrays or Tensors) and return only the
 outputs ``o``.  Shapes: ``q``/``k`` are (..., n, dk), ``v`` is (..., n, dv),
@@ -240,14 +243,24 @@ def _decays(lc):
     return lc[..., :1, :], gamma
 
 
-def _carry(y, decay, reverse=False):
-    """y_{m+1} += decay_m y_m in place over chunk-major y (M, ..., dk, dv),
-    or y_m += decay_m y_{m+1} from the end with ``reverse``; decay_m is
-    chunk m's transition, (..., N, 1, w).  Returns y."""
-    decay = np.swapaxes(np.moveaxis(decay, -3, 0), -1, -2)
+def _mT(x):
+    """x with its last two axes swapped."""
+    return np.swapaxes(x, -1, -2)
+
+
+def _carry(y, trans, reverse=False):
+    """y_{m+1} += T_m y_m in place over chunk-major y (M, ..., dk, dv), or
+    y_m += T_m^T y_{m+1} from the end with ``reverse``; T_m is chunk m's
+    transition, a diagonal (..., N, 1, w) or a matrix (..., N, dk, dk).
+    Returns y."""
+    trans = np.moveaxis(trans, -3, 0)
+    if trans.shape[-2] == 1:
+        op, trans = np.multiply, _mT(trans)  # a diagonal scales the rows of y
+    else:
+        op, trans = np.matmul, (_mT(trans) if reverse else trans)
     tmp = np.empty(y.shape[1:])
     for m in (range(len(y) - 2, -1, -1) if reverse else range(len(y) - 1)):
-        np.multiply(decay[m], y[m + 1 if reverse else m], out=tmp)
+        op(trans[m], y[m + 1 if reverse else m], out=tmp)
         y[m if reverse else m + 1] += tmp
     return y
 
@@ -358,16 +371,146 @@ def forward_chunked(q, k, v, lam, chunk=CHUNK):
 
 
 def forward_dplr(q, k, v, lam, kappa, beta):
-    """Scan with transition M_t = diag(lam_t) - beta_t kappa_t kappa_t^T.
+    """Recurrence with transition M_t = diag(lam_t) - beta_t kappa_t kappa_t^T,
+    s_t = M_t s_{t-1} + k_t v_t^T and o_t = s_t^T q_t, for lam of width 1 or dk.
+    Returns ``o``, differentiable in all inputs including kappa and beta.
 
     With beta = 0 this is exactly the diagonal recurrence; with lam = 1,
     beta = 1 and unit kappa it is the classical delta-rule overwrite.
-    Differentiable in all inputs including kappa and beta.
+
+    Chunkwise through the UT transform of DeltaNet (Yang et al. 2024, arXiv
+    2406.06484), gated as in Gated DeltaNet (arXiv 2412.06464).  Per chunk,
+    with a, gamma and Q~, K~ as in ``forward_chunked``, b = beta kappa,
+    B~ = b / gamma and K^ = kappa . gamma shifted down one row, the reads
+    u_i = kappa_i^T s_{i-1} solve (I + L) U = C S + A V with
+    L = stril(K^ B~^T), A = stril(K^ K~^T) and C = a K^ (row 0: kappa_0).
+    With T^-1 = (I + L)^-1 from forward substitution, W = T^-1 C and
+    U0 = T^-1 A V, the state after the chunk is M S + R, where
+    M = diag(a gamma_last) - (B~ gamma_last)^T W and
+    R = (K~ gamma_last)^T V - (B~ gamma_last)^T U0; only that step loops.
+    Then U = U0 + W S and o = (a Q~) S + tril(Q~ K~^T) V - tril(Q~ B~^T) U.
+    The four pair matrices are one GEMM of [Q~; K^] against [K~; -B~], whose
+    sign lets the outputs and the state read [V; U] as one block.  The
+    backward runs the adjoint of the state loop in reverse, then the
+    transposed GEMMs; through the solve, with Y = [C | A V],
+    dY = T^-T d[W | U0] and dL = -stril(dY [W | U0]^T).  Last comes d log
+    gamma, as in ``forward_chunked``.  Where ``_decays`` refuses the
+    division, the call runs the scan.
     """
     q, k, v, lam = as_tensor(q), as_tensor(k), as_tensor(v), as_tensor(lam)
     kappa, beta = as_tensor(kappa), as_tensor(beta)
     _check_shapes(q.data, k.data, v.data, lam.data, kappa.data, beta.data)
-    return _recurrence(q, k, v, lam, kappa, beta)
+    lc = _chunks(lam.data, CHUNK, 1.0)
+    decays = _decays(lc)
+    if decays is None:
+        return _recurrence(q, k, v, lam, kappa, beta)
+    a, gamma = decays
+    parents = (q, k, v, lam, kappa, beta)
+    n, c, dk = q.shape[-2], CHUNK, q.shape[-1]
+    qc, kc, vc, kapc, betc = (_chunks(p.data, c, 0.0) for p in (q, k, v, kappa, beta))
+    last = gamma[..., -1:, :]
+    shifted = np.concatenate([np.ones_like(a), gamma[..., :-1, :]], axis=-2)
+    left = np.empty(qc.shape[:-2] + (2 * c, dk))                      # [Q~; K^]
+    np.multiply(qc, gamma, out=left[..., :c, :])
+    np.multiply(kapc, shifted, out=left[..., c:, :])
+    right = np.empty_like(left)                                       # [K~; -B~]
+    np.divide(kc, gamma, out=right[..., :c, :])
+    np.multiply(kapc, -betc, out=right[..., c:, :])
+    right[..., c:, :] /= gamma
+    # [[tril(Q~ K~^T), -tril(Q~ B~^T)], [A, -L]]
+    mask = np.tile(np.concatenate([np.tri(c), np.tri(c, k=-1)]), (1, 2))
+    pair = np.matmul(left, _mT(right))
+    pair *= mask
+    # T^-1 = (I + L)^-1 by forward substitution: row i is e_i - L_i T^-1
+    X = np.broadcast_to(np.eye(c), pair.shape[:-2] + (c, c)).copy()
+    for i in range(1, c):
+        np.matmul(pair[..., c + i:c + i + 1, c:c + i], X[..., :i, :i], out=X[..., i:i + 1, :i])
+    Y = np.empty(left.shape[:-2] + (c, dk + vc.shape[-1]))           # [C | A V]
+    np.multiply(left[..., c:, :], a, out=Y[..., :dk])
+    Y[..., 0, :dk] = left[..., c, :]
+    np.matmul(pair[..., c:, :c], vc, out=Y[..., dk:])
+    # B = [[0, V], [W, U0]]: the state after a chunk is
+    # a gamma_last S + gamma_last [K~; -B~]^T [V; U0 + W S]
+    B = np.zeros(Y.shape[:-2] + (2 * c, Y.shape[-1]))
+    B[..., :c, dk:] = vc
+    Z = B[..., c:, :]
+    np.matmul(X, Y, out=Z)
+    W = Z[..., :dk]
+    MR = np.matmul(_mT(right), B)
+    MR *= _mT(last)
+    diag = np.arange(dk)
+    MR[..., diag, diag] += (a * last)[..., 0, :]                      # [M | R]
+    M = MR[..., :dk].copy()
+    # the states entering each chunk, chunk-major: S_{m+1} = M_m S_m + R_m
+    S = np.zeros((M.shape[-3],) + MR.shape[:-3] + (dk, vc.shape[-1]))
+    S[1:] = np.moveaxis(MR[..., :-1, :, dk:], -3, 0)
+    _carry(S, M)
+    S = np.moveaxis(S, 0, -3)
+    VU = B[..., dk:].copy()
+    VU[..., c:, :] += np.matmul(W, S)                                 # [V; U]
+    qg = left[..., :c, :]
+    o = np.matmul(qg * a, S)
+    o += np.matmul(pair[..., :c, :], VU)
+
+    def bw(g):
+        gc = _chunks(g, c, 0.0)
+        # d[V; U] from the outputs, and F_m, their part of dL/dS_m
+        dVU = np.matmul(_mT(pair[..., :c, :]), gc)
+        F = np.matmul(_mT(qg * a), gc)
+        F += np.matmul(_mT(W), dVU[..., c:, :])
+        # dL/dS_m = F_m + M_m^T dL/dS_{m+1}; D_m = dL/dS_{m+1}, zero after the last chunk
+        H = _carry(np.moveaxis(F, -3, 0).copy(), M, reverse=True)
+        D = np.zeros_like(F)
+        D[..., :-1, :, :] = np.moveaxis(H[1:], 0, -3)
+        dVU += np.matmul(right, D * _mT(last))
+        dU = dVU[..., c:, :]
+        dY = np.empty(Z.shape)
+        np.matmul(dU, _mT(S), out=dY[..., :dk])
+        dY[..., dk:] = dU
+        dY = np.matmul(_mT(X), dY)
+        dv = dVU[..., :c, :] + np.matmul(_mT(pair[..., c:, :c]), dY[..., dk:])
+        # masked, the outputs' g [V; U]^T over the solve's dY B^T = [d(A V) V^T | dY Z^T]
+        # are the gradients of the pair matrices
+        dpair = np.empty_like(pair)
+        np.matmul(gc, _mT(VU), out=dpair[..., :c, :])
+        np.matmul(dY, _mT(B), out=dpair[..., c:, :])
+        dpair *= mask
+        dleft = np.matmul(dpair, right)
+        dright = np.matmul(_mT(dpair), left)
+        gS = np.matmul(gc, _mT(S))
+        dleft[..., :c, :] += a * gS
+        dleft[..., c + 1:, :] += a * dY[..., 1:, :dk]
+        dleft[..., c, :] += dY[..., 0, :dk]
+        dkl = np.matmul(VU, _mT(D))                                   # dL/d([K~; -B~] gamma_last)
+        dright += last * dkl
+        dnb = dright[..., c:, :] / gamma                              # dL/d(-b)
+        grads = (dleft[..., :c, :] * gamma, dright[..., :c, :] / gamma, dv,
+                 dleft[..., c:, :] * shifted - betc * dnb, -(kapc * dnb).sum(-1, keepdims=True))
+        for p, grad in zip((q, k, v, kappa, beta), grads):
+            T._accum(p, _unchunk(grad, n))
+        if not lam.requires_grad:
+            return
+        # d log gamma per row: the products of [Q~; K^] and [K~; -B~] with their
+        # gradients, K^ one row up, and gamma_last's terms on the last row; at
+        # width 1 they are summed over d at once
+        d = "d" if lam.shape[-1] > 1 else ""
+        rows = lc.shape[:-2] + (2 * c, lam.shape[-1])
+        pl = np.einsum(f"...cd,...cd->...c{d}", left, dleft).reshape(rows)
+        pr = np.einsum(f"...cd,...cd->...c{d}", right, dright).reshape(rows)
+        dlog = pl[..., :c, :] - pr[..., :c, :] - pr[..., c:, :]
+        dlog[..., :-1, :] += pl[..., c + 1:, :]
+        # the transition a gamma_last of S_m into S_{m+1}, per row of the state
+        dtrans = np.einsum(f"...de,...de->...{d}", D, S).reshape(a.shape)
+        dlog[..., -1:, :] += last * (
+            np.einsum(f"...cd,...cd->...{d}", right, dkl).reshape(a.shape) + a * dtrans)
+        da = (np.einsum(f"...cd,...cd->...{d}", qg, gS)
+              + np.einsum(f"...cd,...cd->...{d}", left[..., c + 1:, :], dY[..., 1:, :dk])
+              ).reshape(a.shape) + last * dtrans
+        dlam = np.cumsum(dlog[..., :0:-1, :], axis=-2)[..., ::-1, :]
+        dlam /= lc[..., 1:, :]
+        T._accum(lam, _unchunk(np.concatenate([da, dlam], axis=-2), n))
+
+    return T._record(Tensor(_unchunk(o, n)), parents, bw)
 
 
 def dplr_dense_oracle(q, k, v, lam, kappa, beta):

@@ -1,6 +1,7 @@
 """Self-check suites behind the `verify` subcommand: oracle equivalence
-(the decay scan and TPE), chunked equivalence, DPLR reductions, RoPE-decay
-compatibility, gradient checks, and the algebraic decay identities.
+(the decay scan and TPE), chunked equivalence, the DPLR chunk kernel against
+its dense oracle and the scan and its reductions, RoPE-decay compatibility,
+gradient checks, and the algebraic decay identities.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def suite_sequential_vs_oracle(level="full"):
     failures = []
     rng = np.random.Generator(np.random.Philox(1))
     for strategy, granularity, sharing in _decay_cells():
-        worst = 0.0
+        diffs = []
         for _ in range(cases):
             n = int(rng.integers(1, 65))
             dk = int(rng.integers(1, 9))
@@ -52,18 +53,20 @@ def suite_sequential_vs_oracle(level="full"):
             v = rng.normal(size=(n, dv))
             o_seq = R.forward_sequential(q, k, v, lam)
             o_ref = R.forward_oracle(q, k, v, lam)
-            worst = max(worst, float(np.max(np.abs(o_seq.data - o_ref))))
-        if worst > 1e-10:
+            diffs.append(np.max(np.abs(o_seq.data - o_ref)))
+        # np.max, unlike max(), keeps a NaN
+        worst = float(np.max(diffs))
+        if not worst <= 1e-10:
             failures.append(f"{strategy}/{granularity}/{sharing}: max abs diff {worst:.3e}")
     rng = np.random.Generator(np.random.Philox([1, 1]))
-    worst = 0.0
+    diffs = []
     for _ in range(cases):
         n, d, m = (int(rng.integers(1, hi)) for hi in (65, 5, 4))
         params = TpeParams(*rng.normal(size=(3, d, m)))
         x = rng.normal(size=(int(rng.integers(1, 3)), n, d))
-        worst = max(worst, float(np.max(np.abs(
-            tpe_apply(x, params).data - tpe_toeplitz_oracle(x, params)))))
-    if worst > 1e-10:
+        diffs.append(np.max(np.abs(tpe_apply(x, params).data - tpe_toeplitz_oracle(x, params))))
+    worst = float(np.max(diffs))
+    if not worst <= 1e-10:
         failures.append(f"tpe: max abs diff {worst:.3e}")
     return failures
 
@@ -136,6 +139,20 @@ def suite_chunked_vs_sequential(level="full"):
     return failures
 
 
+# Cases of the DPLR chunk kernel, run at both widths of lam: (batch, n, value,
+# positions with lam = value, scale of kappa).  Zeros at t = 0 and on a chunk
+# boundary keep the chunk form, over more than two chunks with n not a
+# multiple of the chunk and with a (2, 3) batch; a run just below FLOOR
+# inside a chunk sends the call to the scan.  With kappa three times a unit
+# row the transition grows the state by orders of magnitude per chunk.
+_DPLR_CASES = [
+    ((), 3 * R.CHUNK + 5, 0.0, (0, R.CHUNK), 1.0),
+    ((2, 3), 2 * R.CHUNK + 7, 0.0, (0, 2 * R.CHUNK), 1.0),
+    ((), 2 * R.CHUNK + 3, R.FLOOR * (1 - 1e-6), tuple(range(R.CHUNK + 1, R.CHUNK + 6)), 1.0),
+    ((), 3 * R.CHUNK + 5, 0.0, (0, R.CHUNK), 3.0),
+]
+
+
 def suite_dplr(level="full"):
     failures = []
     rng = np.random.Generator(np.random.Philox(3))
@@ -150,20 +167,39 @@ def suite_dplr(level="full"):
         o_dplr = R.forward_dplr(q, k, v, lam, kappa, beta)
         o_ref = R.dplr_dense_oracle(q, k, v, lam, kappa, beta)
         diff = float(np.max(np.abs(o_dplr.data - o_ref)))
-        if diff > 1e-10:
+        if not diff <= 1e-10:
             failures.append(f"dense oracle diff {diff:.3e}")
         o_zero = R.forward_dplr(q, k, v, lam, kappa, np.zeros((n, 1)))
         o_diag = R.forward_sequential(q, k, v, lam)
         diff = float(np.max(np.abs(o_zero.data - o_diag.data)))
-        if diff > 1e-12:
+        if not diff <= 1e-12:
             failures.append(f"beta=0 reduction diff {diff:.3e}")
+    # the chunk kernel against the scan: outputs with and without a tape, and
+    # all six gradients
+    dk, dv = 4, 3
+    for (batch, n, value, positions, scale), width in itertools.product(_DPLR_CASES, (1, dk)):
+        lam = 1.0 / (1.0 + np.exp(-rng.normal(1.0, 2.0, size=batch + (n, width))))
+        lam[..., list(positions), :] = value
+        kappa = rng.normal(size=batch + (n, dk))
+        kappa *= scale / np.linalg.norm(kappa, axis=-1, keepdims=True)
+        arrays = [rng.normal(size=batch + (n, d)) for d in (dk, dk, dv)]
+        arrays += [lam, kappa, rng.uniform(0.05, 0.95, size=batch + (n, 1))]
+        weight = rng.normal(size=batch + (n, dv))
+        o_scan, g_scan = _kernel_grads(R._recurrence, arrays, weight)
+        o_ch, g_ch = _kernel_grads(R.forward_dplr, arrays, weight)
+        o_free = R.forward_dplr(*arrays).data
+        case = f"width={width} batch={batch} n={n} lam={value:g} kappa scale={scale:g}"
+        names = ("output", "no-tape output", "dq", "dk", "dv", "dlam", "dkappa", "dbeta")
+        for name, a, b in zip(names, [o_ch, o_free] + g_ch, [o_scan, o_scan] + g_scan):
+            if not _rel_diff(a, b) <= 1e-10:
+                failures.append(f"{case}: {name} rel diff {_rel_diff(a, b):.3e}")
     # delta-rule overwrite: the second write through the same unit key
     # replaces the first value, so reading that key at t = 1 gives v_2
     kap = np.zeros((2, 3))
     kap[:, 0] = 1.0
     v2 = np.array([[1.0, 2.0], [5.0, -1.0]])
     o = R.forward_dplr(kap, kap, v2, np.ones((2, 3)), kap, np.ones((2, 1)))
-    if float(np.max(np.abs(o.data[1] - v2[1]))) > 1e-12:
+    if not float(np.max(np.abs(o.data[1] - v2[1]))) <= 1e-12:
         failures.append("delta-rule overwrite: o_1 does not read back v_2")
     return failures
 
@@ -179,12 +215,12 @@ def suite_rope_decay(level="full"):
         v = rng.normal(size=(n, 5))
         lam_s = rng.uniform(0.2, 1.0, size=(n,))
         dev = rope_decay_equivalence(q, k, v, lam_s, params)
-        if dev > 1e-8:
+        if not dev <= 1e-8:
             failures.append(f"seed {seed} scalar decay deviation {dev:.3e}")
         pair = rng.uniform(0.2, 1.0, size=(n, 4))
         lam_v = np.repeat(pair, 2, axis=-1)
         dev = rope_decay_equivalence(q, k, v, lam_v, params)
-        if dev > 1e-8:
+        if not dev <= 1e-8:
             failures.append(f"seed {seed} paired vector decay deviation {dev:.3e}")
     return failures
 
@@ -227,7 +263,7 @@ def grad_check(build, leaves, rel_tol=1e-4, step=1e-5):
         numeric = finite_difference(scalar_fn, leaf.data, step)
         denom = np.maximum(np.abs(numeric), 1.0)
         err = float(np.max(np.abs(analytic - numeric) / denom))
-        if err > rel_tol:
+        if not err <= rel_tol:
             failures.append(f"{name}: rel err {err:.3e} (tol {rel_tol:g})")
         leaf.grad = None
     return failures
@@ -297,11 +333,11 @@ def suite_decay_identities(level="full"):
     # lightnet: partition of unity and lambda_1 = 0
     f = Tensor(rng.normal(0.0, 3.0, size=(17, 3)))
     lam = D.lightnet_decay(f).data
-    if float(np.max(np.abs(lam[0]))) > 0:
+    if not np.all(lam[0] == 0.0):
         failures.append("lightnet lambda_1 != 0")
     weights = (1.0 - lam) * np.concatenate(
         [np.cumprod(lam[::-1], axis=0)[::-1][1:], np.ones((1, 3))], axis=0)
-    if float(np.max(np.abs(weights.sum(axis=0) - 1.0))) > 1e-12:
+    if not float(np.max(np.abs(weights.sum(axis=0) - 1.0))) <= 1e-12:
         failures.append("lightnet partition of unity violated")
     # tnl spot values
     if D.tnl_decay(1, 2, 1, 2) != math.exp(-2.0):
@@ -313,7 +349,7 @@ def suite_decay_identities(level="full"):
     # simple decay inverse pair
     for p in (0.8, 0.9, 0.95, 0.99):
         delta = D.simple_decay_init(p)
-        if abs(1.0 / (1.0 + np.exp(-delta)) - p) > 1e-12:
+        if not abs(1.0 / (1.0 + np.exp(-delta)) - p) <= 1e-12:
             failures.append(f"simple decay sigmoid(Delta({p})) != {p}")
     # shared key exactness
     lam_t = Tensor(rng.uniform(0.0, 1.0, size=(50,)))

@@ -309,57 +309,76 @@ def test_cmd_verify_detects_a_perturbed_span_state(monkeypatch, capsys):
     assert ": output rel diff" not in out and "dq rel diff" not in out
 
 
-def _chunked_paths(monkeypatch):
-    """Counts of the spans forward_chunked runs in the factorized form and of
-    its calls that fall back to the scan."""
+def test_cmd_verify_detects_a_perturbed_dplr_chunk_state(monkeypatch, capsys):
+    real = recurrence._carry
+
+    def perturbed(y, trans, reverse=False):
+        y = real(y, trans, reverse)
+        if trans.shape[-2] > 1 and not reverse:
+            y *= 1.0 + 1e-6  # the states the DPLR kernel carries between chunks
+        return y
+
+    monkeypatch.setattr(recurrence, "_carry", perturbed)
+    assert cli.main(["verify", "--level", "quick"]) == cli.EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert "FAIL dplr" in out and "PASS chunked-vs-sequential" in out
+    assert ": output rel diff" in out and "no-tape output rel diff" in out
+
+
+def _kernel_paths(monkeypatch, name):
+    """Counts of the calls to the kernel ``name`` that run its chunk form and
+    of those that fall back to the scan."""
     counts = Counter()
-    real_chunked, real_span, real_scan = (recurrence.forward_chunked, recurrence._span,
-                                          recurrence._recurrence)
+    real_kernel, real_scan = getattr(recurrence, name), recurrence._recurrence
     inside = []
 
-    def chunked(*args):
-        inside.append(args)
+    def kernel(*args):
+        inside.append(False)
         try:
-            return real_chunked(*args)
+            return real_kernel(*args)
         finally:
-            inside.pop()
-
-    def span(*args):
-        counts["factorized"] += 1
-        return real_span(*args)
+            counts["fallback" if inside.pop() else "chunk"] += 1
 
     def scan(*args):
-        counts["fallback"] += bool(inside)
+        if inside:
+            inside[-1] = True
         return real_scan(*args)
 
     for owner in (recurrence, model):
-        monkeypatch.setattr(owner, "forward_chunked", chunked)
-    monkeypatch.setattr(recurrence, "_span", span)
+        monkeypatch.setattr(owner, name, kernel)
     monkeypatch.setattr(recurrence, "_recurrence", scan)
     return counts
 
 
 def test_cmd_verify_reaches_the_factorized_form_and_the_fallback(monkeypatch):
-    counts = _chunked_paths(monkeypatch)
+    counts = {name: _kernel_paths(monkeypatch, name)
+              for name in ("forward_chunked", "forward_dplr")}
     assert cli.main(["verify", "--level", "quick"]) == cli.EXIT_OK
-    assert counts["factorized"] > 0 and counts["fallback"] > 0
+    for name, count in counts.items():
+        assert count["chunk"] > 0 and count["fallback"] > 0, name
 
 
 def test_benchmark_cells_take_no_fallback_at_init(monkeypatch, rng):
-    # the six strategies of the training smoke runs at their geometry, and the
-    # three probed checkpoints at n = 2048, without a tape
-    counts = _chunked_paths(monkeypatch)
+    # the six strategies of the training smoke runs and the DPLR cell at their
+    # geometry under a tape, and the three probed checkpoints at n = 2048
+    # without one
+    counts = {name: _kernel_paths(monkeypatch, name)
+              for name in ("forward_chunked", "forward_dplr")}
     smoke = [DecayConfig(strategy=s) for s in ("mamba2", "gla", "hgrn2", "lightnet")]
     smoke += [DecayConfig(strategy="tnl", granularity="scalar"),
               DecayConfig(strategy="simple", p=0.99)]
     probed = [smoke[0], smoke[3], smoke[4]]
-    for decays, shape, tape in ((smoke, (8, 128), True), (probed, (2048,), False)):
-        for decay in decays:
-            config = ModelConfig(n_layers=2, hidden=64, heads=4, vocab=256, decay=decay)
-            params = init_params(config)
-            with tensor.Tape() if tape else contextlib.nullcontext():
-                lm_forward(rng.integers(0, 256, size=shape), params, config)
-    assert counts["fallback"] == 0 and counts["factorized"] > 0
+    dplr = dict(transition="dplr", posenc="rope")
+    runs = [(decay, {}, (8, 128), True) for decay in smoke]
+    runs += [(DecayConfig(strategy="gla", sharing="shared"), dplr, (8, 128), True)]
+    runs += [(decay, {}, (2048,), False) for decay in probed]
+    for decay, extra, shape, tape in runs:
+        config = ModelConfig(n_layers=2, hidden=64, heads=4, vocab=256, decay=decay, **extra)
+        params = init_params(config)
+        with tensor.Tape() if tape else contextlib.nullcontext():
+            lm_forward(rng.integers(0, 256, size=shape), params, config)
+    for name, count in counts.items():
+        assert count["fallback"] == 0 and count["chunk"] > 0, name
 
 
 def test_cmd_export(trained_run, tmp_path, capsys):

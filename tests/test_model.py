@@ -12,9 +12,9 @@ from decaylab import checkpoint, cli, model, recurrence
 from decaylab import tensor as T
 from decaylab.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from decaylab.decay import GRANULARITIES, SHARINGS, STRATEGIES, ConfigError, DecayConfig
-from decaylab.model import (POSENCS, ModelConfig, config_from_dict, config_to_dict,
-                            glu_forward, init_params, lm_forward, param_count,
-                            token_mixer_forward)
+from decaylab.model import (POSENCS, TRANSITIONS, ModelConfig, config_from_dict,
+                            config_to_dict, glu_forward, init_params, lm_forward,
+                            param_count, token_mixer_forward)
 from decaylab.probe import median
 from decaylab.tensor import Tensor
 from decaylab.train import cross_entropy
@@ -476,26 +476,27 @@ def test_scalar_cells_match_the_scan_route(monkeypatch, rng):
 
 def test_saturated_decay_inputs_give_a_finite_loss_and_gradients(monkeypatch, rng):
     # f = +-800 in runs of three positions drives lambda to 0 and 1 inside
-    # chunks; the chunked kernel must fall back to the scan there
+    # chunks; the chunked and DPLR kernels must fall back to the scan there
     n = 2 * recurrence.CHUNK + 5
     real_activations, real_scan = model.D.decay_activations, recurrence._recurrence
-    scans = []
+    scans = Counter()
 
     def saturated(x, proj, config):
         f = real_activations(x, proj, config)
         sign = np.where(np.arange(n) // 3 % 2 == 0, 800.0, -800.0)[:, None]
         return f * 0.0 + np.broadcast_to(sign, f.shape)
 
-    def counted(*args):
-        scans.append(args)
-        return real_scan(*args)
+    def counted(q, k, v, lam, kappa=None, beta=None):
+        scans["diagonal" if kappa is None else "dplr"] += 1
+        return real_scan(q, k, v, lam, kappa, beta)
 
     monkeypatch.setattr(model.D, "decay_activations", saturated)
     monkeypatch.setattr(recurrence, "_recurrence", counted)
     cells = 0
-    for strategy, granularity, sharing in itertools.product(STRATEGIES, GRANULARITIES, SHARINGS):
+    for strategy, granularity, sharing, transition in itertools.product(
+            STRATEGIES, GRANULARITIES, SHARINGS, TRANSITIONS):
         try:
-            config = ModelConfig(n_layers=2, hidden=8, heads=2, vocab=17,
+            config = ModelConfig(n_layers=2, hidden=8, heads=2, vocab=17, transition=transition,
                                  decay=DecayConfig(strategy=strategy, granularity=granularity,
                                                    sharing=sharing))
         except ConfigError:
@@ -509,4 +510,4 @@ def test_saturated_decay_inputs_give_a_finite_loss_and_gradients(monkeypatch, rn
         for name, p in params.items():
             assert p.grad is None or np.all(np.isfinite(p.grad)), (config, name)
         cells += 1
-    assert cells >= 10 and scans
+    assert cells >= 20 and scans["diagonal"] and scans["dplr"]

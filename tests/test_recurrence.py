@@ -310,43 +310,51 @@ def test_sequential_batched_gradients(rng, batch, n, scalar):
     assert grad_check(build, leaves, rel_tol=1e-4) == []
 
 
+def _dplr_routes(monkeypatch, rng, batch, n, scalar, dk=3):
+    """Inputs for both routes of the DPLR kernel: a zero at n // 2 sends the
+    call to the scan, and ``_chunk_inputs`` keep the chunk form, which must
+    then run with the scan removed."""
+    yield _batched_inputs(rng, batch, n, scalar, dk=dk)
+    with monkeypatch.context() as m:
+        m.setattr(R, "_recurrence", None)
+        yield _chunk_inputs(rng, batch, n, dk=dk, scalar=scalar)
+
+
 @pytest.mark.parametrize("scalar", [False, True])
 @pytest.mark.parametrize("n", BATCHED_LENGTHS)
-def test_dplr_batched_matches_dense_oracle(rng, n, scalar):
-    q, k, v, lam = _batched_inputs(rng, (2, 3), n, scalar)
-    kappa = rng.normal(size=(2, 3, n, 3))
-    kappa /= np.linalg.norm(kappa, axis=-1, keepdims=True)
-    beta = rng.uniform(0.05, 0.95, size=(2, 3, n, 1))
-
+def test_dplr_batched_matches_dense_oracle(rng, n, scalar, monkeypatch):
     def run(q_, k_, v_, lam_, kappa_, beta_):
         return R.forward_dplr(q_, k_, v_, lam_, kappa_, beta_)
 
-    o = run(q, k, v, lam, kappa, beta)
-    o_ref = R.dplr_dense_oracle(q, k, v, lam, kappa, beta)
-    assert np.max(np.abs(o.data - o_ref)) <= 1e-10
-    assert np.array_equal(_on_tape(run, q, k, v, lam, kappa, beta).data, o.data)
+    for q, k, v, lam in _dplr_routes(monkeypatch, rng, (2, 3), n, scalar):
+        kappa = rng.normal(size=(2, 3, n, 3))
+        kappa /= np.linalg.norm(kappa, axis=-1, keepdims=True)
+        beta = rng.uniform(0.05, 0.95, size=(2, 3, n, 1))
+        o = run(q, k, v, lam, kappa, beta)
+        o_ref = R.dplr_dense_oracle(q, k, v, lam, kappa, beta)
+        assert np.max(np.abs(o.data - o_ref)) <= 1e-10
+        assert np.array_equal(_on_tape(run, q, k, v, lam, kappa, beta).data, o.data)
 
 
 @pytest.mark.parametrize("scalar", [False, True])
 @pytest.mark.parametrize("batch,n", [((2, 3), 1), ((2, 3), 5), ((2, 1), R._BLOCK + 3)])
-def test_dplr_batched_gradients(rng, batch, n, scalar):
-    q, k, v, lam = _batched_inputs(rng, batch, n, scalar, dk=2)
-    leaves = {name: Tensor(x, requires_grad=True)
-              for name, x in zip(("q", "k", "v", "lam"), (q, k, v, lam))}
-    leaves["kappa"] = Tensor(rng.normal(size=batch + (n, 2)), requires_grad=True)
-    leaves["beta"] = Tensor(rng.uniform(0.1, 0.9, size=batch + (n, 1)), requires_grad=True)
-
+def test_dplr_batched_gradients(rng, batch, n, scalar, monkeypatch):
     def build(lv):
         o = R.forward_dplr(lv["q"], lv["k"], lv["v"], lv["lam"],
                            _unit_rows(lv["kappa"]), lv["beta"])
         return T.tsum(o * o)
 
-    assert grad_check(build, leaves, rel_tol=1e-4) == []
+    for inputs in _dplr_routes(monkeypatch, rng, batch, n, scalar, dk=2):
+        leaves = {name: Tensor(x, requires_grad=True)
+                  for name, x in zip(("q", "k", "v", "lam"), inputs)}
+        leaves["kappa"] = Tensor(rng.normal(size=batch + (n, 2)), requires_grad=True)
+        leaves["beta"] = Tensor(rng.uniform(0.1, 0.9, size=batch + (n, 1)), requires_grad=True)
+        assert grad_check(build, leaves, rel_tol=1e-4) == []
 
 
 def _chunk_inputs(rng, batch, n, dk=3, dv=2, scalar=True):
     """Inputs with lambda = 0 at t = 0 and on the first chunk boundary, where
-    the factorized form of the chunked kernel needs no division."""
+    the chunk kernels need no division."""
     q, k, v, lam = _batched_inputs(rng, batch, n, scalar, dk=dk, dv=dv)
     lam[..., n // 2, :] = 0.5
     if n > R.CHUNK:
