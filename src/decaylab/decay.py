@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
+from .recurrence import _chunks, _unchunk
 from .tensor import Tensor, as_tensor
 
 GRANULARITIES = ("scalar", "vector")
@@ -158,29 +159,84 @@ def decay_activations(x, proj: DecayProjection, config: DecayConfig):
     return T.matmul(T.matmul(xh, proj.w_low), proj.w_head)
 
 
+LIGHTNET_BLOCK = 64
+"""Positions per block of LightNet's running log-sum-exp."""
+LIGHTNET_LIMIT = 600.0
+"""Largest rise of F above its block's reference that the blocked route takes;
+exp(600) times a block of 64 stays far below the float64 overflow."""
+
+
+def _sequential_lse(prev, x):
+    """Running log-sum-exp of ``x`` along axis -2 continued from ``prev``
+    (..., 1, d), one position at a time: numpy's scalar accumulate."""
+    return np.logaddexp.accumulate(np.concatenate([prev, x], axis=-2), axis=-2)[..., 1:, :]
+
+
+def _running_lse(x):
+    """lse_t = log sum_{i<=t} exp(x_i) along axis -2, blocked.
+
+    Each block of ``LIGHTNET_BLOCK`` positions subtracts its reference, the
+    running max at its first position, and takes the in-block cumsum of exp;
+    a short accumulate over the block totals joins the blocks.  From the
+    first position (over all leading indices) where x rises more than
+    ``LIGHTNET_LIMIT`` above its block's reference, ``_sequential_lse``
+    finishes the sequence from the previous lse.  Each step only reads
+    earlier positions, so lse_t depends on x_{<=t} alone on either route.
+    """
+    xb = _chunks(x, LIGHTNET_BLOCK, -np.inf)
+    ref = xb[..., 0, :].copy()
+    before = np.maximum.accumulate(xb[..., :-1, :, :].max(axis=-2), axis=-2)
+    np.maximum(before, ref[..., 1:, :], out=ref[..., 1:, :])
+    ref = ref[..., None, :]
+    z = xb - ref
+    start = None
+    if z.max() > LIGHTNET_LIMIT:
+        rise = np.any(z > LIGHTNET_LIMIT, axis=tuple(range(z.ndim - 3)) + (-1,))
+        start = int(np.argmax(rise.ravel()))
+        # clipped values lie at or after start and are overwritten below
+        np.minimum(z, LIGHTNET_LIMIT, out=z)
+    np.exp(z, out=z)
+    c = np.cumsum(z, axis=-2)
+    # a block's own sum may underflow to 0 below its reference
+    with np.errstate(divide="ignore"):
+        totals = np.log(c[..., :-1, -1:, :]) + ref[..., :-1, :, :]
+    # exp(lse before the block - ref) is at most n, so it cannot overflow;
+    # either it or the block's first term is at least 1, so c >= 1 afterwards
+    c[..., 1:, :, :] += np.exp(np.logaddexp.accumulate(totals, axis=-3) - ref[..., 1:, :, :])
+    np.log(c, out=c)
+    c += ref
+    lse = _unchunk(c, x.shape[-2])
+    if start is not None:
+        lse[..., start:, :] = _sequential_lse(lse[..., start - 1:start, :], x[..., start:, :])
+    return lse
+
+
 def lightnet_decay(f):
     """Cumulative-softmax decay: lambda_t = d_{t-1} / d_t, d_t = sum_{i<=t} exp(F_i).
 
     Time runs along axis -2.  The empty prefix gives lambda_1 = 0, and
-    1 - lambda_t = exp(F_t) / d_t holds.  Computed through a running
-    logsumexp, so lambda_t depends only on F_{<=t} (exact causality); the
-    backward is a reverse scan over bounded terms, finite for any finite F.
+    1 - lambda_t = exp(F_t) / d_t holds.  lambda_t = exp(lse_{t-1} - lse_t)
+    through the blocked running log-sum-exp of :func:`_running_lse`, whose
+    sequential fallback takes over where F rises more than
+    ``LIGHTNET_LIMIT`` above a block's reference; on both routes lambda_t
+    depends only on F_{<=t}, bitwise.  The backward is a reverse scan over
+    bounded terms, finite for any finite F.
     """
     f = as_tensor(f)
     x = f.data
     if x.shape[-2] < 1:
         raise ValueError("lightnet_decay: need at least one position")
-    lse = np.logaddexp.accumulate(x, axis=-2)
+    lse = _running_lse(x)
     lam_data = np.concatenate(
         [np.zeros_like(x[..., :1, :]),
          np.exp(lse[..., :-1, :] - lse[..., 1:, :])], axis=-2)
     out = Tensor(lam_data)
-    # 1 - lambda_t = exp(F_t - lse_t), without cancellation
-    p = np.exp(x - lse)
 
     def bw(g):
+        # 1 - lambda_t = exp(F_t - lse_t), without cancellation.
         # dL/dF_s = p_s (W_s - g_s) with W_s = sum_{t>=s} g_t p_t prod_{s<i<=t} lambda_i,
         # i.e. W_s = g_s p_s + lambda_{s+1} W_{s+1}: every factor lies in [0, 1]
+        p = np.exp(x - lse)
         c = np.moveaxis(g * p, -2, 0)
         lam_t = np.moveaxis(lam_data, -2, 0)
         w = np.empty_like(c)

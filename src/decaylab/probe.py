@@ -50,10 +50,12 @@ def median(values):
     if vals.size == 0:
         raise ValueError("median of empty input")
     n = vals.size
+    # one partition: the lower middle of an even count is the largest value
+    # below the upper middle
+    part = np.partition(vals, n // 2)
     if n % 2:
-        return float(np.partition(vals, n // 2)[n // 2])
-    part = np.partition(vals, [n // 2 - 1, n // 2])
-    return float((part[n // 2 - 1] + part[n // 2]) / 2.0)
+        return float(part[n // 2])
+    return float((part[:n // 2].max() + part[n // 2]) / 2.0)
 
 
 def capture_trace(params, config: ModelConfig, tokens) -> DecayTrace:

@@ -57,9 +57,13 @@ def _check_shapes(q, k, v, lam, kappa=None, beta=None):
     if beta is not None and beta.shape != q.shape[:-1] + (1,):
         raise ShapeError(f"beta shape {beta.shape} incompatible with q shape {q.shape}")
     named = (("q", q), ("k", k), ("v", v), ("lam", lam), ("kappa", kappa), ("beta", beta))
-    for name, arr in named:
-        if arr is not None and not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite values in {name}")
+    # one reduction each: a finite sum means every value is finite; a sum
+    # that overflows from finite values gets the elementwise check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, arr in named:
+            if (arr is not None and not np.isfinite(arr.sum())
+                    and not np.all(np.isfinite(arr))):
+                raise ValueError(f"non-finite values in {name}")
 
 
 def _time_major(x):

@@ -326,6 +326,28 @@ def suite_gradients(level="full"):
     return failures
 
 
+def _lightnet_oracle(f):
+    """lambda_t = d_{t-1} / d_t from cumulative sums of exp(F_i - M_t), with
+    M_t the largest F_{<=t}: one cumsum per position, plain numpy."""
+    lam = np.zeros_like(f)
+    for t in range(1, f.shape[-2]):
+        prefix = f[..., :t + 1, :]
+        d = np.cumsum(np.exp(prefix - prefix.max(axis=-2, keepdims=True)), axis=-2)
+        lam[..., t, :] = d[..., t - 1, :] / d[..., t, :]
+    return lam
+
+
+# Cases of LightNet's running log-sum-exp: (shape, position of a +800 jump at
+# the last leading index, or None).  Several blocks with a ragged tail and a
+# batched shape take the blocked route; a jump in the middle of a block sends
+# the rest of the call to the sequential fallback.
+_LIGHTNET_CASES = [
+    ((3 * D.LIGHTNET_BLOCK + 11, 3), None),
+    ((2, 3, 2 * D.LIGHTNET_BLOCK + 5, 4), None),
+    ((2, 3, 3 * D.LIGHTNET_BLOCK + 11, 4), D.LIGHTNET_BLOCK + D.LIGHTNET_BLOCK // 2),
+]
+
+
 def suite_decay_identities(level="full"):
     failures = []
     rng = np.random.Generator(np.random.Philox(7))
@@ -339,6 +361,15 @@ def suite_decay_identities(level="full"):
         [np.cumprod(lam[::-1], axis=0)[::-1][1:], np.ones((1, 3))], axis=0)
     if not float(np.max(np.abs(weights.sum(axis=0) - 1.0))) <= 1e-12:
         failures.append("lightnet partition of unity violated")
+    # lightnet: both routes against the cumulative-sum oracle
+    rng_l = np.random.Generator(np.random.Philox([7, 1]))
+    for shape, jump in _LIGHTNET_CASES:
+        f = rng_l.normal(0.0, 3.0, size=shape)
+        if jump is not None:
+            f.reshape((-1,) + shape[-2:])[-1, jump, 1] += 800.0
+        diff = float(np.max(np.abs(D.lightnet_decay(Tensor(f)).data - _lightnet_oracle(f))))
+        if not diff <= 1e-12:
+            failures.append(f"lightnet shape={shape} jump at {jump}: max abs diff {diff:.3e}")
     # tnl spot values
     if D.tnl_decay(1, 2, 1, 2) != math.exp(-2.0):
         failures.append("tnl exp(-2) spot value")

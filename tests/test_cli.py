@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from decaylab import cli
-from decaylab import model, recurrence, tensor
+from decaylab import decay, model, recurrence, tensor
 from decaylab.checkpoint import MAGIC, save_checkpoint
 from decaylab.decay import STRATEGIES, ConfigError, DecayConfig
 from decaylab.model import ModelConfig, config_to_dict, init_params, lm_forward
@@ -325,60 +325,72 @@ def test_cmd_verify_detects_a_perturbed_dplr_chunk_state(monkeypatch, capsys):
     assert ": output rel diff" in out and "no-tape output rel diff" in out
 
 
-def _kernel_paths(monkeypatch, name):
-    """Counts of the calls to the kernel ``name`` that run its chunk form and
-    of those that fall back to the scan."""
+def _routes(monkeypatch, owner, name, fallback, rebind=()):
+    """Counts of the calls to ``owner.name`` that finish on their fast route
+    and of those that call ``owner.fallback``.  ``rebind`` lists further
+    modules that bind ``name`` themselves."""
     counts = Counter()
-    real_kernel, real_scan = getattr(recurrence, name), recurrence._recurrence
+    real, real_fallback = getattr(owner, name), getattr(owner, fallback)
     inside = []
 
-    def kernel(*args):
+    def wrapped(*args):
         inside.append(False)
         try:
-            return real_kernel(*args)
+            return real(*args)
         finally:
-            counts["fallback" if inside.pop() else "chunk"] += 1
+            counts["fallback" if inside.pop() else "fast"] += 1
 
-    def scan(*args):
+    def wrapped_fallback(*args):
         if inside:
             inside[-1] = True
-        return real_scan(*args)
+        return real_fallback(*args)
 
-    for owner in (recurrence, model):
-        monkeypatch.setattr(owner, name, kernel)
-    monkeypatch.setattr(recurrence, "_recurrence", scan)
+    for module in (owner, *rebind):
+        monkeypatch.setattr(module, name, wrapped)
+    monkeypatch.setattr(owner, fallback, wrapped_fallback)
+    return counts
+
+
+def _all_routes(monkeypatch):
+    """Route counts of both chunk kernels and of LightNet's decay."""
+    counts = {name: _routes(monkeypatch, recurrence, name, "_recurrence", rebind=(model,))
+              for name in ("forward_chunked", "forward_dplr")}
+    counts["lightnet_decay"] = _routes(monkeypatch, decay, "lightnet_decay", "_sequential_lse")
     return counts
 
 
 def test_cmd_verify_reaches_the_factorized_form_and_the_fallback(monkeypatch):
-    counts = {name: _kernel_paths(monkeypatch, name)
-              for name in ("forward_chunked", "forward_dplr")}
+    counts = _all_routes(monkeypatch)
     assert cli.main(["verify", "--level", "quick"]) == cli.EXIT_OK
     for name, count in counts.items():
-        assert count["chunk"] > 0 and count["fallback"] > 0, name
+        assert count["fast"] > 0 and count["fallback"] > 0, name
 
 
 def test_benchmark_cells_take_no_fallback_at_init(monkeypatch, rng):
     # the six strategies of the training smoke runs and the DPLR cell at their
     # geometry under a tape, and the three probed checkpoints at n = 2048
     # without one
-    counts = {name: _kernel_paths(monkeypatch, name)
-              for name in ("forward_chunked", "forward_dplr")}
+    counts = _all_routes(monkeypatch)
     smoke = [DecayConfig(strategy=s) for s in ("mamba2", "gla", "hgrn2", "lightnet")]
     smoke += [DecayConfig(strategy="tnl", granularity="scalar"),
               DecayConfig(strategy="simple", p=0.99)]
     probed = [smoke[0], smoke[3], smoke[4]]
     dplr = dict(transition="dplr", posenc="rope")
-    runs = [(decay, {}, (8, 128), True) for decay in smoke]
+    runs = [(cell, {}, (8, 128), True) for cell in smoke]
     runs += [(DecayConfig(strategy="gla", sharing="shared"), dplr, (8, 128), True)]
-    runs += [(decay, {}, (2048,), False) for decay in probed]
-    for decay, extra, shape, tape in runs:
-        config = ModelConfig(n_layers=2, hidden=64, heads=4, vocab=256, decay=decay, **extra)
+    runs += [(cell, {}, (2048,), False) for cell in probed]
+    for decay_config, extra, shape, tape in runs:
+        config = ModelConfig(n_layers=2, hidden=64, heads=4, vocab=256,
+                             decay=decay_config, **extra)
         params = init_params(config)
+        before = counts["lightnet_decay"]["fast"]
         with tensor.Tape() if tape else contextlib.nullcontext():
             lm_forward(rng.integers(0, 256, size=shape), params, config)
+        if decay_config.strategy == "lightnet":
+            # one blocked call per layer, in the training cell and the probe
+            assert counts["lightnet_decay"]["fast"] == before + 2, shape
     for name, count in counts.items():
-        assert count["fallback"] == 0 and count["chunk"] > 0, name
+        assert count["fallback"] == 0 and count["fast"] > 0, name
 
 
 def test_cmd_export(trained_run, tmp_path, capsys):

@@ -248,6 +248,76 @@ def test_lightnet_gradient(rng):
     assert grad_check(build, {"f": f}, rel_tol=1e-4) == []
 
 
+def _lightnet_calls(monkeypatch):
+    """The number of positions each call of the sequential fallback finishes."""
+    calls = []
+    real = D._sequential_lse
+
+    def fallback(prev, x):
+        calls.append(x.shape[-2])
+        return real(prev, x)
+
+    monkeypatch.setattr(D, "_sequential_lse", fallback)
+    return calls
+
+
+def test_lightnet_blocked_route_matches_the_accumulate(rng, monkeypatch):
+    calls = _lightnet_calls(monkeypatch)
+    block = D.LIGHTNET_BLOCK
+    for shape in [(3 * block + 11, 3), (2, 3, 2 * block, 4), (1, 5)]:
+        f = rng.normal(0.0, 3.0, size=shape)
+        lse = np.logaddexp.accumulate(f, axis=-2)
+        ref = np.concatenate([np.zeros_like(f[..., :1, :]),
+                              np.exp(lse[..., :-1, :] - lse[..., 1:, :])], axis=-2)
+        lam = D.lightnet_decay(Tensor(f)).data
+        assert np.max(np.abs(lam - ref)) <= 1e-13, shape
+    assert calls == []
+
+
+def test_lightnet_prefix_is_bitwise_unchanged_by_a_later_fallback(rng, monkeypatch):
+    calls = _lightnet_calls(monkeypatch)
+    block = D.LIGHTNET_BLOCK
+    n = 3 * block + 7
+    f = rng.normal(0.0, 2.0, size=(2, n, 3))
+    base = D.lightnet_decay(Tensor(f)).data
+    assert calls == []
+    for t in (block + block // 2, 2 * block + 1, n - 1):
+        g = f.copy()
+        g[1, t, 2] += 800.0
+        lam = D.lightnet_decay(Tensor(g)).data
+        assert calls[-1] == n - t
+        assert np.array_equal(lam[:, :t], base[:, :t]), t
+        assert np.all(np.isfinite(lam)) and np.all((lam >= 0.0) & (lam <= 1.0))
+        # the jump outweighs everything before it
+        assert lam[1, t, 2] <= 1e-300
+
+
+def test_lightnet_gradient_over_several_blocks(rng):
+    n = 2 * D.LIGHTNET_BLOCK + 9
+    f = Tensor(rng.normal(0.0, 2.0, size=(n, 2)), requires_grad=True)
+    w = rng.normal(size=(n, 2))
+
+    def build(leaves):
+        return T.tsum(D.lightnet_decay(leaves["f"]) * T.as_tensor(w))
+
+    assert grad_check(build, {"f": f}, rel_tol=1e-4) == []
+
+
+@pytest.mark.parametrize("runs", [(800.0, -800.0), (-800.0, 800.0), (800.0, 0.0, -800.0)])
+def test_lightnet_saturated_runs_are_finite(runs, rng):
+    block = D.LIGHTNET_BLOCK
+    # runs of 40 positions, so the switches fall inside and across blocks
+    f = np.concatenate([np.full((40, 3), v) for v in runs * 3], axis=0)
+    f += rng.normal(0.0, 1.0, size=f.shape)
+    assert f.shape[0] > 2 * block
+    ft = Tensor(f, requires_grad=True)
+    with T.Tape():
+        lam = D.lightnet_decay(ft)
+        T.backward(T.tsum(lam * rng.normal(size=f.shape)))
+    assert np.all(np.isfinite(lam.data)) and np.all((lam.data >= 0.0) & (lam.data <= 1.0))
+    assert np.all(np.isfinite(ft.grad))
+
+
 _F_SHAPE = (4, 3, 2)  # heads, positions, decay width
 _F_SIZE = int(np.prod(_F_SHAPE))
 

@@ -41,6 +41,17 @@ def test_median_matches_sort_oracle(rng):
     assert median(vals) == float(np.sort(vals)[4999])
 
 
+@pytest.mark.parametrize("n", [6, 7, 40, 41])
+def test_median_with_ties_straddling_the_middle(n, rng):
+    # a run of three equal values covers both middle positions, or the middle
+    # one and its neighbours; rounding to one digit makes ties everywhere
+    run = np.repeat([0.25, 0.5, 0.75], [n // 2 - 1, 3, n - n // 2 - 2])
+    for vals in (run, rng.permutation(run), np.round(rng.uniform(size=n), 1)):
+        ordered = np.sort(vals)
+        expected = ordered[n // 2] if n % 2 else (ordered[n // 2 - 1] + ordered[n // 2]) / 2.0
+        assert median(vals) == float(expected)
+
+
 def test_capture_trace_basic(rng):
     config, params = _model()
     tokens = rng.integers(0, 256, size=32)

@@ -161,6 +161,25 @@ def test_dplr_rejects_non_finite_kappa_and_beta(rng, name):
         R.forward_dplr(**args)
 
 
+def test_finite_inputs_whose_sum_overflows_are_accepted(rng):
+    v = np.array([[1e308], [1e308]])
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(v.sum())
+    q, k = (rng.normal(size=(2, 1)) for _ in range(2))
+    R._check_shapes(q, k, v, np.full((2, 1), 0.5))
+    R._check_shapes(v, v, v, np.full((2, 1), 0.5), kappa=v, beta=v)
+
+
+@pytest.mark.parametrize("name", ["q", "k", "v", "lam"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_are_rejected_by_name(rng, name, bad):
+    args = dict(q=rng.normal(size=(3, 2)), k=rng.normal(size=(3, 2)),
+                v=rng.normal(size=(3, 2)), lam=rng.uniform(0.1, 1.0, size=(3, 2)))
+    args[name][1, 0] = bad
+    with pytest.raises(ValueError, match=f"non-finite values in {name}"):
+        R.forward_sequential(**args)
+
+
 def test_dplr_beta_zero_reduces_to_diagonal(rng):
     n, dk, dv = 6, 4, 3
     q, k, v = (rng.normal(size=(n, d)) for d in (dk, dk, dv))
