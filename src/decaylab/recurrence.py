@@ -4,14 +4,15 @@ The sequential scan is the canonical semantics; extended with a delta-rule
 rank-one correction, it is also the semantics of DPLR.  Diagonal decay, of
 width 1 or dk, trains and runs through the factorized chunk kernel
 ``forward_chunked``, and the DPLR transition through the chunkwise UT form
-``forward_dplr``; both fall back to the scan where their divisions by
-running products of lam would lose precision.  At (8, 4, 128, 16) on one
-BLAS thread the forward and backward of ``forward_chunked`` took 4.8 ms at
-width 1, against 5.3 ms for the pair-decay kernel it replaced, and 5.8 ms
-at width dk, against 13 ms for the scan; inside a training step the two
-DPLR layers took 38 ms against 59 ms for the scan.  The quadratic
-closed-form expansion ``forward_oracle`` and the dense DPLR recurrence
-``dplr_dense_oracle`` are references only.
+``forward_dplr``.  Both cut the sequence into chunks of ``CHUNK``
+positions, the one chunk size, and fall back to the scan where their
+divisions by running products of lam would lose precision.  At
+(8, 4, 128, 16) on one BLAS thread the forward and backward of
+``forward_chunked`` took 4.8 ms at width 1, against 5.3 ms for the
+pair-decay kernel it replaced, and 5.8 ms at width dk, against 13 ms for
+the scan; inside a training step the two DPLR layers took 38 ms against
+59 ms for the scan.  The quadratic closed-form expansion ``forward_oracle``
+and the dense DPLR recurrence ``dplr_dense_oracle`` are references only.
 
 All kernels take plain tensors (arrays or Tensors) and return only the
 outputs ``o``.  Shapes: ``q``/``k`` are (..., n, dk), ``v`` is (..., n, dv),
@@ -199,17 +200,10 @@ def forward_oracle(q, k, v, lam):
     q, k, v, lam = (x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
                     for x in (q, k, v, lam))
     _check_shapes(q, k, v, lam)
-    n, dk = q.shape[-2], q.shape[-1]
-    dv = v.shape[-1]
-    batch = np.broadcast_shapes(q.shape[:-2], v.shape[:-2])
-    lam = np.broadcast_to(lam, batch + (n, lam.shape[-1]))
-    q = np.broadcast_to(q, batch + (n, dk))
-    k = np.broadcast_to(k, batch + (n, dk))
-    v = np.broadcast_to(v, batch + (n, dv))
-    o = np.zeros(batch + (n, dv))
+    o = np.zeros(v.shape)
     # w[..., j, :] holds prod_{i=j+1}^t lam_i for the current t
-    w = np.zeros(batch + (n, lam.shape[-1]))
-    for t in range(n):
+    w = np.zeros(lam.shape)
+    for t in range(q.shape[-2]):
         w[..., :t, :] *= lam[..., t, None, :]
         w[..., t, :] = 1.0
         coef = (q[..., t, None, :] * w[..., : t + 1, :] * k[..., : t + 1, :]).sum(axis=-1)
@@ -235,16 +229,21 @@ def _decays(lc):
     the running product of lam from each chunk's second position (gamma = 1
     at the first), of chunked lam; or None where the factorized form must not
     divide by them: some lam past a chunk's first position lies below
-    ``FLOOR``, or some gamma below FLOOR ** (CHUNK - 1), the least gamma of
-    a default chunk."""
+    ``FLOOR``, which also bounds gamma below by FLOOR ** (CHUNK - 1)."""
     gamma = lc.copy()
     gamma[..., 0, :] = 1.0
     if not np.all(gamma >= FLOOR):
         return None
     np.cumprod(gamma, axis=-2, out=gamma)
-    if not np.all(gamma >= FLOOR ** (CHUNK - 1)):
-        return None
     return lc[..., :1, :], gamma
+
+
+def _accum_dlam(lam, lc, da, dlog):
+    """Accumulate dlam into ``lam``: ``da`` at each chunk's first lam and, past
+    it, the reverse in-chunk cumsum of ``dlog`` (d log gamma) over lam ``lc``."""
+    dlam = np.cumsum(dlog[..., :0:-1, :], axis=-2)[..., ::-1, :]
+    dlam /= lc[..., 1:, :]
+    T._accum(lam, _unchunk(np.concatenate([da, dlam], axis=-2), lam.shape[-2]))
 
 
 def _mT(x):
@@ -289,60 +288,56 @@ def _span(qc, kc, vc, a, gamma, state):
     return o, S, qg, kg, P
 
 
-def forward_chunked(q, k, v, lam, chunk=CHUNK):
+def forward_chunked(q, k, v, lam):
     """Chunkwise-parallel evaluation of the recurrence of ``forward_sequential``,
     for lam of width 1 or dk.  Returns ``o``, differentiable in q, k, v and lam.
 
-    The factorized form of GLA (Yang et al. 2023, arXiv 2312.06635, section 4):
-    with a the first lam of a chunk and gamma the running product of lam from
-    its second position, Q~ = Q . gamma and K~ = K / gamma, a chunk's outputs
-    are tril(Q~ K~^T) V + (a Q~) S and the state after it is
-    a gamma_last S + (K~ gamma_last)^T V.  Because gamma starts at the second
-    position, a zero first lam needs no division.  The backward is the
-    transposed GEMMs plus d log lam, the reverse in-chunk cumsum of
-    Q~ . dQ~ - K~ . dK~ with the gamma_last and state terms on the chunk's last
-    row; dlam = d log lam / lam, but for a, whose gradient is taken directly.
-    Without a tape the forward runs in spans of about ``SPAN`` positions and
-    carries the state from one to the next.  Where ``_decays`` refuses the
-    division, the call runs the scan.
+    The factorized form of GLA (Yang et al. 2023, arXiv 2312.06635, section 4),
+    on chunks of ``CHUNK`` positions: with a the first lam of a chunk and gamma
+    the running product of lam from its second position, Q~ = Q . gamma and
+    K~ = K / gamma, a chunk's outputs are tril(Q~ K~^T) V + (a Q~) S and the
+    state after it is a gamma_last S + (K~ gamma_last)^T V.  Because gamma
+    starts at the second position, a zero first lam needs no division.  The
+    backward is the transposed GEMMs plus d log lam, the reverse in-chunk
+    cumsum of Q~ . dQ~ - K~ . dK~ with the gamma_last and state terms on the
+    chunk's last row; dlam = d log lam / lam, but for a, whose gradient is
+    taken directly.  The forward carries the state across spans of ``SPAN``
+    positions without a tape and runs one span under a tape.  Where
+    ``_decays`` refuses the division, the call runs the scan.
     """
     q, k, v, lam = as_tensor(q), as_tensor(k), as_tensor(v), as_tensor(lam)
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     _check_shapes(q.data, k.data, v.data, lam.data)
     parents = (q, k, v, lam)
     n = q.shape[-2]
+    taped = T.recording(*parents)
+    span = max(n, 1) if taped else SPAN
     state = np.zeros(q.shape[:-2] + (q.shape[-1], v.shape[-1]))
-    if not T.recording(*parents):
-        # the output is laid out time-major in memory, so that the model's
-        # (..., n, heads * dv) reshape of it is a view
-        span = max(SPAN // chunk, 1) * chunk
-        out = np.empty((n,) + v.shape[:-2] + v.shape[-1:])
-        for t0 in range(0, n, span):
-            part = (..., slice(t0, t0 + span), slice(None))
-            decays = _decays(_chunks(lam.data[part], chunk, 1.0))
-            if decays is None:
-                return _recurrence(q, k, v, lam)
-            o, S = _span(*(_chunks(x.data[part], chunk, 0.0) for x in (q, k, v)),
-                         *decays, state)[:2]
-            out[t0:t0 + span] = np.moveaxis(_unchunk(o, min(span, n - t0)), -2, 0)
-            state = S[-1].copy()
-            del o, S  # so that the next span's arrays replace them, not join them
-        return Tensor(np.moveaxis(out, 0, -2))
-    lc = _chunks(lam.data, chunk, 1.0)
-    decays = _decays(lc)
-    if decays is None:
-        return _recurrence(q, k, v, lam)
+    # the output is laid out time-major in memory, so that the model's
+    # (..., n, heads * dv) reshape of it is a view
+    out = np.empty((n,) + v.shape[:-2] + v.shape[-1:])
+    for t0 in range(0, max(n, 1), span):  # an empty sequence runs one empty span
+        part = (..., slice(t0, t0 + span), slice(None))
+        lc = _chunks(lam.data[part], CHUNK, 1.0)
+        decays = _decays(lc)
+        if decays is None:
+            return _recurrence(q, k, v, lam)
+        qc, kc, vc = (_chunks(x.data[part], CHUNK, 0.0) for x in (q, k, v))
+        o, S, qg, kg, P = _span(qc, kc, vc, *decays, state)
+        out[t0:t0 + span] = np.moveaxis(_unchunk(o, min(span, n - t0)), -2, 0)
+        state = S[-1].copy()
+        if not taped:  # so that the next span's arrays replace these, not join them
+            del lc, decays, qc, kc, vc, o, S, qg, kg, P
+    out = Tensor(np.moveaxis(out, 0, -2))
+    if not taped:
+        return out
     a, gamma = decays
-    qc, kc, vc = (_chunks(p.data, chunk, 0.0) for p in (q, k, v))
-    o, S, qg, kg, P = _span(qc, kc, vc, a, gamma, state)
     S = np.moveaxis(S, 0, -3)
     last = gamma[..., -1:, :]
 
     def bw(g):
-        gc = _chunks(g, chunk, 0.0)
+        gc = _chunks(g, CHUNK, 0.0)
         dP = np.matmul(gc, np.swapaxes(vc, -1, -2))
-        dP *= np.tri(chunk)
+        dP *= np.tri(CHUNK)
         # H_m = dL/dS_m, from chunk m's outputs and from S_{m+1}; the state
         # after chunk m is U_m plus its transition of S_m, so dL/dU_m = H_{m+1}
         H = np.moveaxis(np.matmul(np.swapaxes(qg * a, -1, -2), gc), -3, 0)
@@ -367,11 +362,9 @@ def forward_chunked(q, k, v, lam, chunk=CHUNK):
         dlog[..., -1:, :] += last * (
             np.einsum(f"...cd,...cd->...{d}", kg, dkl).reshape(a.shape) + a * dtrans)
         da = np.einsum(f"...cd,...cd->...{d}", qg, gS).reshape(a.shape) + last * dtrans
-        dlam = np.cumsum(dlog[..., :0:-1, :], axis=-2)[..., ::-1, :]
-        dlam /= lc[..., 1:, :]
-        T._accum(lam, _unchunk(np.concatenate([da, dlam], axis=-2), n))
+        _accum_dlam(lam, lc, da, dlog)
 
-    return T._record(Tensor(_unchunk(o, n)), parents, bw)
+    return T._record(out, parents, bw)
 
 
 def forward_dplr(q, k, v, lam, kappa, beta):
@@ -510,9 +503,7 @@ def forward_dplr(q, k, v, lam, kappa, beta):
         da = (np.einsum(f"...cd,...cd->...{d}", qg, gS)
               + np.einsum(f"...cd,...cd->...{d}", left[..., c + 1:, :], dY[..., 1:, :dk])
               ).reshape(a.shape) + last * dtrans
-        dlam = np.cumsum(dlog[..., :0:-1, :], axis=-2)[..., ::-1, :]
-        dlam /= lc[..., 1:, :]
-        T._accum(lam, _unchunk(np.concatenate([da, dlam], axis=-2), n))
+        _accum_dlam(lam, lc, da, dlog)
 
     return T._record(Tensor(_unchunk(o, n)), parents, bw)
 

@@ -16,8 +16,6 @@ from .decay import STRATEGIES
 from .model import ModelConfig, init_params, lm_forward
 from .tensor import Tape, Tensor, backward
 
-VOCAB_BYTES = 256
-
 
 @dataclass
 class TrainConfig:
@@ -73,8 +71,11 @@ def load_corpus(path, config: TrainConfig) -> Corpus:
     need = config.batch_size * (config.seq_len + 1)
     if len(raw) < need:
         raise ValueError(f"corpus too small: {len(raw)} bytes, need at least {need}")
-    split = max(need, int(len(raw) * (1.0 - config.val_fraction)))
-    return Corpus(data=raw.copy(), split=min(split, len(raw)))
+    split = min(max(need, int(len(raw) * (1.0 - config.val_fraction))), len(raw))
+    if config.val_every and len(raw) - split < config.seq_len + 1:
+        raise ValueError(f"validation split too small: {len(raw) - split} bytes, "
+                         f"need at least {config.seq_len + 1}")
+    return Corpus(data=raw.copy(), split=split)
 
 
 def make_corpus(path, size=200_000, seed=0):
@@ -109,7 +110,8 @@ def next_batch(corpus: Corpus, config: TrainConfig, step, split="train"):
         raise ValueError("corpus split too small for seq_len")
     key = [config.seed, step] if split == "train" else [config.seed, step, 1]
     rng = np.random.Generator(np.random.Philox(key))
-    offsets = rng.integers(0, len(data) - config.seq_len - 1, size=config.batch_size)
+    # a split of exactly one window draws it at offset 0
+    offsets = rng.integers(0, max(len(data) - config.seq_len - 1, 1), size=config.batch_size)
     idx = offsets[:, None] + np.arange(config.seq_len + 1)[None, :]
     window = data[idx].astype(np.int64)
     return window[:, :-1], window[:, 1:]

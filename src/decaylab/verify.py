@@ -71,13 +71,24 @@ def suite_sequential_vs_oracle(level="full"):
     return failures
 
 
-def _kernel_grads(kernel, arrays, weight, *args):
+def _kernel_grads(kernel, arrays, weight):
     """Output and the gradients of sum(o * weight) wrt every input array."""
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
     with Tape():
-        o = kernel(*leaves, *args)
+        o = kernel(*leaves)
         backward(T.tsum(o * weight))
     return o.data, [leaf.grad for leaf in leaves]
+
+
+def _against_the_scan(kernel, arrays, weight, case):
+    """Failures of ``kernel`` against the scan on ``arrays``: its outputs with
+    and without a tape and every gradient of sum(o * weight), within 1e-10."""
+    o_scan, g_scan = _kernel_grads(R._recurrence, arrays, weight)
+    o_ker, g_ker = _kernel_grads(kernel, arrays, weight)
+    names = ("output", "no-tape output", "dq", "dk", "dv", "dlam", "dkappa", "dbeta")
+    pairs = zip(names, [o_ker, kernel(*arrays).data] + g_ker, [o_scan, o_scan] + g_scan)
+    return [f"{case}: {name} rel diff {_rel_diff(a, b):.3e}"
+            for name, a, b in pairs if not _rel_diff(a, b) <= 1e-10]
 
 
 def _rel_diff(a, b):
@@ -89,10 +100,10 @@ def _rel_diff(a, b):
 # positions with lam = value).  Zeros at t = 0, on a chunk boundary and at a
 # span's first position keep the factorized form, over more than two spans
 # and, with a (2, 3) batch, across one span boundary; so does a run just
-# above FLOOR.  A zero at a span's last position or in the
-# middle of a chunk, a run of 1e-30 and a run just below FLOOR send the call
-# to the scan.  They also cover n not a multiple of the chunk, n below the
-# chunk, n = 1 and a (2, 3) batch.
+# above FLOOR past a chunk's first position, the least gamma that ``_decays``
+# admits.  A zero at a span's last position or in the middle of a chunk, a
+# run of 1e-30 and a run just below FLOOR send the call to the scan.  They
+# also cover n not a multiple of the chunk, n below the chunk and n = 1.
 _CHUNK_CASES = [
     ((), 2 * R.SPAN + R.CHUNK + 3, 0.0, (0, R.CHUNK, R.SPAN)),
     ((2, 3), R.SPAN + 5, 0.0, (0, R.CHUNK)),
@@ -110,32 +121,14 @@ _CHUNK_CASES = [
 def suite_chunked_vs_sequential(level="full"):
     failures = []
     rng = np.random.Generator(np.random.Philox(2))
-    lengths = [257, 64, 33] if level == "full" else [33]
-    for n in lengths:
-        dk, dv = 6, 5
-        lam = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 2.0, size=(n, dk))))
-        q, k, v = (rng.normal(size=(n, d)) for d in (dk, dk, dv))
-        o_seq = R.forward_sequential(q, k, v, lam)
-        for chunk in (1, 2, 16, 64, n):
-            o_ch = R.forward_chunked(q, k, v, lam, chunk)
-            diff = float(np.max(np.abs(o_ch.data - o_seq.data)))
-            if not diff <= 1e-8:
-                failures.append(f"n={n} chunk={chunk}: diff {diff:.3e}")
-    # outputs with and without a tape, and all four gradients
     dk, dv = 6, 5
     for (batch, n, value, positions), width in itertools.product(_CHUNK_CASES, (1, dk)):
         lam = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 2.0, size=batch + (n, width))))
         lam[..., list(positions), :] = value
         arrays = [rng.normal(size=batch + (n, d)) for d in (dk, dk, dv)] + [lam]
         weight = rng.normal(size=batch + (n, dv))
-        o_seq, g_seq = _kernel_grads(R.forward_sequential, arrays, weight)
-        o_ch, g_ch = _kernel_grads(R.forward_chunked, arrays, weight, R.CHUNK)
-        o_free = R.forward_chunked(*arrays, R.CHUNK).data
-        case = f"width={width} batch={batch} n={n} lam={value:g}"
-        for name, a, b in zip(("output", "no-tape output", "dq", "dk", "dv", "dlam"),
-                              [o_ch, o_free] + g_ch, [o_seq, o_seq] + g_seq):
-            if not _rel_diff(a, b) <= 1e-10:
-                failures.append(f"{case}: {name} rel diff {_rel_diff(a, b):.3e}")
+        failures += _against_the_scan(R.forward_chunked, arrays, weight,
+                                      f"width={width} batch={batch} n={n} lam={value:g}")
     return failures
 
 
@@ -174,8 +167,7 @@ def suite_dplr(level="full"):
         diff = float(np.max(np.abs(o_zero.data - o_diag.data)))
         if not diff <= 1e-12:
             failures.append(f"beta=0 reduction diff {diff:.3e}")
-    # the chunk kernel against the scan: outputs with and without a tape, and
-    # all six gradients
+    # the chunk kernel against the scan
     dk, dv = 4, 3
     for (batch, n, value, positions, scale), width in itertools.product(_DPLR_CASES, (1, dk)):
         lam = 1.0 / (1.0 + np.exp(-rng.normal(1.0, 2.0, size=batch + (n, width))))
@@ -185,14 +177,9 @@ def suite_dplr(level="full"):
         arrays = [rng.normal(size=batch + (n, d)) for d in (dk, dk, dv)]
         arrays += [lam, kappa, rng.uniform(0.05, 0.95, size=batch + (n, 1))]
         weight = rng.normal(size=batch + (n, dv))
-        o_scan, g_scan = _kernel_grads(R._recurrence, arrays, weight)
-        o_ch, g_ch = _kernel_grads(R.forward_dplr, arrays, weight)
-        o_free = R.forward_dplr(*arrays).data
-        case = f"width={width} batch={batch} n={n} lam={value:g} kappa scale={scale:g}"
-        names = ("output", "no-tape output", "dq", "dk", "dv", "dlam", "dkappa", "dbeta")
-        for name, a, b in zip(names, [o_ch, o_free] + g_ch, [o_scan, o_scan] + g_scan):
-            if not _rel_diff(a, b) <= 1e-10:
-                failures.append(f"{case}: {name} rel diff {_rel_diff(a, b):.3e}")
+        failures += _against_the_scan(
+            R.forward_dplr, arrays, weight,
+            f"width={width} batch={batch} n={n} lam={value:g} kappa scale={scale:g}")
     # delta-rule overwrite: the second write through the same unit key
     # replaces the first value, so reading that key at t = 1 gives v_2
     kap = np.zeros((2, 3))

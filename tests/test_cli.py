@@ -172,6 +172,46 @@ def test_cmd_train_dplr_lrpe_is_a_config_error(tmp_path, corpus_path, capsys):
     assert not out.exists()
 
 
+SHORT_SPLIT_CONFIG = """\
+[model]
+n_layers = 1
+hidden = 16
+heads = 2
+
+[train]
+total_steps = 3
+val_every = 1
+"""
+
+
+def _short_corpus(tmp_path, corpus_path, size):
+    path = tmp_path / f"corpus_{size}.txt"
+    with open(corpus_path, "rb") as f:
+        path.write_bytes(f.read(size))
+    return str(path)
+
+
+def test_cmd_train_rejects_a_validation_split_below_one_window(tmp_path, corpus_path, capsys):
+    # 1100 bytes at batch 8 x seq 128 leave 68 validation bytes, less than
+    # the 129 of one window
+    out = tmp_path / "o"
+    code = cli.main(["train", "--config", _write(tmp_path, SHORT_SPLIT_CONFIG),
+                     "--corpus", _short_corpus(tmp_path, corpus_path, 1100), "--out", str(out)])
+    assert code == cli.EXIT_IO
+    assert "error: validation split too small: 68 bytes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cmd_train_validates_on_an_exactly_fitting_split(tmp_path, corpus_path):
+    # 1290 bytes leave exactly one window of 129 validation bytes
+    out = tmp_path / "o"
+    code = cli.main(["train", "--config", _write(tmp_path, SHORT_SPLIT_CONFIG),
+                     "--corpus", _short_corpus(tmp_path, corpus_path, 1290), "--out", str(out)])
+    assert code == cli.EXIT_OK
+    lines = (out / "metrics.txt").read_text().strip().split("\n")
+    assert [len(line.split(",")) for line in lines] == [4, 4, 4]
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory, corpus_path):
     tmp = tmp_path_factory.mktemp("cli_run")
@@ -265,8 +305,8 @@ def test_cmd_verify_quick_passes_under_budget(capsys):
 def test_cmd_verify_detects_corrupted_chunked_kernel(monkeypatch, capsys):
     real = recurrence.forward_chunked
 
-    def corrupted(q, k, v, lam, chunk):
-        return real(q, k, v, lam, chunk) + 1e-3
+    def corrupted(q, k, v, lam):
+        return real(q, k, v, lam) + 1e-3
 
     monkeypatch.setattr(recurrence, "forward_chunked", corrupted)
     code = cli.main(["verify", "--level", "quick"])
@@ -279,12 +319,12 @@ def test_cmd_verify_detects_corrupted_chunked_kernel(monkeypatch, capsys):
 def test_cmd_verify_detects_a_scaled_chunked_decay_gradient(monkeypatch, capsys):
     real = recurrence.forward_chunked
 
-    def scaled_dlam(q, k, v, lam, chunk):
+    def scaled_dlam(q, k, v, lam):
         # lam passes through unchanged; its gradient comes back 1.001 times too large
         lam = tensor.as_tensor(lam)
         through = tensor._record(Tensor(lam.data), (lam,),
                                  lambda g: tensor._accum(lam, 1.001 * g))
-        return real(q, k, v, through, chunk)
+        return real(q, k, v, through)
 
     monkeypatch.setattr(recurrence, "forward_chunked", scaled_dlam)
     assert cli.main(["verify", "--level", "quick"]) == 1

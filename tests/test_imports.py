@@ -1,15 +1,15 @@
 """No module of the package imports a name it never uses, every public
-function or class of a module is used by the package, and every operator
-``Tensor`` defines is called by it.
+function, class or constant of a module is used by the package, and every
+operator ``Tensor`` defines is called by it.
 
 No linter ships with the project, so this walks each module's syntax tree:
 every name bound by an import must be read somewhere in the same module.
 ``__init__.py`` is skipped because its imports are the package's exports.
-A public top-level function or class must be named somewhere in the package
-outside its own definition, so code that only tests reach shows up here;
-the README's entry points are listed by name.  Operators are invoked by
-syntax, not by name, so those are counted at run time instead, while a small
-set of cells trains a step.
+A public top-level function, class or constant must be named somewhere in
+the package outside its own definition, so code that only tests reach shows
+up here; the README's entry points are listed by name.  Operators are
+invoked by syntax, not by name, so those are counted at run time instead,
+while a small set of cells trains a step.
 """
 
 import ast
@@ -82,15 +82,27 @@ def taken_from(tree, module):
                     and isinstance(node.value, ast.Name) and node.value.id in aliases}
 
 
+def definitions(tree):
+    """(name, node) of the top-level functions, classes and constants (names in
+    capitals bound by an assignment) of ``tree``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    yield target.id, node
+
+
 def unused_definitions(tree, module, others):
-    """Public top-level functions and classes of ``tree`` (the source of
-    ``module``) that it names nowhere outside their own definition and that
-    no tree in ``others`` takes from it."""
+    """Public top-level functions, classes and constants of ``tree`` (the
+    source of ``module``) that it names nowhere outside their own definition
+    and that no tree in ``others`` takes from it."""
     elsewhere = set().union(*(taken_from(t, module) for t in others))
-    return sorted(node.name for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and not node.name.startswith("_")
-                  and node.name not in elsewhere | names_read(tree, skip=node))
+    return sorted(name for name, node in definitions(tree)
+                  if not name.startswith("_")
+                  and name not in elsewhere | names_read(tree, skip=node))
 
 
 def test_function_checker_ignores_a_def_naming_itself():
@@ -98,10 +110,12 @@ def test_function_checker_ignores_a_def_naming_itself():
                      "def _h():\n    pass\n\ndef k():\n    pass\n\ndef log():\n    pass\n\n"
                      "def m():\n    pass\n\nclass A:\n    def a(self):\n        return A\n\n"
                      "class B:\n    pass\n\nclass C:\n    pass\n\nalias = g\n"
-                     "def uses_b(x: B):\n    pass\n")
+                     "def uses_b(x: B):\n    pass\n\nLIMIT = 3\nSIZE: int = 2\n"
+                     "_HIDDEN = 1\nREAD = 4\nUSED = READ\n")
     user = ast.parse("import numpy as np\nfrom . import mod as M\nfrom .mod import m\n"
-                     "from .other import C\nM.k(np.log(m))\n")
-    assert unused_definitions(tree, "mod", [user]) == ["A", "C", "f", "log", "uses_b"]
+                     "from .other import C\nM.k(np.log(m), M.USED)\n")
+    assert unused_definitions(tree, "mod", [user]) == ["A", "C", "LIMIT", "SIZE", "f", "log",
+                                                       "uses_b"]
 
 
 # Entry points that the README documents and nothing in the package calls.

@@ -83,20 +83,11 @@ def test_oracle_handles_scalar_lambda(rng):
     assert np.max(np.abs(o_seq.data - o_ref)) <= 1e-12
 
 
-def test_chunked_degenerate_chunk_one(rng):
-    n, dk, dv = 9, 3, 2
-    q, k, v = (rng.normal(size=(n, d)) for d in (dk, dk, dv))
-    lam = rng.uniform(0.0, 1.0, size=(n, dk))
-    o_seq = R.forward_sequential(q, k, v, lam)
-    o_ch = R.forward_chunked(q, k, v, lam, 1)
-    assert np.max(np.abs(o_ch.data - o_seq.data)) <= 1e-12
-
-
 def test_chunked_single_chunk_matches_oracle(rng):
     n, dk, dv = 12, 4, 3
     q, k, v = (rng.normal(size=(n, d)) for d in (dk, dk, dv))
     lam = rng.uniform(0.1, 1.0, size=(n, dk))
-    o_ch = R.forward_chunked(q, k, v, lam, n)
+    o_ch = R.forward_chunked(q, k, v, lam)
     o_ref = R.forward_oracle(q, k, v, lam)
     assert np.max(np.abs(o_ch.data - o_ref)) <= 1e-10
 
@@ -106,18 +97,8 @@ def test_chunked_ragged_tail(rng):
     q, k, v = (rng.normal(size=(n, d)) for d in (dk, dk, dv))
     lam = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 2.0, size=(n, dk))))
     o_seq = R.forward_sequential(q, k, v, lam)
-    o_ch = R.forward_chunked(q, k, v, lam, 64)
+    o_ch = R.forward_chunked(q, k, v, lam)
     assert np.max(np.abs(o_ch.data - o_seq.data)) <= 1e-8
-
-
-def test_chunked_all_chunk_sizes(rng):
-    n, dk, dv = 33, 3, 2
-    q, k, v = (rng.normal(size=(n, d)) for d in (dk, dk, dv))
-    lam = rng.uniform(0.0, 1.0, size=(n, dk))
-    o_seq = R.forward_sequential(q, k, v, lam)
-    for chunk in (1, 2, 16, 64, n):
-        o_ch = R.forward_chunked(q, k, v, lam, chunk)
-        assert np.max(np.abs(o_ch.data - o_seq.data)) <= 1e-8
 
 
 def test_chunked_handles_zero_decay(rng):
@@ -128,14 +109,8 @@ def test_chunked_handles_zero_decay(rng):
     lam[0] = 0.0
     lam[7] = 0.0
     o_seq = R.forward_sequential(q, k, v, lam)
-    o_ch = R.forward_chunked(q, k, v, lam, 4)
+    o_ch = R.forward_chunked(q, k, v, lam)
     assert np.max(np.abs(o_ch.data - o_seq.data)) <= 1e-10
-
-
-def test_chunked_rejects_bad_chunk():
-    with pytest.raises(ValueError):
-        R.forward_chunked(np.zeros((2, 1)), np.zeros((2, 1)),
-                          np.zeros((2, 1)), np.ones((2, 1)), 0)
 
 
 def _dplr_args(rng, n=4, dk=3, dv=2):
@@ -394,13 +369,25 @@ def test_chunked_scalar_gradients(rng, batch, n):
     assert grad_check(build, leaves, rel_tol=1e-4) == []
 
 
-@pytest.mark.parametrize("n", [1, 9, 2 * R.CHUNK + 3])
+@pytest.mark.parametrize("n", [1, 9, 2 * R.CHUNK + 3, 2 * R.SPAN + 5])
 def test_chunked_scalar_is_bitwise_equal_with_and_without_a_tape(rng, n):
-    q, k, v, lam = _chunk_inputs(rng, (2, 3), n)
-    o = R.forward_chunked(q, k, v, lam)
-    assert o.shape == (2, 3, n, 2)
-    assert np.max(np.abs(o.data - R.forward_oracle(q, k, v, lam))) <= 1e-10
-    assert np.array_equal(_on_tape(R.forward_chunked, q, k, v, lam).data, o.data)
+    # and vector: at 2 * SPAN + 5 the call without a tape runs three spans,
+    # the one under a tape a single span
+    for scalar in (True, False):
+        q, k, v, lam = _chunk_inputs(rng, (2, 3), n, scalar=scalar)
+        o = R.forward_chunked(q, k, v, lam)
+        assert o.shape == (2, 3, n, 2)
+        assert np.max(np.abs(o.data - R.forward_oracle(q, k, v, lam))) <= 1e-10
+        assert np.array_equal(_on_tape(R.forward_chunked, q, k, v, lam).data, o.data)
+
+
+def test_chunked_runs_an_empty_sequence_with_and_without_a_tape():
+    q, v, lam = np.zeros((2, 0, 3)), np.zeros((2, 0, 2)), np.ones((2, 0, 1))
+    assert R.forward_chunked(q, q, v, lam).shape == (2, 0, 2)
+    leaves = [Tensor(x, requires_grad=True) for x in (q, q, v, lam)]
+    with T.Tape():
+        T.backward(T.tsum(R.forward_chunked(*leaves)))
+    assert [leaf.grad.shape for leaf in leaves] == [x.shape for x in (q, q, v, lam)]
 
 
 def test_chunked_scalar_gradients_match_the_scan(rng):

@@ -4,7 +4,7 @@ import pytest
 from decaylab.decay import DecayConfig
 from decaylab.model import ModelConfig, init_params, lm_forward
 from decaylab.tensor import Tape, Tensor, backward
-from decaylab.train import (AdamW, TrainConfig, clip_gradients,
+from decaylab.train import (AdamW, Corpus, TrainConfig, clip_gradients,
                             cross_entropy, decays_weight, load_corpus,
                             next_batch, train_loop, wsd_lr)
 from decaylab.verify import finite_difference
@@ -65,6 +65,14 @@ def test_next_batch_val_split_differs(corpus):
     tr = next_batch(corpus, cfg, 5, split="train")
     va = next_batch(corpus, cfg, 5, split="val")
     assert not np.array_equal(tr[0], va[0])
+
+
+def test_next_batch_draws_an_exactly_fitting_split_at_offset_zero():
+    cfg = TrainConfig(batch_size=3, seq_len=16)
+    data = np.arange(100, dtype=np.uint8)
+    inputs, targets = next_batch(Corpus(data=data, split=100 - 17), cfg, 0, split="val")
+    assert np.array_equal(inputs, np.tile(data[83:99], (3, 1)))
+    assert np.array_equal(targets, np.tile(data[84:], (3, 1)))
 
 
 def test_cross_entropy_uniform():
