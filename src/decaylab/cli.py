@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, fields
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -58,15 +59,14 @@ def _coerce(raw, default, key, lineno):
         raise ConfigError(f"line {lineno}: cannot parse value for {key!r}: {raw!r}")
 
 
+@dataclass
 class ExperimentConfig:
     """Resolved configuration: model + decay + train + probe settings."""
 
-    def __init__(self, model: ModelConfig, train: TrainConfig, probe_length=2048,
-                 corpus=None):
-        self.model = model
-        self.train = train
-        self.probe_length = probe_length
-        self.corpus = corpus
+    model: ModelConfig = field(default_factory=ModelConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    probe_length: int = 2048
+    corpus: str | None = None
 
     def dump(self):
         lines = []
@@ -79,7 +79,10 @@ class ExperimentConfig:
         lines += [f"{k} = {v}" for k, v in sorted(decay.items()) if v is not None]
         lines.append("")
         lines.append("[train]")
-        lines += [f"{k} = {v}" for k, v in sorted(asdict(self.train).items())]
+        train = asdict(self.train)
+        if self.corpus:
+            train["corpus"] = self.corpus
+        lines += [f"{k} = {v}" for k, v in sorted(train.items())]
         lines.append("")
         lines.append("[probe]")
         lines.append(f"length = {self.probe_length}")
@@ -127,94 +130,72 @@ def parse_config(path) -> ExperimentConfig:
     return ExperimentConfig(model, train, probe_length=probe["length"], corpus=corpus)
 
 
-def _write_resolved(config: ExperimentConfig, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "config_resolved.txt")
-    with open(path, "w") as f:
-        f.write(config.dump())
-    return path
+class _Exit(Exception):
+    """``_Exit(code, message)``: a failed command, which ``main`` reports as
+    ``error: <message>`` on stderr and exit ``code``."""
+
+
+@contextmanager
+def _exits(code, errors, prefix=""):
+    """Turn ``errors`` raised in the block into exit ``code`` with their text."""
+    try:
+        yield
+    except errors as exc:
+        raise _Exit(code, f"{prefix}{exc}") from exc
+
+
+@contextmanager
+def _writing(out):
+    """Create the directory ``out`` for the block's writes; an OSError in either exits 2."""
+    with _exits(EXIT_IO, OSError, f"cannot write outputs to {out!r}: "):
+        os.makedirs(out, exist_ok=True)
+        yield
 
 
 def cmd_train(args):
-    try:
-        config = parse_config(args.config) if args.config else ExperimentConfig(
-            ModelConfig(), TrainConfig())
-    except (ConfigError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with _exits(EXIT_IO, (ConfigError, OSError, ValueError)):
+        config = parse_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         config.model.seed = args.seed
         config.train.seed = args.seed
-    corpus_path = args.corpus or config.corpus
-    if not corpus_path or not os.path.exists(corpus_path):
-        print(f"error: corpus file not found: {corpus_path!r}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        corpus = load_corpus(corpus_path, config.train)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        _write_resolved(config, args.out)
-    except OSError as exc:
-        print(f"error: cannot write outputs to {args.out!r}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    config.corpus = args.corpus or config.corpus
+    if not config.corpus:
+        raise _Exit(EXIT_IO, "no corpus given: pass --corpus or set [train] corpus in the config")
+    with _exits(EXIT_IO, (OSError, ValueError)):
+        corpus = load_corpus(config.corpus, config.train)
+    with _writing(args.out), open(os.path.join(args.out, "config_resolved.txt"), "w") as f:
+        f.write(config.dump())
     print(config.dump())
-    try:
+    with _exits(EXIT_IO, OSError, f"training aborted, partial state in {args.out}: "):
         train_loop(config.model, config.train, corpus, args.out, log=print)
-    except OSError as exc:
-        print(f"error: training aborted, partial state in {args.out}: {exc}",
-              file=sys.stderr)
-        return EXIT_IO
     return EXIT_OK
 
 
 def _load(path):
-    """(params, config, EXIT_OK), or (None, None, exit code) after printing
-    why the checkpoint cannot be read (EXIT_IO) or is not valid (EXIT_COMPAT)."""
-    try:
-        return (*load_checkpoint(path), EXIT_OK)
-    except (OSError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, None, EXIT_IO if isinstance(exc, OSError) else EXIT_COMPAT
+    """(params, config) of the checkpoint at ``path``; exits 2 if it cannot be
+    read and 3 if it is not valid."""
+    with _exits(EXIT_IO, OSError), _exits(EXIT_COMPAT, CheckpointError):
+        return load_checkpoint(path)
 
 
 def cmd_probe(args):
     if args.length < 1:
-        print(f"error: --length must be positive, got {args.length}", file=sys.stderr)
-        return EXIT_IO
-    params, config, code = _load(args.checkpoint)
-    if code != EXIT_OK:
-        return code
-    if config.decay.strategy == "none":
-        print("error: checkpoint was trained without decay; nothing to probe",
-              file=sys.stderr)
-        return EXIT_COMPAT
-    try:
-        with open(args.text, "rb") as f:
-            raw = np.frombuffer(f.read(), dtype=np.uint8)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    length = min(args.length, len(raw))
-    if length < 1:
-        print("error: probe text is empty", file=sys.stderr)
-        return EXIT_IO
-    tokens = raw[:length].astype(np.int64)
+        raise _Exit(EXIT_IO, f"--length must be positive, got {args.length}")
+    params, config = _load(args.checkpoint)
+    with _exits(EXIT_IO, OSError), open(args.text, "rb") as f:
+        tokens = np.frombuffer(f.read(args.length), dtype=np.uint8).astype(np.int64)
+    if not len(tokens):
+        raise _Exit(EXIT_IO, "probe text is empty")
     if tokens.max() >= config.vocab:
-        print(f"error: probe text has byte values outside the model vocabulary "
-              f"({config.vocab})", file=sys.stderr)
-        return EXIT_COMPAT
-    stats = capture_trace(params, config, tokens).stats()
+        raise _Exit(EXIT_COMPAT, "probe text has byte values outside the model "
+                    f"vocabulary ({config.vocab})")
+    with _exits(EXIT_COMPAT, ConfigError):  # a checkpoint without decay
+        stats = capture_trace(params, config, tokens).stats()
     table = os.path.join(args.out, "decay_medians.csv")
     plot = os.path.join(args.out, "decay_medians.svg")
-    try:
-        os.makedirs(args.out, exist_ok=True)
+    with _writing(args.out):
         export_table(stats, table)
         export_plot({config.decay.strategy: stats}, plot)
-    except OSError as exc:
-        print(f"error: cannot write outputs to {args.out!r}: {exc}", file=sys.stderr)
-        return EXIT_IO
     for s in stats:
         print(f"layer {s.layer}: median {s.median:.6f} (min {s.min:.4f}, "
               f"max {s.max:.4f}, n={s.count})")
@@ -232,9 +213,7 @@ def cmd_verify(args):
 
 
 def cmd_export(args):
-    params, config, code = _load(args.checkpoint)
-    if code != EXIT_OK:
-        return code
+    params, config = _load(args.checkpoint)
     dc = config.decay
     row = STRATEGIES[dc.strategy]
     lines = [
@@ -253,13 +232,8 @@ def cmd_export(args):
             lines.append(f"  {name}: " + " ".join(f"{v:.6g}" for v in vals))
     text = "\n".join(lines) + "\n"
     if args.out:
-        try:
-            os.makedirs(args.out, exist_ok=True)
-            with open(os.path.join(args.out, "strategy_summary.txt"), "w") as f:
-                f.write(text)
-        except OSError as exc:
-            print(f"error: cannot write outputs to {args.out!r}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        with _writing(args.out), open(os.path.join(args.out, "strategy_summary.txt"), "w") as f:
+            f.write(text)
     print(text, end="")
     return EXIT_OK
 
@@ -296,7 +270,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _Exit as exc:
+        code, message = exc.args
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -2,9 +2,13 @@ import contextlib
 import hashlib
 import json
 import os
+import shutil
 import struct
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +142,22 @@ def test_cmd_train_missing_corpus(tmp_path, capsys):
                      "/no/such/corpus.txt", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "/no/such/corpus.txt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("named_by", ["config", "flag"])
+def test_a_run_reproduces_from_its_resolved_config(named_by, tmp_path, corpus_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(corpus_path, "c.txt")
+    if named_by == "config":
+        argv = ["--config", _write(tmp_path, TINY_CONFIG.replace("[probe]",
+                                                                  "corpus = c.txt\n\n[probe]"))]
+    else:
+        argv = ["--config", _write(tmp_path, TINY_CONFIG), "--corpus", "c.txt"]
+    assert cli.main(["train", *argv, "--out", "r1"]) == cli.EXIT_OK
+    assert "corpus = c.txt" in (tmp_path / "r1" / "config_resolved.txt").read_text().splitlines()
+    assert cli.main(["train", "--config", "r1/config_resolved.txt", "--out", "r2"]) == cli.EXIT_OK
+    for name in ("config_resolved.txt", "metrics.txt", "ckpt_final.bin"):
+        assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
 def test_cmd_train_seed_flag_overrides(tmp_path, corpus_path):
@@ -563,3 +583,80 @@ def test_cli_writes_only_inside_out_dir(tmp_path, corpus_path):
                      "--out", str(out)]) == 0
     after = set(os.listdir(tmp_path))
     assert after - before == {"only"}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory, trained_run, corpus_path):
+    """Named input files for the failing invocations below."""
+    tmp = tmp_path_factory.mktemp("inputs")
+    files = {"ckpt": str(trained_run / "ckpt_final.bin"), "corpus": corpus_path,
+             "missing": str(tmp / "missing.bin")}
+    for name, config in (("vocab16", ModelConfig(n_layers=1, hidden=8, heads=2, vocab=16)),
+                         ("no_decay", ModelConfig(n_layers=1, hidden=8, heads=2,
+                                                  decay=DecayConfig(strategy="none")))):
+        files[name] = str(tmp / f"{name}.bin")
+        save_checkpoint(files[name], init_params(config), config)
+    for name, data in (("malformed", _malformed("header not json")), ("empty", b""),
+                       ("short", b"x" * 40), ("config", TINY_CONFIG.encode()),
+                       ("tnl_vector", b"[decay]\nstrategy = tnl\ngranularity = vector\n"),
+                       ("unparsable", b"[model]\nhidden = many\n")):
+        files[name] = str(tmp / name)
+        (tmp / name).write_bytes(data)
+    return files
+
+
+# argv, exit code, strings the error line holds; {out} is a fresh directory,
+# {taken} a regular file and {blocked} a directory whose metrics.txt is a directory
+FAILURES = [
+    ("train --config {missing} --corpus {corpus} --out {out}", 2, ["{missing}"]),
+    ("train --config {unparsable} --corpus {corpus} --out {out}", 2, ["line 2", "hidden"]),
+    ("train --config {tnl_vector} --corpus {corpus} --out {out}", 2, ["scalar-only"]),
+    ("train --config {config} --out {out}", 2, ["--corpus", "[train] corpus"]),
+    ("train --config {config} --corpus {missing} --out {out}", 2, ["{missing}"]),
+    ("train --config {config} --corpus {short} --out {out}", 2, ["corpus too small"]),
+    ("train --config {config} --corpus {corpus} --out {taken}", 2, ["cannot write outputs"]),
+    ("train --config {config} --corpus {corpus} --out {blocked}", 2, ["training aborted"]),
+    ("probe {ckpt} {corpus} --out {out} --length 0", 2, ["--length"]),
+    ("probe {missing} {corpus} --out {out}", 2, ["{missing}"]),
+    ("probe {malformed} {corpus} --out {out}", 3, ["malformed checkpoint"]),
+    ("probe {no_decay} {corpus} --out {out}", 3, ["decay"]),
+    ("probe {ckpt} {missing} --out {out}", 2, ["{missing}"]),
+    ("probe {ckpt} {empty} --out {out}", 2, ["probe text is empty"]),
+    ("probe {vocab16} {corpus} --out {out}", 3, ["vocabulary (16)"]),
+    ("probe {ckpt} {corpus} --out {taken}", 2, ["cannot write outputs"]),
+    ("export {missing} --out {out}", 2, ["{missing}"]),
+    ("export {malformed} --out {out}", 3, ["malformed checkpoint"]),
+    ("export {ckpt} --out {taken}", 2, ["cannot write outputs"]),
+]
+
+
+@pytest.mark.parametrize("argv, code, needles", FAILURES, ids=[f[0] for f in FAILURES])
+def test_a_failing_command_prints_one_error_line(argv, code, needles, inputs, tmp_path, capsys):
+    taken, blocked = tmp_path / "taken", tmp_path / "blocked"
+    taken.write_text("not a directory")
+    (blocked / "metrics.txt").mkdir(parents=True)
+    files = dict(inputs, out=str(tmp_path / "out"), taken=str(taken), blocked=str(blocked))
+    assert cli.main([arg.format(**files) for arg in argv.split()]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    for needle in needles:
+        assert needle.format(**files) in err
+    assert not (tmp_path / "out").exists()
+    assert taken.read_text() == "not a directory"
+
+
+def test_the_entry_point_returns_the_exit_code(trained_run, tmp_path):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_malformed("header not json"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for path, code in ((tmp_path / "none.bin", 2), (bad, 3),
+                       (trained_run / "ckpt_final.bin", 0)):
+        run = subprocess.run([sys.executable, "-m", "decaylab.cli", "export", str(path)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == code, run.stderr
+        if code:
+            assert run.stderr.count("\n") == 1 and run.stderr.startswith("error: ")
+        else:
+            assert run.stderr == "" and run.stdout.startswith("strategy summary")
