@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
@@ -89,6 +90,10 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
 
+# a comment starts at a `#` that begins the line or follows whitespace
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_config(path) -> ExperimentConfig:
     """Strict parser: unknown sections or keys are errors naming the line."""
     values = {name: {} for name in _SECTIONS}
@@ -97,7 +102,7 @@ def parse_config(path) -> ExperimentConfig:
     section = None
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.split(raw, 1)[0].strip()
             if not line:
                 continue
             if line.startswith("[") and line.endswith("]"):

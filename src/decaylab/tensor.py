@@ -290,23 +290,27 @@ def sqrt(a):
 
 
 def _sigmoid(x):
-    """1 / (1 + exp(-x)) on an array, stable on both tails.
+    """1 / (1 + exp(-x)) on an array, in one new buffer.
 
-    1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|).  The
-    numerator max(e, x >= 0) is exactly 1 or e because 0 <= e <= 1; it
-    avoids the branch of ``np.where``, which is slow on mixed signs.
+    exp(-x) overflows to inf below x = -709.78, where the result is then 0
+    (the exact value is subnormal or below); its warning is silenced.
     """
-    e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
+    out = np.negative(x, out=np.empty_like(x))
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def sigmoid(a):
-    """1 / (1 + exp(-x)), computed stably on both tails."""
+    """1 / (1 + exp(-x)), finite on both tails."""
     a = as_tensor(a)
     out = Tensor(_sigmoid(a.data))
 
     def bw(g):
-        _accum(a, g * out.data * (1.0 - out.data))
+        ga = g * out.data
+        ga *= 1.0 - out.data
+        _accum(a, ga)
 
     return _record(out, (a,), bw)
 
@@ -319,19 +323,28 @@ def silu(a):
     out = Tensor(x * s)
 
     def bw(g):
-        _accum(a, g * s * (1.0 + x * (1.0 - s)))
+        ga = np.subtract(1.0, s, out=np.empty_like(s))
+        ga *= x
+        ga += 1.0
+        ga *= g * s
+        _accum(a, ga)
 
     return _record(out, (a,), bw)
 
 
 def softplus(a):
-    """log(1 + exp(x)), computed stably."""
+    """log(1 + exp(x)), computed stably as max(x, 0) + log1p(exp(-|x|))."""
     a = as_tensor(a)
     x = a.data
-    out = Tensor(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))
+    y = np.abs(x, out=np.empty_like(x))
+    np.negative(y, out=y)
+    np.exp(y, out=y)
+    np.log1p(y, out=y)
+    out = Tensor(np.add(y, np.maximum(x, 0.0), out=y))
 
     def bw(g):
-        _accum(a, g * _sigmoid(x))
+        s = _sigmoid(x)
+        _accum(a, np.multiply(s, g, out=s))
 
     return _record(out, (a,), bw)
 
@@ -417,8 +430,9 @@ def rmsnorm(x, gamma, eps=1e-6):
         raise ValueError("rmsnorm: eps must be >= 0")
     x, gamma = as_tensor(x), as_tensor(gamma)
     inv_n = 1.0 / x.data.shape[-1]
-    rms = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) * inv_n + eps)
-    xh = x.data / rms
+    xh = x.data * x.data
+    rms = np.sqrt(xh.sum(axis=-1, keepdims=True) * inv_n + eps)
+    np.divide(x.data, rms, out=xh)
     out = Tensor(xh * gamma.data)
 
     def bw(g):
@@ -426,7 +440,11 @@ def rmsnorm(x, gamma, eps=1e-6):
             _accum(gamma, g * xh)
         if x.requires_grad:
             gg = g * gamma.data
-            _accum(x, (gg - xh * ((gg * xh).sum(axis=-1, keepdims=True) * inv_n)) / rms)
+            t = gg * xh
+            np.multiply(xh, t.sum(axis=-1, keepdims=True) * inv_n, out=t)
+            gg -= t
+            gg /= rms
+            _accum(x, gg)
 
     return _record(out, (x, gamma), bw)
 
@@ -479,15 +497,16 @@ def concat(tensors, axis=-1):
 
 
 def take(a, idx):
-    """Indexing/gather.  Backward scatter-adds ``g``, so an index that
-    repeats (an embedding lookup) sums its gradients."""
+    """Indexing/gather.  Backward is one ``np.bincount`` over the positions
+    ``idx`` reads, so a repeated index (an embedding lookup) sums its
+    gradients in position order, bitwise as ``np.add.at`` does."""
     a = as_tensor(a)
     out = Tensor(a.data[idx])
 
     def bw(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        _accum(a, ga)
+        pos = np.arange(a.data.size).reshape(a.data.shape)[idx]
+        ga = np.bincount(pos.ravel(), weights=np.ravel(g), minlength=a.data.size)
+        _accum(a, ga.reshape(a.data.shape))
 
     return _record(out, (a,), bw)
 

@@ -129,18 +129,18 @@ def cross_entropy(logits, targets):
         raise ValueError(f"target out of range [0, {V})")
     x = logits.data
     m = x.max(axis=-1, keepdims=True)
-    z = np.exp(x - m)
+    z = np.subtract(x, m)
+    np.exp(z, out=z)
     s = z.sum(axis=-1, keepdims=True)
-    logp = x - m - np.log(s)
-    picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+    picked = (np.take_along_axis(x, targets[..., None], axis=-1) - m - np.log(s))[..., 0]
     count = picked.size
     out = Tensor(-picked.sum() / count)
 
     def bw(g):
-        soft = z / s
+        soft = np.divide(z, s, out=z)
         # one target per position: a plain fancy-index subtraction, no repeats
         soft.reshape(-1, V)[np.arange(count), targets.reshape(-1)] -= 1.0
-        T._accum(logits, g * soft / count)
+        T._accum(logits, np.divide(np.multiply(soft, g, out=soft), count, out=soft))
 
     return T._record(out, (logits,), bw)
 
@@ -179,6 +179,7 @@ class AdamW:
         self.config = config
         self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
+        self.decays = {n: decays_weight(n) for n in params}
         self.t = 0
 
     def step(self, params: dict, grads: dict, lr):
@@ -192,14 +193,19 @@ class AdamW:
             g = grads[name]
             if g.shape != p.data.shape:
                 raise T.ShapeError(f"grad shape {g.shape} != param shape {p.data.shape} for {name}")
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            mhat = self.m[name] / bc1
-            vhat = self.v[name] / bc2
-            upd = mhat / (np.sqrt(vhat) + cfg.eps)
-            if cfg.weight_decay and decays_weight(name):
-                upd = upd + cfg.weight_decay * p.data
-            p.data = p.data - lr * upd
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            upd = np.divide(v, bc2, out=np.empty_like(v))
+            np.sqrt(upd, out=upd)
+            upd += cfg.eps
+            np.divide(m / bc1, upd, out=upd)
+            if cfg.weight_decay and self.decays[name]:
+                upd += cfg.weight_decay * p.data
+            upd *= lr
+            p.data = np.subtract(p.data, upd, out=upd)
 
 
 def clip_gradients(grads: dict, max_norm):

@@ -16,6 +16,7 @@ from . import recurrence as R
 from . import tensor as T
 from .posenc import RopeParams, TpeParams, rope_decay_equivalence, tpe_apply, tpe_toeplitz_oracle
 from .tensor import Tape, Tensor, backward
+from .train import cross_entropy
 
 
 def _random_lambda(rng, strategy, granularity, n, dk):
@@ -295,21 +296,28 @@ def suite_gradients(level="full"):
     rng2 = np.random.Generator(np.random.Philox(6)).normal(size=(6, 2))
     failures += [f"lightnet {m}" for m in grad_check(lightnet_loss, {"f": f})]
 
-    # the fused single-node ops of the model: rmsnorm, silu, head projection
+    # the single-node ops of the model, the embedding lookup and the loss
     rng3 = np.random.Generator(np.random.Philox(8))
     x = Tensor(rng3.normal(size=(2, 3, 4)), requires_grad=True)
     gamma = Tensor(rng3.normal(size=4), requires_grad=True)
     weight = rng3.normal(size=(2, 3, 4))
     failures += [f"rmsnorm {m}" for m in grad_check(
         lambda lv: T.tsum(T.rmsnorm(lv["x"], lv["gamma"]) * weight), {"x": x, "gamma": gamma})]
-    failures += [f"silu {m}" for m in grad_check(
-        lambda lv: T.tsum(T.silu(lv["x"]) * weight), {"x": x})]
+    for name, op in (("silu", T.silu), ("sigmoid", T.sigmoid), ("softplus", T.softplus)):
+        failures += [f"{name} {m}" for m in grad_check(
+            lambda lv, _op=op: T.tsum(_op(lv["x"]) * weight), {"x": x})]
     for dh in (3, 1):
         w = Tensor(rng3.normal(size=(2, 4, dh)), requires_grad=True)
         weight_h = rng3.normal(size=(2, 2, 3, dh))
         failures += [f"head projection dh={dh} {m}" for m in grad_check(
             lambda lv, _w=weight_h: T.tsum(T.head_project(lv["x"], lv["w"]) * _w),
             {"x": x, "w": w})]
+    table = Tensor(rng3.normal(size=(5, 4)), requires_grad=True)
+    ids = np.array([[1, 3, 1], [0, 1, 3]])  # repeated ids sum their gradients
+    failures += [f"embedding {m}" for m in grad_check(
+        lambda lv: T.tsum(lv["table"][ids] * weight), {"table": table})]
+    failures += [f"cross entropy {m}" for m in grad_check(
+        lambda lv: cross_entropy(lv["x"], ids), {"x": x})]
     return failures
 
 

@@ -160,6 +160,21 @@ def test_a_run_reproduces_from_its_resolved_config(named_by, tmp_path, corpus_pa
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
+def test_a_corpus_path_with_a_hash_reruns_from_its_resolved_config(tmp_path, corpus_path,
+                                                                  monkeypatch):
+    # `#` starts a comment only at the start of a line or after whitespace
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(corpus_path, "c#1.txt")
+    argv = ["--config", _write(tmp_path, TINY_CONFIG), "--corpus", "c#1.txt"]
+    assert cli.main(["train", *argv, "--out", "r1"]) == cli.EXIT_OK
+    assert "corpus = c#1.txt" in (tmp_path / "r1" / "config_resolved.txt").read_text().splitlines()
+    assert cli.main(["train", "--config", "r1/config_resolved.txt", "--out", "r2"]) == cli.EXIT_OK
+    metrics = [(tmp_path / run / "metrics.txt").read_bytes() for run in ("r1", "r2")]
+    assert metrics[0] == metrics[1]
+    text = "[model]\n# a comment line\nhidden = 16 # width\n\t#indented comment\n"
+    assert cli.parse_config(_write(tmp_path, text)).model.hidden == 16
+
+
 def test_cmd_train_seed_flag_overrides(tmp_path, corpus_path):
     cfg_path = _write(tmp_path, TINY_CONFIG)
     out1, out2, out3 = (tmp_path / n for n in ("r1", "r2", "r3"))

@@ -171,17 +171,56 @@ def test_tape_frees_graph_on_exit():
 
 
 def test_sigmoid_and_softplus_grad_match_three_exp_formula():
-    # the formula before exp(-|x|) was shared; outputs must stay bitwise equal
+    # sigmoid is 1 / (1 + exp(-x)) in one buffer: bitwise that formula, within
+    # 4 ulp of the earlier stable three-exp formula wherever that is normal, and
+    # 0 below x = -709.78 where the earlier formula gave a subnormal
     rng = np.random.Generator(np.random.Philox(16))
     x = np.concatenate([np.linspace(-800.0, 800.0, 4001), rng.normal(0.0, 30.0, 1000),
                         [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 745.2, -745.2]])
-    ref = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    with np.errstate(over="ignore"):
+        ref = 1.0 / (1.0 + np.exp(-x))
     assert np.array_equal(T.sigmoid(Tensor(x)).data, ref)
+    three_exp = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                         np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    normal = three_exp >= np.finfo(np.float64).tiny
+    err = np.abs(ref - three_exp)
+    assert np.all(err[normal] <= 4.0 * np.spacing(three_exp[normal]))
+    assert np.all(err[~normal] <= 1e-300)
     xt = Tensor(x, requires_grad=True)
     with Tape():
         backward(T.tsum(T.softplus(xt)))
     assert np.array_equal(xt.grad, ref)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (2, 3, 5)])
+@pytest.mark.parametrize("op", [T.sigmoid, T.silu, T.softplus])
+def test_activations_keep_shape_and_stay_finite_on_tails(op, shape):
+    for edge in (-800.0, 800.0):
+        xt = Tensor(np.full(shape, edge), requires_grad=True)
+        with Tape():
+            out = op(xt)
+            backward(T.tsum(out))
+        for arr in (out.data, xt.grad):
+            assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+            assert arr.shape == shape and np.all(np.isfinite(arr))
+
+
+def test_activation_rules_match_their_formulas_bitwise():
+    # the in-place rules keep the evaluation order of the formulas they replace
+    rng = np.random.Generator(np.random.Philox(22))
+    x = np.concatenate([rng.normal(0.0, 4.0, 997), [-800.0, -40.0, 0.0, 40.0, 800.0]])
+    g = rng.normal(size=x.shape)
+    s = T._sigmoid(x)
+    refs = {T.sigmoid: (s, g * s * (1.0 - s)),
+            T.silu: (x * s, g * s * (1.0 + x * (1.0 - s))),
+            T.softplus: (np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), g * s)}
+    for op, (value, grad) in refs.items():
+        xt = Tensor(x, requires_grad=True)
+        with Tape():
+            out = op(xt)
+            backward(T.tsum(out * g))
+        assert np.array_equal(out.data, value)
+        assert np.array_equal(xt.grad, grad)
 
 
 def test_composed_expression_matches_finite_differences():
@@ -228,6 +267,25 @@ def test_take_gradient_scatter_adds():
     with Tape():
         backward(T.tsum(x[idx]))
     assert np.array_equal(x.grad, np.array([2.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("shape, idx", [
+    ((3,), np.array([0, 0, 2, -1, 2, 0])),
+    ((37, 6), np.array([[3, 3, 0, 36, -1, 3], [5, -37, 3, 5, 5, 36]])),
+])
+def test_take_gradient_matches_add_at_bitwise(shape, idx):
+    # repeated ids sum in position order, as np.add.at does; negative ids count
+    # from the end, as in numpy indexing
+    rng = np.random.Generator(np.random.Philox(23))
+    table = Tensor(rng.normal(size=shape), requires_grad=True)
+    weight = rng.normal(0.0, 1e3, size=idx.shape + shape[1:])
+    with Tape():
+        out = table[idx]
+        backward(T.tsum(out * weight))
+    ref = np.zeros(shape)
+    np.add.at(ref, idx, weight)
+    assert np.array_equal(out.data, table.data[idx])
+    assert np.array_equal(table.grad, ref)
 
 
 def test_broadcast_add_gradient_unbroadcasts():
@@ -369,6 +427,23 @@ def test_fused_rmsnorm_matches_composed_formula():
         return T.tsum(T.rmsnorm(leaves["x"], leaves["gamma"]) * weight)
 
     assert grad_check(build, {"x": x, "gamma": gamma}, rel_tol=1e-4) == []
+
+
+def test_rmsnorm_matches_its_formula_bitwise():
+    # the rule writes into fewer buffers but keeps the order of its formula
+    rng = np.random.Generator(np.random.Philox(24))
+    x = rng.normal(size=(2, 3, 5, 8))
+    gamma = rng.normal(size=8)
+    weight = rng.normal(size=(2, 3, 5, 8))
+    xt, gt = Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True)
+    out, (gx, ggamma) = _value_and_grads(T.rmsnorm, [xt, gt], weight)
+    inv_n = 1.0 / 8
+    rms = np.sqrt((x * x).sum(axis=-1, keepdims=True) * inv_n + 1e-6)
+    xh = x / rms
+    gg = weight * gamma
+    assert np.array_equal(out, xh * gamma)
+    assert np.array_equal(ggamma, (weight * xh).sum(axis=(0, 1, 2)))
+    assert np.array_equal(gx, (gg - xh * ((gg * xh).sum(axis=-1, keepdims=True) * inv_n)) / rms)
 
 
 def test_fused_silu_matches_composed_formula():

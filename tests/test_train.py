@@ -122,6 +122,57 @@ def test_cross_entropy_gradient_identity(rng):
     assert np.max(np.abs(logits.grad - numeric)) <= 1e-6
 
 
+def test_cross_entropy_matches_its_formula_bitwise(rng):
+    # the loss picks x[target] - m - log s without a full log-softmax array and
+    # the backward runs in the buffer of exp(x - m); both keep the formula's order
+    x = rng.normal(0.0, 5.0, size=(3, 17, 50))
+    targets = rng.integers(0, 50, size=(3, 17))
+    logits = Tensor(x, requires_grad=True)
+    with Tape():
+        loss = cross_entropy(logits, targets)
+        backward(loss)
+    m = x.max(axis=-1, keepdims=True)
+    z = np.exp(x - m)
+    s = z.sum(axis=-1, keepdims=True)
+    logp = x - m - np.log(s)
+    picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+    assert loss.data == -picked.sum() / picked.size
+    soft = z / s
+    soft.reshape(-1, 50)[np.arange(picked.size), targets.reshape(-1)] -= 1.0
+    assert np.array_equal(logits.grad, np.ones(()) * soft / picked.size)
+
+
+def test_adamw_matches_its_formula_bitwise(rng):
+    # moments in place, the update in one buffer: three steps bitwise equal to
+    # the out-of-place formula, for weights with and without weight decay;
+    # weights and steps of one scale, so that a change in the update's last
+    # bit shows in the weight
+    cfg = TrainConfig(weight_decay=0.1, eps=1e-8)
+    shapes = {"layers.0.wq": (4, 3), "final_norm": (3,), "layers.0.decay.a": ()}
+    params = {n: Tensor(1e-8 * rng.normal(size=s), requires_grad=True)
+              for n, s in shapes.items()}
+    ref = {n: p.data.copy() for n, p in params.items()}
+    m = {n: np.zeros(s) for n, s in shapes.items()}
+    v = {n: np.zeros(s) for n, s in shapes.items()}
+    opt = AdamW(params, cfg)
+    for t, lr in enumerate([1e-8, 3e-8, 2e-8], start=1):
+        grads = {n: rng.normal(size=s) for n, s in shapes.items()}
+        before = {n: p.data for n, p in params.items()}
+        opt.step(params, grads, lr)
+        for n, g in grads.items():
+            m[n] = cfg.beta1 * m[n] + (1.0 - cfg.beta1) * g
+            v[n] = cfg.beta2 * v[n] + (1.0 - cfg.beta2) * g * g
+            mhat, vhat = m[n] / (1.0 - cfg.beta1 ** t), v[n] / (1.0 - cfg.beta2 ** t)
+            upd = mhat / (np.sqrt(vhat) + cfg.eps)
+            if decays_weight(n):
+                upd = upd + cfg.weight_decay * ref[n]
+            new = ref[n] - lr * upd
+            assert np.array_equal(opt.m[n], m[n]) and np.array_equal(opt.v[n], v[n]), n
+            assert np.array_equal(params[n].data, new), n
+            assert np.array_equal(before[n], ref[n]), n  # the old array is not written
+            ref[n] = new
+
+
 def test_wsd_schedule_examples():
     cfg = TrainConfig(peak_lr=3e-4, total_steps=1000)
     assert abs(wsd_lr(49, cfg) - 3e-4) <= 1e-18
