@@ -39,6 +39,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.n_layers < 1:
             raise ConfigError("n_layers must be >= 1")
+        for key in ("heads", "hidden", "glu_ratio", "tpe_state"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        if not self.rope_base > 0:
+            raise ConfigError("rope_base must be > 0")
         if self.hidden % self.heads != 0:
             raise ConfigError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if self.vocab < 2:

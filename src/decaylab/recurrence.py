@@ -4,15 +4,18 @@ The sequential scan is the canonical semantics; extended with a delta-rule
 rank-one correction, it is also the semantics of DPLR.  Diagonal decay, of
 width 1 or dk, trains and runs through the factorized chunk kernel
 ``forward_chunked``, and the DPLR transition through the chunkwise UT form
-``forward_dplr``.  Both cut the sequence into chunks of ``CHUNK``
-positions, the one chunk size, and fall back to the scan where their
-divisions by running products of lam would lose precision.  At
-(8, 4, 128, 16) on one BLAS thread the forward and backward of
-``forward_chunked`` took 4.8 ms at width 1, against 5.3 ms for the
-pair-decay kernel it replaced, and 5.8 ms at width dk, against 13 ms for
-the scan; inside a training step the two DPLR layers took 38 ms against
-59 ms for the scan.  The quadratic closed-form expansion ``forward_oracle``
-and the dense DPLR recurrence ``dplr_dense_oracle`` are references only.
+``forward_dplr``.  Each is only its chunk algebra, one span at a time; the
+driver ``_chunkwise`` serves both.  It cuts the sequence into chunks of
+``CHUNK`` positions, the one chunk size, runs spans of ``SPAN`` positions
+without a tape, carrying the state between them, and falls back to the
+scan where the divisions by running products of lam would lose
+precision.  At (8, 4, 128, 16) on one BLAS thread the forward and
+backward of ``forward_chunked`` took 4.8 ms at width 1, against 5.3 ms
+for the pair-decay kernel it replaced, and 5.8 ms at width dk, against
+13 ms for the scan; inside a training step the two DPLR layers took
+38 ms against 59 ms for the scan.  The quadratic closed-form expansion
+``forward_oracle`` and the dense DPLR recurrence ``dplr_dense_oracle`` are
+references only.
 
 All kernels take plain tensors (arrays or Tensors) and return only the
 outputs ``o``.  Shapes: ``q``/``k`` are (..., n, dk), ``v`` is (..., n, dv),
@@ -36,12 +39,12 @@ from .tensor import ShapeError, Tensor, as_tensor
 # Time steps per block of the scan.  Outputs are read from each block of
 # states at once; without a recording tape only one block is alive.
 _BLOCK = 64
-# Positions per chunk of ``forward_chunked``.  At (8, 4, 128, 16) on one BLAS
-# thread, 16 was faster than 8, 32 and 64.
+# Positions per chunk of the chunk kernels.  At (8, 4, 128, 16) on one BLAS
+# thread, 16 was faster than 8, 32 and 64 for ``forward_chunked``.
 CHUNK = 16
-# Positions per span of ``forward_chunked`` without a tape.
+# Positions per span of the chunk kernels without a tape.
 SPAN = 256
-# The least lam past a chunk's first position that ``forward_chunked`` divides
+# The least lam past a chunk's first position that the chunk kernels divide
 # by; below it the call runs the scan.
 FLOOR = 1e-4
 
@@ -238,14 +241,6 @@ def _decays(lc):
     return lc[..., :1, :], gamma
 
 
-def _accum_dlam(lam, lc, da, dlog):
-    """Accumulate dlam into ``lam``: ``da`` at each chunk's first lam and, past
-    it, the reverse in-chunk cumsum of ``dlog`` (d log gamma) over lam ``lc``."""
-    dlam = np.cumsum(dlog[..., :0:-1, :], axis=-2)[..., ::-1, :]
-    dlam /= lc[..., 1:, :]
-    T._accum(lam, _unchunk(np.concatenate([da, dlam], axis=-2), lam.shape[-2]))
-
-
 def _mT(x):
     """x with its last two axes swapped."""
     return np.swapaxes(x, -1, -2)
@@ -268,24 +263,108 @@ def _carry(y, trans, reverse=False):
     return y
 
 
-def _span(qc, kc, vc, a, gamma, state):
-    """The factorized form over chunks (..., N, c, d) that follow the state
-    ``state`` (..., dk, dv).  Returns the outputs (..., N, c, dv), the states
-    entering each chunk and leaving the last, chunk-major (N + 1, ..., dk, dv),
-    and Q . gamma, K / gamma and tril((Q . gamma)(K / gamma)^T)."""
+def _chunkwise(span, *inputs):
+    """Run the chunk kernel ``span`` on q, k, v, lam (and kappa, beta) and
+    record its backward; returns o.
+
+    ``span(a, gamma, state, *chunked)`` takes ``_decays`` of a span's lam,
+    the state (..., dk, dv) entering the span and the other inputs cut into
+    chunks (..., N, c, d).  It returns the outputs (..., N, c, dv), the state
+    after its last chunk and its backward, which maps the chunked output
+    gradient and whether lam needs one to the chunked input gradients and
+    (da, d log gamma), or None.  Without a tape the forward runs in spans of
+    ``SPAN`` positions, each carrying its state into the next; under a tape
+    it runs as one span.  Where ``_decays`` refuses the division, the call
+    runs the scan.
+    """
+    inputs = tuple(as_tensor(x) for x in inputs)
+    _check_shapes(*(x.data for x in inputs))
+    q, v, lam = inputs[0], inputs[2], inputs[3]
+    others = inputs[:3] + inputs[4:]
+    n = q.shape[-2]
+    taped = T.recording(*inputs)
+    step = max(n, 1) if taped else SPAN
+    state = np.zeros(q.shape[:-2] + (q.shape[-1], v.shape[-1]))
+    # the output is laid out time-major in memory, so that the model's
+    # (..., n, heads * dv) reshape of it is a view
+    out = np.empty((n,) + v.shape[:-2] + v.shape[-1:])
+    for t0 in range(0, max(n, 1), step):  # an empty sequence runs one empty span
+        part = (..., slice(t0, t0 + step), slice(None))
+        lc = _chunks(lam.data[part], CHUNK, 1.0)
+        decays = _decays(lc)
+        if decays is None:
+            return _recurrence(*inputs)
+        chunked = [_chunks(x.data[part], CHUNK, 0.0) for x in others]
+        o, state, back = span(*decays, state, *chunked)
+        out[t0:t0 + step] = np.moveaxis(_unchunk(o, min(step, n - t0)), -2, 0)
+        if not taped:  # so that the next span's arrays replace these, not join them
+            del lc, decays, chunked, o, back
+    out = Tensor(np.moveaxis(out, 0, -2))
+    if not taped:
+        return out
+
+    def bw(g):
+        grads, dlam = back(_chunks(g, CHUNK, 0.0), lam.requires_grad)
+        for p, grad in zip(others, grads):
+            T._accum(p, _unchunk(grad, n))
+        if dlam is None:
+            return
+        # da at each chunk's first lam and, past it, the reverse in-chunk
+        # cumsum of d log gamma over lam
+        da, dlog = dlam
+        dlam = np.cumsum(dlog[..., :0:-1, :], axis=-2)[..., ::-1, :]
+        dlam /= lc[..., 1:, :]
+        T._accum(lam, _unchunk(np.concatenate([da, dlam], axis=-2), n))
+
+    return T._record(out, inputs, bw)
+
+
+def _diagonal_span(a, gamma, state, qc, kc, vc):
+    """One span of ``forward_chunked``, for ``_chunkwise``."""
     qg, kg = qc * gamma, kc / gamma
     last = gamma[..., -1:, :]
+    # chunk-major: the states entering each chunk and leaving the last
     S = np.empty((qc.shape[-3] + 1,) + state.shape)
     S[0] = state
     U = np.moveaxis(S[1:], 0, -3)
-    np.matmul(np.swapaxes(kg, -1, -2), vc, out=U)
-    U *= np.swapaxes(last, -1, -2)
+    np.matmul(_mT(kg), vc, out=U)
+    U *= _mT(last)
     _carry(S, a * last)
-    o = np.matmul(qg * a, np.moveaxis(S[:-1], 0, -3))
-    P = np.matmul(qg, np.swapaxes(kg, -1, -2))
+    S, state = np.moveaxis(S[:-1], 0, -3), S[-1].copy()
+    o = np.matmul(qg * a, S)
+    P = np.matmul(qg, _mT(kg))
     P *= np.tri(qc.shape[-2])
     o += np.matmul(P, vc)
-    return o, S, qg, kg, P
+
+    def bw(gc, with_lam):
+        dP = np.matmul(gc, _mT(vc))
+        dP *= np.tri(CHUNK)
+        # H_m = dL/dS_m, from chunk m's outputs and from S_{m+1}; the state
+        # after chunk m is U_m plus its transition of S_m, so dL/dU_m = H_{m+1}
+        H = np.moveaxis(np.matmul(_mT(qg * a), gc), -3, 0)
+        dU = np.zeros_like(S)
+        dU[..., :-1, :, :] = np.moveaxis(_carry(H, a * last, reverse=True)[1:], 0, -3)
+        gS = np.matmul(gc, _mT(S))
+        dkl = np.matmul(vc, _mT(dU))                        # dL/d(K~ gamma_last)
+        dqg = np.matmul(dP, kg) + a * gS
+        dkg = np.matmul(_mT(dP), qg) + last * dkl
+        dv = np.matmul(_mT(P), gc) + np.matmul(kg * last, dU)
+        grads = (dqg * gamma, dkg / gamma, dv)
+        if not with_lam:
+            return grads, None
+        # the products in d log gamma; at width 1 they are summed over d at
+        # once, so that the cumsum and the last-row terms run one column wide
+        d = "d" if a.shape[-1] > 1 else ""
+        dlog = (np.einsum(f"...cd,...cd->...c{d}", qg, dqg)
+                - np.einsum(f"...cd,...cd->...c{d}", kg, dkg)).reshape(gamma.shape)
+        # the transition a gamma_last of S_m into S_{m+1}, per row of the state
+        dtrans = np.einsum(f"...de,...de->...{d}", dU, S).reshape(a.shape)
+        dlog[..., -1:, :] += last * (
+            np.einsum(f"...cd,...cd->...{d}", kg, dkl).reshape(a.shape) + a * dtrans)
+        da = np.einsum(f"...cd,...cd->...{d}", qg, gS).reshape(a.shape) + last * dtrans
+        return grads, (da, dlog)
+
+    return o, state, bw
 
 
 def forward_chunked(q, k, v, lam):
@@ -301,110 +380,15 @@ def forward_chunked(q, k, v, lam):
     backward is the transposed GEMMs plus d log lam, the reverse in-chunk
     cumsum of Q~ . dQ~ - K~ . dK~ with the gamma_last and state terms on the
     chunk's last row; dlam = d log lam / lam, but for a, whose gradient is
-    taken directly.  The forward carries the state across spans of ``SPAN``
-    positions without a tape and runs one span under a tape.  Where
-    ``_decays`` refuses the division, the call runs the scan.
+    taken directly.  ``_chunkwise`` runs it: in spans without a tape, and on
+    the scan where ``_decays`` refuses the division.
     """
-    q, k, v, lam = as_tensor(q), as_tensor(k), as_tensor(v), as_tensor(lam)
-    _check_shapes(q.data, k.data, v.data, lam.data)
-    parents = (q, k, v, lam)
-    n = q.shape[-2]
-    taped = T.recording(*parents)
-    span = max(n, 1) if taped else SPAN
-    state = np.zeros(q.shape[:-2] + (q.shape[-1], v.shape[-1]))
-    # the output is laid out time-major in memory, so that the model's
-    # (..., n, heads * dv) reshape of it is a view
-    out = np.empty((n,) + v.shape[:-2] + v.shape[-1:])
-    for t0 in range(0, max(n, 1), span):  # an empty sequence runs one empty span
-        part = (..., slice(t0, t0 + span), slice(None))
-        lc = _chunks(lam.data[part], CHUNK, 1.0)
-        decays = _decays(lc)
-        if decays is None:
-            return _recurrence(q, k, v, lam)
-        qc, kc, vc = (_chunks(x.data[part], CHUNK, 0.0) for x in (q, k, v))
-        o, S, qg, kg, P = _span(qc, kc, vc, *decays, state)
-        out[t0:t0 + span] = np.moveaxis(_unchunk(o, min(span, n - t0)), -2, 0)
-        state = S[-1].copy()
-        if not taped:  # so that the next span's arrays replace these, not join them
-            del lc, decays, qc, kc, vc, o, S, qg, kg, P
-    out = Tensor(np.moveaxis(out, 0, -2))
-    if not taped:
-        return out
-    a, gamma = decays
-    S = np.moveaxis(S, 0, -3)
-    last = gamma[..., -1:, :]
-
-    def bw(g):
-        gc = _chunks(g, CHUNK, 0.0)
-        dP = np.matmul(gc, np.swapaxes(vc, -1, -2))
-        dP *= np.tri(CHUNK)
-        # H_m = dL/dS_m, from chunk m's outputs and from S_{m+1}; the state
-        # after chunk m is U_m plus its transition of S_m, so dL/dU_m = H_{m+1}
-        H = np.moveaxis(np.matmul(np.swapaxes(qg * a, -1, -2), gc), -3, 0)
-        dU = np.zeros_like(S[..., 1:, :, :])
-        dU[..., :-1, :, :] = np.moveaxis(_carry(H, a * last, reverse=True)[1:], 0, -3)
-        gS = np.matmul(gc, np.swapaxes(S[..., :-1, :, :], -1, -2))
-        dkl = np.matmul(vc, np.swapaxes(dU, -1, -2))        # dL/d(K~ gamma_last)
-        dqg = np.matmul(dP, kg) + a * gS
-        dkg = np.matmul(np.swapaxes(dP, -1, -2), qg) + last * dkl
-        dv = np.matmul(np.swapaxes(P, -1, -2), gc) + np.matmul(kg * last, dU)
-        for p, grad in zip(parents, (dqg * gamma, dkg / gamma, dv)):
-            T._accum(p, _unchunk(grad, n))
-        if not lam.requires_grad:
-            return
-        # the products in d log lam; at width 1 they are summed over d at once,
-        # so that the cumsum and the last-row terms run one column wide
-        d = "d" if lam.shape[-1] > 1 else ""
-        dlog = (np.einsum(f"...cd,...cd->...c{d}", qg, dqg)
-                - np.einsum(f"...cd,...cd->...c{d}", kg, dkg)).reshape(lc.shape)
-        # the transition a gamma_last of S_m into S_{m+1}, per row of the state
-        dtrans = np.einsum(f"...de,...de->...{d}", dU, S[..., :-1, :, :]).reshape(a.shape)
-        dlog[..., -1:, :] += last * (
-            np.einsum(f"...cd,...cd->...{d}", kg, dkl).reshape(a.shape) + a * dtrans)
-        da = np.einsum(f"...cd,...cd->...{d}", qg, gS).reshape(a.shape) + last * dtrans
-        _accum_dlam(lam, lc, da, dlog)
-
-    return T._record(out, parents, bw)
+    return _chunkwise(_diagonal_span, q, k, v, lam)
 
 
-def forward_dplr(q, k, v, lam, kappa, beta):
-    """Recurrence with transition M_t = diag(lam_t) - beta_t kappa_t kappa_t^T,
-    s_t = M_t s_{t-1} + k_t v_t^T and o_t = s_t^T q_t, for lam of width 1 or dk.
-    Returns ``o``, differentiable in all inputs including kappa and beta.
-
-    With beta = 0 this is exactly the diagonal recurrence; with lam = 1,
-    beta = 1 and unit kappa it is the classical delta-rule overwrite.
-
-    Chunkwise through the UT transform of DeltaNet (Yang et al. 2024, arXiv
-    2406.06484), gated as in Gated DeltaNet (arXiv 2412.06464).  Per chunk,
-    with a, gamma and Q~, K~ as in ``forward_chunked``, b = beta kappa,
-    B~ = b / gamma and K^ = kappa . gamma shifted down one row, the reads
-    u_i = kappa_i^T s_{i-1} solve (I + L) U = C S + A V with
-    L = stril(K^ B~^T), A = stril(K^ K~^T) and C = a K^ (row 0: kappa_0).
-    With T^-1 = (I + L)^-1 from forward substitution, W = T^-1 C and
-    U0 = T^-1 A V, the state after the chunk is M S + R, where
-    M = diag(a gamma_last) - (B~ gamma_last)^T W and
-    R = (K~ gamma_last)^T V - (B~ gamma_last)^T U0; only that step loops.
-    Then U = U0 + W S and o = (a Q~) S + tril(Q~ K~^T) V - tril(Q~ B~^T) U.
-    The four pair matrices are one GEMM of [Q~; K^] against [K~; -B~], whose
-    sign lets the outputs and the state read [V; U] as one block.  The
-    backward runs the adjoint of the state loop in reverse, then the
-    transposed GEMMs; through the solve, with Y = [C | A V],
-    dY = T^-T d[W | U0] and dL = -stril(dY [W | U0]^T).  Last comes d log
-    gamma, as in ``forward_chunked``.  Where ``_decays`` refuses the
-    division, the call runs the scan.
-    """
-    q, k, v, lam = as_tensor(q), as_tensor(k), as_tensor(v), as_tensor(lam)
-    kappa, beta = as_tensor(kappa), as_tensor(beta)
-    _check_shapes(q.data, k.data, v.data, lam.data, kappa.data, beta.data)
-    lc = _chunks(lam.data, CHUNK, 1.0)
-    decays = _decays(lc)
-    if decays is None:
-        return _recurrence(q, k, v, lam, kappa, beta)
-    a, gamma = decays
-    parents = (q, k, v, lam, kappa, beta)
-    n, c, dk = q.shape[-2], CHUNK, q.shape[-1]
-    qc, kc, vc, kapc, betc = (_chunks(p.data, c, 0.0) for p in (q, k, v, kappa, beta))
+def _dplr_span(a, gamma, state, qc, kc, vc, kapc, betc):
+    """One span of ``forward_dplr``, for ``_chunkwise``."""
+    c, dk = qc.shape[-2], qc.shape[-1]
     last = gamma[..., -1:, :]
     shifted = np.concatenate([np.ones_like(a), gamma[..., :-1, :]], axis=-2)
     left = np.empty(qc.shape[:-2] + (2 * c, dk))                      # [Q~; K^]
@@ -438,19 +422,20 @@ def forward_dplr(q, k, v, lam, kappa, beta):
     diag = np.arange(dk)
     MR[..., diag, diag] += (a * last)[..., 0, :]                      # [M | R]
     M = MR[..., :dk].copy()
-    # the states entering each chunk, chunk-major: S_{m+1} = M_m S_m + R_m
-    S = np.zeros((M.shape[-3],) + MR.shape[:-3] + (dk, vc.shape[-1]))
-    S[1:] = np.moveaxis(MR[..., :-1, :, dk:], -3, 0)
+    # chunk-major: the states entering each chunk and leaving the last,
+    # S_{m+1} = M_m S_m + R_m
+    S = np.empty((M.shape[-3] + 1,) + state.shape)
+    S[0] = state
+    S[1:] = np.moveaxis(MR[..., dk:], -3, 0)
     _carry(S, M)
-    S = np.moveaxis(S, 0, -3)
+    S, state = np.moveaxis(S[:-1], 0, -3), S[-1].copy()
     VU = B[..., dk:].copy()
     VU[..., c:, :] += np.matmul(W, S)                                 # [V; U]
     qg = left[..., :c, :]
     o = np.matmul(qg * a, S)
     o += np.matmul(pair[..., :c, :], VU)
 
-    def bw(g):
-        gc = _chunks(g, c, 0.0)
+    def bw(gc, with_lam):
         # d[V; U] from the outputs, and F_m, their part of dL/dS_m
         dVU = np.matmul(_mT(pair[..., :c, :]), gc)
         F = np.matmul(_mT(qg * a), gc)
@@ -483,15 +468,13 @@ def forward_dplr(q, k, v, lam, kappa, beta):
         dnb = dright[..., c:, :] / gamma                              # dL/d(-b)
         grads = (dleft[..., :c, :] * gamma, dright[..., :c, :] / gamma, dv,
                  dleft[..., c:, :] * shifted - betc * dnb, -(kapc * dnb).sum(-1, keepdims=True))
-        for p, grad in zip((q, k, v, kappa, beta), grads):
-            T._accum(p, _unchunk(grad, n))
-        if not lam.requires_grad:
-            return
+        if not with_lam:
+            return grads, None
         # d log gamma per row: the products of [Q~; K^] and [K~; -B~] with their
         # gradients, K^ one row up, and gamma_last's terms on the last row; at
         # width 1 they are summed over d at once
-        d = "d" if lam.shape[-1] > 1 else ""
-        rows = lc.shape[:-2] + (2 * c, lam.shape[-1])
+        d = "d" if a.shape[-1] > 1 else ""
+        rows = gamma.shape[:-2] + (2 * c, a.shape[-1])
         pl = np.einsum(f"...cd,...cd->...c{d}", left, dleft).reshape(rows)
         pr = np.einsum(f"...cd,...cd->...c{d}", right, dright).reshape(rows)
         dlog = pl[..., :c, :] - pr[..., :c, :] - pr[..., c:, :]
@@ -503,9 +486,39 @@ def forward_dplr(q, k, v, lam, kappa, beta):
         da = (np.einsum(f"...cd,...cd->...{d}", qg, gS)
               + np.einsum(f"...cd,...cd->...{d}", left[..., c + 1:, :], dY[..., 1:, :dk])
               ).reshape(a.shape) + last * dtrans
-        _accum_dlam(lam, lc, da, dlog)
+        return grads, (da, dlog)
 
-    return T._record(Tensor(_unchunk(o, n)), parents, bw)
+    return o, state, bw
+
+
+def forward_dplr(q, k, v, lam, kappa, beta):
+    """Recurrence with transition M_t = diag(lam_t) - beta_t kappa_t kappa_t^T,
+    s_t = M_t s_{t-1} + k_t v_t^T and o_t = s_t^T q_t, for lam of width 1 or dk.
+    Returns ``o``, differentiable in all inputs including kappa and beta.
+
+    With beta = 0 this is exactly the diagonal recurrence; with lam = 1,
+    beta = 1 and unit kappa it is the classical delta-rule overwrite.
+
+    Chunkwise through the UT transform of DeltaNet (Yang et al. 2024, arXiv
+    2406.06484), gated as in Gated DeltaNet (arXiv 2412.06464).  Per chunk,
+    with a, gamma and Q~, K~ as in ``forward_chunked``, b = beta kappa,
+    B~ = b / gamma and K^ = kappa . gamma shifted down one row, the reads
+    u_i = kappa_i^T s_{i-1} solve (I + L) U = C S + A V with
+    L = stril(K^ B~^T), A = stril(K^ K~^T) and C = a K^ (row 0: kappa_0).
+    With T^-1 = (I + L)^-1 from forward substitution, W = T^-1 C and
+    U0 = T^-1 A V, the state after the chunk is M S + R, where
+    M = diag(a gamma_last) - (B~ gamma_last)^T W and
+    R = (K~ gamma_last)^T V - (B~ gamma_last)^T U0; only that step loops.
+    Then U = U0 + W S and o = (a Q~) S + tril(Q~ K~^T) V - tril(Q~ B~^T) U.
+    The four pair matrices are one GEMM of [Q~; K^] against [K~; -B~], whose
+    sign lets the outputs and the state read [V; U] as one block.  The
+    backward runs the adjoint of the state loop in reverse, then the
+    transposed GEMMs; through the solve, with Y = [C | A V],
+    dY = T^-T d[W | U0] and dL = -stril(dY [W | U0]^T).  Last comes d log
+    gamma, as in ``forward_chunked``.  ``_chunkwise`` runs it: in spans
+    without a tape, and on the scan where ``_decays`` refuses the division.
+    """
+    return _chunkwise(_dplr_span, q, k, v, lam, kappa, beta)
 
 
 def dplr_dense_oracle(q, k, v, lam, kappa, beta):

@@ -134,12 +134,14 @@ def suite_chunked_vs_sequential(level="full"):
 
 
 # Cases of the DPLR chunk kernel, run at both widths of lam: (batch, n, value,
-# positions with lam = value, scale of kappa).  Zeros at t = 0 and on a chunk
-# boundary keep the chunk form, over more than two chunks with n not a
-# multiple of the chunk and with a (2, 3) batch; a run just below FLOOR
-# inside a chunk sends the call to the scan.  With kappa three times a unit
-# row the transition grows the state by orders of magnitude per chunk.
+# positions with lam = value, scale of kappa).  Zeros at t = 0, on a chunk
+# boundary and at a span's first position keep the chunk form, over more
+# than two chunks with n not a multiple of the chunk, with a (2, 3) batch and
+# over three spans; a run just below FLOOR inside a chunk sends the call to
+# the scan.  With kappa three times a unit row the transition grows the state
+# by orders of magnitude per chunk.
 _DPLR_CASES = [
+    ((), 2 * R.SPAN + 11, 0.0, (0, R.CHUNK, R.SPAN), 1.0),
     ((), 3 * R.CHUNK + 5, 0.0, (0, R.CHUNK), 1.0),
     ((2, 3), 2 * R.CHUNK + 7, 0.0, (0, 2 * R.CHUNK), 1.0),
     ((), 2 * R.CHUNK + 3, R.FLOOR * (1 - 1e-6), tuple(range(R.CHUNK + 1, R.CHUNK + 6)), 1.0),

@@ -207,6 +207,32 @@ def test_cmd_train_dplr_lrpe_is_a_config_error(tmp_path, corpus_path, capsys):
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("section,key,value,extra", [
+    ("model", "heads", "0", ""),
+    ("model", "hidden", "0", "heads = 1\n"),
+    ("model", "glu_ratio", "0", ""),
+    ("model", "tpe_state", "0", "posenc = tpe\n"),
+    ("model", "rope_base", "0", "posenc = rope\n"),
+    ("train", "beta1", "1.0", ""),
+    ("train", "beta2", "1.0", ""),
+    ("train", "beta1", "-0.1", ""),
+    ("train", "eps", "-1e-8", ""),
+    ("train", "weight_decay", "-0.01", ""),
+    ("train", "grad_clip_norm", "-1.0", ""),
+    ("train", "val_every", "-1", ""),
+    ("train", "checkpoint_every", "-1", ""),
+])
+def test_cmd_train_rejects_an_out_of_range_value(section, key, value, extra, tmp_path,
+                                                 corpus_path, capsys):
+    cfg_path = _write(tmp_path, f"[{section}]\n{extra}{key} = {value}\n")
+    out = tmp_path / "o"
+    code = cli.main(["train", "--config", cfg_path, "--corpus", corpus_path, "--out", str(out)])
+    assert code == cli.EXIT_IO
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0]
+    assert not out.exists()
+
 SHORT_SPLIT_CONFIG = """\
 [model]
 n_layers = 1
@@ -369,17 +395,18 @@ def test_cmd_verify_detects_a_scaled_chunked_decay_gradient(monkeypatch, capsys)
 
 
 def test_cmd_verify_detects_a_perturbed_span_state(monkeypatch, capsys):
-    real = recurrence._span
+    real = recurrence._chunkwise
 
-    def perturbed(*args):
-        o, S, *rest = real(*args)
-        S[-1] *= 1.0 + 1e-6  # the state carried into the next span
-        return (o, S, *rest)
+    def perturbed(span, *inputs):
+        def scaled(*args):
+            o, state, back = span(*args)
+            return o, state * (1.0 + 1e-6), back  # the state carried into the next span
+        return real(scaled, *inputs)
 
-    monkeypatch.setattr(recurrence, "_span", perturbed)
+    monkeypatch.setattr(recurrence, "_chunkwise", perturbed)
     assert cli.main(["verify", "--level", "quick"]) == cli.EXIT_VERIFY
     out = capsys.readouterr().out
-    assert "FAIL chunked-vs-sequential" in out
+    assert "FAIL chunked-vs-sequential" in out and "FAIL dplr" in out
     assert "no-tape output rel diff" in out
     assert ": output rel diff" not in out and "dq rel diff" not in out
 

@@ -425,19 +425,37 @@ def test_chunked_vector_gradients(rng):
     assert grad_check(build, leaves, rel_tol=1e-4) == []
 
 
+def _with_transition(rng, kernel, q, k, v, lam):
+    """The arguments of ``kernel`` and of the scan ``R._recurrence``: q, k, v,
+    lam and, for ``forward_dplr``, unit kappa rows and beta."""
+    if kernel is R.forward_chunked:
+        return q, k, v, lam
+    kappa = rng.normal(size=q.shape)
+    kappa /= np.linalg.norm(kappa, axis=-1, keepdims=True)
+    return q, k, v, lam, kappa, rng.uniform(0.05, 0.95, size=q.shape[:-1] + (1,))
+
+
+def _scan(*arrays):
+    """The scan ``R._recurrence`` on plain arrays."""
+    return R._recurrence(*(T.as_tensor(x) for x in arrays))
+
+
 @pytest.mark.parametrize("batch,n", [((), 1), ((), 5), ((2, 3), R.SPAN // 2 + 5),
                                      ((1,), R.SPAN + 9), ((2, 3), R.SPAN + 5),
                                      ((2,), 2 * R.SPAN + R.CHUNK + 1)])
 def test_chunked_vector_matches_the_scan_across_spans(rng, batch, n, monkeypatch):
-    # no zero past a chunk's first position and none on a span boundary, so
-    # the whole call stays on the factorized path and carries the state
-    q, k, v, lam = _chunk_inputs(rng, batch, n, scalar=False)
-    ref = R.forward_sequential(q, k, v, lam).data
-    monkeypatch.setattr(R, "_recurrence", None)
-    o = R.forward_chunked(q, k, v, lam)
-    assert o.shape == ref.shape
-    assert np.max(np.abs(o.data - ref)) <= 1e-10 * max(np.max(np.abs(ref)), 1.0)
-    assert np.array_equal(R.forward_chunked(q, k, v, lam).data, o.data)
+    # both chunk kernels; no zero past a chunk's first position and none on a
+    # span boundary, so the whole call stays on the chunk path and carries
+    # the state
+    for kernel, tol in ((R.forward_chunked, 1e-10), (R.forward_dplr, 1e-12)):
+        args = _with_transition(rng, kernel, *_chunk_inputs(rng, batch, n, scalar=False))
+        ref = _scan(*args).data
+        with monkeypatch.context() as m:
+            m.setattr(R, "_recurrence", None)
+            o = kernel(*args)
+            assert o.shape == ref.shape
+            assert np.max(np.abs(o.data - ref)) <= tol * max(np.max(np.abs(ref)), 1.0), kernel
+            assert np.array_equal(kernel(*args).data, o.data)
 
 
 def _alloc_peak(fn, *args):
@@ -451,14 +469,16 @@ def _alloc_peak(fn, *args):
 
 @pytest.mark.parametrize("layout", ["contiguous", "model"])
 def test_chunked_vector_peak_is_below_the_scan(rng, layout):
-    # "model": q, k, v are (h, n, d) views of time-major (n, h, d) arrays, as
-    # the per-head projections return them, and lam is contiguous
+    # both chunk kernels, each against the scan of its recurrence; "model":
+    # q, k, v are (h, n, d) views of time-major (n, h, d) arrays, as the
+    # per-head projections return them, and lam is contiguous
     shape = (1, 4, 2048, 16)
     q, k, v = (rng.normal(size=shape) for _ in range(3))
     if layout == "model":
         q, k, v = (np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -2, 0)), 0, -2)
                    for x in (q, k, v))
-    for width in (1, shape[-1]):
-        lam = rng.uniform(0.5, 1.0, size=shape[:-1] + (width,))
-        assert (_alloc_peak(R.forward_chunked, q, k, v, lam)
-                <= _alloc_peak(R.forward_sequential, q, k, v, lam)), width
+    for kernel, scan in ((R.forward_chunked, R.forward_sequential), (R.forward_dplr, _scan)):
+        for width in (1, shape[-1]):
+            lam = rng.uniform(0.5, 1.0, size=shape[:-1] + (width,))
+            args = _with_transition(rng, kernel, q, k, v, lam)
+            assert _alloc_peak(kernel, *args) <= _alloc_peak(scan, *args), (kernel, width)
