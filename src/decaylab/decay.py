@@ -16,8 +16,13 @@ knows about it:
 - ``scalar_only``: vector granularity and sharing are rejected;
 - ``sample(rng, f)``: the lambda ``decaylab verify`` checks its kernels on.
 
-A new strategy is one row here and touches no other file.  The module
-also holds the low-rank decay projections and key sharing (k = 1 - lambda).
+A new strategy is one row here and touches no other file.
+
+``PROJECTIONS`` has one row per projection layout, keyed by (granularity,
+sharing): the names of the weights that produce F and their shapes in terms
+of the hidden width ``"d"``, the heads ``"h"`` and the head width ``"dk"``.
+It is the one place the layouts are defined.  The module also holds key
+sharing (k = 1 - lambda).
 """
 
 from __future__ import annotations
@@ -34,6 +39,12 @@ from .tensor import Tensor, as_tensor
 
 GRANULARITIES = ("scalar", "vector")
 SHARINGS = ("independent", "shared")
+PROJECTIONS = {
+    ("scalar", "independent"): {"w_scalar": ("h", "d", 1)},
+    # low-rank: one (d, dk) factor shared by the heads, then one per head
+    ("vector", "independent"): {"w_low": ("d", "dk"), "w_head": ("h", "dk", "dk")},
+    ("vector", "shared"): {"w_shared": ("h", "d", "dk")},
+}
 
 
 class ConfigError(ValueError):
@@ -92,8 +103,9 @@ class DecayConfig:
         if row.scalar_only:
             if self.granularity != "scalar" or self.sharing != "independent":
                 raise ConfigError(f"{self.strategy} decay is scalar-only without sharing")
-        if self.sharing == "shared" and self.granularity != "vector":
-            raise ConfigError("parameter sharing requires vector granularity")
+        if (self.granularity, self.sharing) not in PROJECTIONS:
+            raise ConfigError(f"no decay projection for granularity={self.granularity}, "
+                              f"sharing={self.sharing}")
         if row.source == "head" and self.sharing == "shared":
             raise ConfigError("parameter sharing needs a decay projection")
         if not self.tau > 0:
@@ -102,6 +114,11 @@ class DecayConfig:
             raise ConfigError("p must lie in (0, 1)")
         if self.lower_bound is not None and not 0.0 <= self.lower_bound < 1.0:
             raise ConfigError("lower_bound must lie in [0, 1)")
+
+    @property
+    def projection(self):
+        """Weight name -> shape of this config's row of ``PROJECTIONS``."""
+        return PROJECTIONS[(self.granularity, self.sharing)]
 
     def inputs(self, heads, layer, n_layers):
         """Knobs a row's decay and init functions take besides F and the
@@ -116,28 +133,13 @@ class DecayConfig:
 
 @dataclass
 class DecayProjection:
-    """Weights producing the decay activation F from the layer input.
+    """Weights producing the decay activation F from the layer input: name ->
+    Tensor, with exactly the names of the config's ``PROJECTIONS`` row."""
 
-    Exactly one weight set is populated, matching (granularity, sharing):
-    ``w_scalar`` (h, d, 1) for scalar decay, ``w_low`` (d, d/h) together
-    with ``w_head`` (h, d/h, d/h) for independent vector decay (low-rank),
-    ``w_shared`` (h, d, d/h) for shared vector decay.
-    """
-
-    w_scalar: Tensor | None = None
-    w_low: Tensor | None = None
-    w_head: Tensor | None = None
-    w_shared: Tensor | None = None
+    weights: dict[str, Tensor]
 
     def check(self, config: DecayConfig):
-        if config.granularity == "scalar":
-            ok = self.w_scalar is not None and self.w_low is None and self.w_shared is None
-        elif config.sharing == "shared":
-            ok = self.w_shared is not None and self.w_scalar is None and self.w_low is None
-        else:
-            ok = (self.w_low is not None and self.w_head is not None
-                  and self.w_scalar is None and self.w_shared is None)
-        if not ok:
+        if set(self.weights) != set(config.projection):
             raise ConfigError(
                 f"decay projection weights do not match granularity={config.granularity}, "
                 f"sharing={config.sharing}")
@@ -151,12 +153,11 @@ def decay_activations(x, proj: DecayProjection, config: DecayConfig):
     """
     proj.check(config)
     x = as_tensor(x)
-    if config.granularity == "scalar":
-        return T.head_project(x, proj.w_scalar)
-    if config.sharing == "shared":
-        return T.head_project(x, proj.w_shared)
-    xh = T.reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
-    return T.matmul(T.matmul(xh, proj.w_low), proj.w_head)
+    if "w_low" in proj.weights:
+        xh = T.reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
+        return T.matmul(T.matmul(xh, proj.weights["w_low"]), proj.weights["w_head"])
+    (w,) = proj.weights.values()
+    return T.head_project(x, w)
 
 
 LIGHTNET_BLOCK = 64

@@ -102,6 +102,7 @@ def _layout(config: ModelConfig):
     dk = config.head_dim
     dc = config.decay
     row = D.STRATEGIES[dc.strategy]
+    dims = {"d": d, "h": h, "dk": dk}
     layout = [("embedding", (config.vocab, d), _trunc_normal)]
     if config.posenc == "tpe":
         m = config.tpe_state
@@ -120,13 +121,8 @@ def _layout(config: ModelConfig):
         # its output joins the residual stream at the model width
         layout.append((pre + "wv", (h, d, dk), _trunc_normal))
         if row.projected:
-            if dc.granularity == "scalar":
-                layout.append((pre + "decay.w_scalar", (h, d, 1), _trunc_normal))
-            elif dc.sharing == "shared":
-                layout.append((pre + "decay.w_shared", (h, d, dk), _trunc_normal))
-            else:
-                layout += [(pre + "decay.w_low", (d, dk), _trunc_normal),
-                           (pre + "decay.w_head", (h, dk, dk), _trunc_normal)]
+            layout += [(pre + "decay." + name, tuple(dims.get(s, s) for s in shape),
+                        _trunc_normal) for name, shape in dc.projection.items()]
         for name, init in row.scalars.items():
             layout.append((pre + "decay." + name, (h, 1, 1),
                            lambda rng, shape, init=init, layer=i + 1:
@@ -203,12 +199,7 @@ def compute_decay(x, params, config: ModelConfig, layer_idx):
     inputs.update((name, params[pre + name]) for name in row.scalars)
     if not row.projected:
         return T.broadcast_to(row.decay(None, **inputs), x.shape[:-2] + (h, x.shape[-2], 1))
-    proj = DecayProjection(
-        w_scalar=params.get(pre + "w_scalar"),
-        w_low=params.get(pre + "w_low"),
-        w_head=params.get(pre + "w_head"),
-        w_shared=params.get(pre + "w_shared"),
-    )
+    proj = DecayProjection({name: params[pre + name] for name in dc.projection})
     return row.decay(D.decay_activations(x, proj, dc), **inputs)
 
 

@@ -47,10 +47,11 @@ class TrainConfig:
             raise ValueError("final_lr_ratio must lie in (0, 1]")
         if self.total_steps < 1 or self.batch_size < 1 or self.seq_len < 1:
             raise ValueError("total_steps, batch_size and seq_len must be positive")
-        for key in ("beta1", "beta2"):
+        for key in ("beta1", "beta2", "val_fraction"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ValueError(f"{key} must lie in [0, 1)")
-        for key in ("eps", "weight_decay", "grad_clip_norm", "val_every", "checkpoint_every"):
+        for key in ("stable_fraction", "eps", "weight_decay", "grad_clip_norm", "val_every",
+                    "checkpoint_every"):
             if not getattr(self, key) >= 0:
                 raise ValueError(f"{key} must be >= 0")
 

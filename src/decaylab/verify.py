@@ -26,15 +26,9 @@ def _random_lambda(rng, strategy, granularity, n, dk):
 
 def _decay_cells():
     """(strategy, granularity, sharing): a strategy with a decay projection
-    in all three projection layouts, a per-head one as a scalar."""
-    cells = []
-    for strategy, row in D.STRATEGIES.items():
-        if row.projected:
-            cells += [(strategy, "scalar", "independent"), (strategy, "vector", "independent"),
-                      (strategy, "vector", "shared")]
-        else:
-            cells.append((strategy, "scalar", "independent"))
-    return cells
+    in every layout of ``decay.PROJECTIONS``, a per-head one as a scalar."""
+    return [(strategy,) + layout for strategy, row in D.STRATEGIES.items()
+            for layout in (D.PROJECTIONS if row.projected else [("scalar", "independent")])]
 
 
 def suite_sequential_vs_oracle(level="full"):
@@ -97,11 +91,11 @@ def _rel_diff(a, b):
     return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1.0))
 
 
-# Cases of the chunk kernel, run at both widths of lam: (batch, n, value,
+# Cases of the chunk kernels, run at both widths of lam: (batch, n, value,
 # positions with lam = value).  Zeros at t = 0, on a chunk boundary and at a
-# span's first position keep the factorized form, over more than two spans
-# and, with a (2, 3) batch, across one span boundary; so does a run just
-# above FLOOR past a chunk's first position, the least gamma that ``_decays``
+# span's first position keep the chunk form, over more than two spans and,
+# with a (2, 3) batch, across one span boundary; so does a run just above
+# FLOOR past a chunk's first position, the least gamma that ``_decays``
 # admits.  A zero at a span's last position or in the middle of a chunk, a
 # run of 1e-30 and a run just below FLOOR send the call to the scan.  They
 # also cover n not a multiple of the chunk, n below the chunk and n = 1.
@@ -119,34 +113,30 @@ _CHUNK_CASES = [
 ]
 
 
-def suite_chunked_vs_sequential(level="full"):
+def _chunk_cases_against_the_scan(kernel, rng, dk, dv, kappa_scale=None):
+    """Failures of ``kernel`` against the scan on every case of ``_CHUNK_CASES``
+    at both widths of lam.  With a ``kappa_scale`` the kernel also takes
+    kappa, rows of that norm, and beta: at three times a unit row the DPLR
+    transition grows the state by orders of magnitude per chunk."""
     failures = []
-    rng = np.random.Generator(np.random.Philox(2))
-    dk, dv = 6, 5
     for (batch, n, value, positions), width in itertools.product(_CHUNK_CASES, (1, dk)):
         lam = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 2.0, size=batch + (n, width))))
         lam[..., list(positions), :] = value
         arrays = [rng.normal(size=batch + (n, d)) for d in (dk, dk, dv)] + [lam]
+        case = f"width={width} batch={batch} n={n} lam={value:g}"
+        if kappa_scale is not None:
+            kappa = rng.normal(size=batch + (n, dk))
+            kappa *= kappa_scale / np.linalg.norm(kappa, axis=-1, keepdims=True)
+            arrays += [kappa, rng.uniform(0.05, 0.95, size=batch + (n, 1))]
+            case += f" kappa scale={kappa_scale:g}"
         weight = rng.normal(size=batch + (n, dv))
-        failures += _against_the_scan(R.forward_chunked, arrays, weight,
-                                      f"width={width} batch={batch} n={n} lam={value:g}")
+        failures += _against_the_scan(kernel, arrays, weight, case)
     return failures
 
 
-# Cases of the DPLR chunk kernel, run at both widths of lam: (batch, n, value,
-# positions with lam = value, scale of kappa).  Zeros at t = 0, on a chunk
-# boundary and at a span's first position keep the chunk form, over more
-# than two chunks with n not a multiple of the chunk, with a (2, 3) batch and
-# over three spans; a run just below FLOOR inside a chunk sends the call to
-# the scan.  With kappa three times a unit row the transition grows the state
-# by orders of magnitude per chunk.
-_DPLR_CASES = [
-    ((), 2 * R.SPAN + 11, 0.0, (0, R.CHUNK, R.SPAN), 1.0),
-    ((), 3 * R.CHUNK + 5, 0.0, (0, R.CHUNK), 1.0),
-    ((2, 3), 2 * R.CHUNK + 7, 0.0, (0, 2 * R.CHUNK), 1.0),
-    ((), 2 * R.CHUNK + 3, R.FLOOR * (1 - 1e-6), tuple(range(R.CHUNK + 1, R.CHUNK + 6)), 1.0),
-    ((), 3 * R.CHUNK + 5, 0.0, (0, R.CHUNK), 3.0),
-]
+def suite_chunked_vs_sequential(level="full"):
+    rng = np.random.Generator(np.random.Philox(2))
+    return _chunk_cases_against_the_scan(R.forward_chunked, rng, 6, 5)
 
 
 def suite_dplr(level="full"):
@@ -170,19 +160,8 @@ def suite_dplr(level="full"):
         diff = float(np.max(np.abs(o_zero.data - o_diag.data)))
         if not diff <= 1e-12:
             failures.append(f"beta=0 reduction diff {diff:.3e}")
-    # the chunk kernel against the scan
-    dk, dv = 4, 3
-    for (batch, n, value, positions, scale), width in itertools.product(_DPLR_CASES, (1, dk)):
-        lam = 1.0 / (1.0 + np.exp(-rng.normal(1.0, 2.0, size=batch + (n, width))))
-        lam[..., list(positions), :] = value
-        kappa = rng.normal(size=batch + (n, dk))
-        kappa *= scale / np.linalg.norm(kappa, axis=-1, keepdims=True)
-        arrays = [rng.normal(size=batch + (n, d)) for d in (dk, dk, dv)]
-        arrays += [lam, kappa, rng.uniform(0.05, 0.95, size=batch + (n, 1))]
-        weight = rng.normal(size=batch + (n, dv))
-        failures += _against_the_scan(
-            R.forward_dplr, arrays, weight,
-            f"width={width} batch={batch} n={n} lam={value:g} kappa scale={scale:g}")
+    for scale in (1.0, 3.0):
+        failures += _chunk_cases_against_the_scan(R.forward_dplr, rng, 4, 3, scale)
     # delta-rule overwrite: the second write through the same unit key
     # replaces the first value, so reading that key at t = 1 gives v_2
     kap = np.zeros((2, 3))

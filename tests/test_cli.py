@@ -222,6 +222,11 @@ def test_cmd_train_dplr_lrpe_is_a_config_error(tmp_path, corpus_path, capsys):
     ("train", "grad_clip_norm", "-1.0", ""),
     ("train", "val_every", "-1", ""),
     ("train", "checkpoint_every", "-1", ""),
+    ("train", "stable_fraction", "-0.5", ""),
+    ("train", "stable_fraction", "nan", ""),
+    ("train", "val_fraction", "nan", ""),
+    ("train", "val_fraction", "1.0", ""),
+    ("train", "val_fraction", "-0.1", ""),
 ])
 def test_cmd_train_rejects_an_out_of_range_value(section, key, value, extra, tmp_path,
                                                  corpus_path, capsys):

@@ -57,11 +57,11 @@ def test_config_validates_scalars():
 def _projection_for(config, d, h, rng):
     dk = d // h
     if config.granularity == "scalar":
-        return DecayProjection(w_scalar=Tensor(rng.normal(size=(h, d, 1))))
+        return DecayProjection({"w_scalar": Tensor(rng.normal(size=(h, d, 1)))})
     if config.sharing == "shared":
-        return DecayProjection(w_shared=Tensor(rng.normal(size=(h, d, dk))))
-    return DecayProjection(w_low=Tensor(rng.normal(size=(d, dk))),
-                           w_head=Tensor(rng.normal(size=(h, dk, dk))))
+        return DecayProjection({"w_shared": Tensor(rng.normal(size=(h, d, dk)))})
+    return DecayProjection({"w_low": Tensor(rng.normal(size=(d, dk))),
+                            "w_head": Tensor(rng.normal(size=(h, dk, dk)))})
 
 
 def test_activations_zero_input(rng):
@@ -76,8 +76,8 @@ def test_activations_identity_head_factor(rng):
     d, h = 8, 2
     dk = d // h
     w_low = rng.normal(size=(d, dk))
-    proj = DecayProjection(w_low=Tensor(w_low),
-                           w_head=Tensor(np.broadcast_to(np.eye(dk), (h, dk, dk)).copy()))
+    proj = DecayProjection({"w_low": Tensor(w_low),
+                            "w_head": Tensor(np.broadcast_to(np.eye(dk), (h, dk, dk)).copy())})
     config = DecayConfig(strategy="gla", granularity="vector")
     x = rng.normal(size=(5, d))
     f = D.decay_activations(Tensor(x), proj, config)
@@ -94,7 +94,7 @@ def test_activations_match_two_step_matmul_oracle(rng):
     x = rng.normal(size=(6, d))
     f = D.decay_activations(Tensor(x), proj, config)
     for j in range(h):
-        ref = (x @ proj.w_low.data) @ proj.w_head.data[j]
+        ref = (x @ proj.weights["w_low"].data) @ proj.weights["w_head"].data[j]
         assert np.max(np.abs(f.data[j] - ref)) == 0.0
 
 
@@ -107,7 +107,7 @@ def test_activations_scalar_shape(rng):
 
 def test_projection_check_rejects_mismatch(rng):
     config = DecayConfig(strategy="gla", granularity="vector")
-    proj = DecayProjection(w_scalar=Tensor(np.zeros((2, 8, 1))))
+    proj = DecayProjection({"w_scalar": Tensor(np.zeros((2, 8, 1)))})
     with pytest.raises(ConfigError):
         D.decay_activations(Tensor(np.zeros((4, 8))), proj, config)
 

@@ -18,7 +18,7 @@ TOY = Strategy(
     "sigmoid(f) * sigmoid(b)",
     lambda f, b, **_: T.sigmoid(f) * T.sigmoid(b),
     scalars={"b": lambda heads, layer, **_: np.full(heads, float(layer))})
-LAYOUTS = [("scalar", "independent"), ("vector", "independent"), ("vector", "shared")]
+LAYOUTS = list(D.PROJECTIONS)
 
 
 @pytest.fixture
@@ -56,6 +56,23 @@ def test_learned_scalar_gets_a_gradient(toy, granularity, sharing):
     for i in range(2):
         grad = params[f"layers.{i}.decay.b"].grad
         assert grad is not None and np.all(np.isfinite(grad)) and np.any(grad != 0.0)
+
+
+@pytest.mark.parametrize("granularity,sharing", LAYOUTS)
+def test_every_projection_row_reaches_init_and_verify(granularity, sharing):
+    dims = {"d": 8, "h": 2, "dk": 4}
+    cells = verify._decay_cells()
+    for strategy, row in D.STRATEGIES.items():
+        if not row.projected:
+            continue
+        assert (strategy, granularity, sharing) in cells
+        config = ModelConfig(n_layers=2, hidden=8, heads=2, vocab=17, decay=DecayConfig(
+            strategy=strategy, granularity=granularity, sharing=sharing))
+        made = {name: p.shape for name, p in init_params(config).items()
+                if ".decay." in name and name.rsplit(".", 1)[1] not in row.scalars}
+        assert made == {f"layers.{i}.decay.{name}": tuple(dims.get(s, s) for s in shape)
+                        for i in range(2)
+                        for name, shape in D.PROJECTIONS[(granularity, sharing)].items()}
 
 
 def test_weight_decay_exempts_the_learned_scalar(toy):
