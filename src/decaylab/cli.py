@@ -166,6 +166,8 @@ def cmd_train(args):
     config.corpus = args.corpus or config.corpus
     if not config.corpus:
         raise _Exit(EXIT_IO, "no corpus given: pass --corpus or set [train] corpus in the config")
+    # echoed absolute, so that the resolved config reruns from any directory
+    config.corpus = os.path.abspath(config.corpus)
     with _exits(EXIT_IO, (OSError, ValueError)):
         corpus = load_corpus(config.corpus, config.train)
     with _writing(args.out), open(os.path.join(args.out, "config_resolved.txt"), "w") as f:

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .recurrence import _chunks, _unchunk
+from .recurrence import _chunks, _move, _unchunk
 from .tensor import Tensor, as_tensor
 
 GRANULARITIES = ("scalar", "vector")
@@ -231,23 +231,23 @@ def lightnet_decay(f):
     lam_data = np.concatenate(
         [np.zeros_like(x[..., :1, :]),
          np.exp(lse[..., :-1, :] - lse[..., 1:, :])], axis=-2)
-    out = Tensor(lam_data)
+    nf = T._node(f)
 
     def bw(g):
         # 1 - lambda_t = exp(F_t - lse_t), without cancellation.
         # dL/dF_s = p_s (W_s - g_s) with W_s = sum_{t>=s} g_t p_t prod_{s<i<=t} lambda_i,
         # i.e. W_s = g_s p_s + lambda_{s+1} W_{s+1}: every factor lies in [0, 1]
         p = np.exp(x - lse)
-        c = np.moveaxis(g * p, -2, 0)
-        lam_t = np.moveaxis(lam_data, -2, 0)
+        c = _move(g * p, -2, 0)
+        lam_t = _move(lam_data, -2, 0)
         w = np.empty_like(c)
         w[-1] = c[-1]
         for t in range(len(c) - 2, -1, -1):
             np.multiply(lam_t[t + 1], w[t + 1], out=w[t])
             w[t] += c[t]
-        T._accum(f, p * (np.moveaxis(w, 0, -2) - g))
+        T._accum(nf, p * (_move(w, 0, -2) - g))
 
-    return T._record(out, (f,), bw)
+    return T._record(Tensor(lam_data), (f,), bw)
 
 
 def tnl_decay(j, h, l, L):

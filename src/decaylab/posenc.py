@@ -63,12 +63,12 @@ def rope_apply(x, params: RopeParams):
     if x.shape[-1] != params.head_dim:
         raise ValueError(f"rope: expected last dim {params.head_dim}, got {x.shape[-1]}")
     cos, sin = _rope_trig(params, np.arange(x.shape[-2]))
-    out = Tensor(_rotate(x.data, cos, sin))
+    nx = T._node(x)
 
     def bw(g):
-        T._accum(x, _rotate(g, cos, -sin))
+        T._accum(nx, _rotate(g, cos, -sin))
 
-    return T._record(out, (x,), bw)
+    return T._record(Tensor(_rotate(x.data, cos, sin)), (x,), bw)
 
 
 @dataclass

@@ -31,6 +31,8 @@ gradients are batched matmuls over the stored states and adjoints.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from . import tensor as T
@@ -70,9 +72,25 @@ def _check_shapes(q, k, v, lam, kappa=None, beta=None):
                 raise ValueError(f"non-finite values in {name}")
 
 
+@cache
+def _axes(ndim, source, destination):
+    """Transpose axes that move axis ``source`` of an ndim-array to
+    ``destination``, as ``np.moveaxis`` orders them."""
+    source, destination = source % ndim, destination % ndim
+    order = [i for i in range(ndim) if i != source]
+    order.insert(destination, source)
+    return tuple(order)
+
+
+def _move(x, source, destination):
+    """``np.moveaxis(x, source, destination)``, the same view, through
+    cached axes: the kernels move the same few axes on every call."""
+    return x.transpose(_axes(x.ndim, source, destination))
+
+
 def _time_major(x):
     """(..., n, d) -> contiguous (n, ..., d)."""
-    return np.ascontiguousarray(np.moveaxis(x, -2, 0))
+    return np.ascontiguousarray(_move(x, -2, 0))
 
 
 def _scan(q, k, v, lam, kap=None, bk=None, keep=False):
@@ -131,10 +149,10 @@ def _adjoint(g, q, lam, kap=None, bk=None):
     return G, w
 
 
-def _time_major_inputs(parents):
+def _time_major_inputs(arrays):
     """Time-major q, k, v, lam, kappa, beta and bk = beta * kappa
     (the last three None for the diagonal transition)."""
-    arrays = [_time_major(p.data) for p in parents]
+    arrays = [_time_major(x) for x in arrays]
     if len(arrays) == 4:
         return arrays + [None, None, None]
     return arrays + [arrays[5] * arrays[4]]
@@ -148,14 +166,16 @@ def _recurrence(q, k, v, lam, kappa=None, beta=None):
     """
     parents = (q, k, v, lam) if kappa is None else (q, k, v, lam, kappa, beta)
     keep = T.recording(*parents)
-    qt, kt, vt, lt, kap, _, bk = _time_major_inputs(parents)
+    arrays = [p.data for p in parents]
+    qt, kt, vt, lt, kap, _, bk = _time_major_inputs(arrays)
     o, states, u = _scan(qt, kt, vt, lt, kap, bk, keep)
-    out = Tensor(np.ascontiguousarray(np.moveaxis(o, 0, -2)))
+    out = Tensor(np.ascontiguousarray(_move(o, 0, -2)))
     if not keep:
         return out
+    nodes = [T._node(p) for p in parents]
 
     def bw(g):
-        qt, kt, vt, lt, kap, bet, bk = _time_major_inputs(parents)
+        qt, kt, vt, lt, kap, bet, bk = _time_major_inputs(arrays)
         gt = _time_major(g)
         G, w = _adjoint(gt, qt, lt, kap, bk)
         grads = [
@@ -177,8 +197,8 @@ def _recurrence(q, k, v, lam, kappa=None, beta=None):
             dkap[1:] = -bet[1:] * (np.matmul(G[1:], np.swapaxes(u[1:], -1, -2))
                                    + np.matmul(states[:-1], np.swapaxes(w[1:], -1, -2)))[..., 0]
             grads += [dkap, dbet]
-        for p, grad in zip(parents, grads):
-            T._accum(p, np.moveaxis(grad, 0, -2))
+        for node, grad in zip(nodes, grads):
+            T._accum(node, _move(grad, 0, -2))
 
     return T._record(out, parents, bw)
 
@@ -251,7 +271,7 @@ def _carry(y, trans, reverse=False):
     y_m += T_m^T y_{m+1} from the end with ``reverse``; T_m is chunk m's
     transition, a diagonal (..., N, 1, w) or a matrix (..., N, dk, dk).
     Returns y."""
-    trans = np.moveaxis(trans, -3, 0)
+    trans = _move(trans, -3, 0)
     if trans.shape[-2] == 1:
         op, trans = np.multiply, _mT(trans)  # a diagonal scales the rows of y
     else:
@@ -296,17 +316,18 @@ def _chunkwise(span, *inputs):
             return _recurrence(*inputs)
         chunked = [_chunks(x.data[part], CHUNK, 0.0) for x in others]
         o, state, back = span(*decays, state, *chunked)
-        out[t0:t0 + step] = np.moveaxis(_unchunk(o, min(step, n - t0)), -2, 0)
+        out[t0:t0 + step] = _move(_unchunk(o, min(step, n - t0)), -2, 0)
         if not taped:  # so that the next span's arrays replace these, not join them
             del lc, decays, chunked, o, back
-    out = Tensor(np.moveaxis(out, 0, -2))
+    out = Tensor(_move(out, 0, -2))
     if not taped:
         return out
+    nodes, lam_node = [T._node(x) for x in others], T._node(lam)
 
     def bw(g):
-        grads, dlam = back(_chunks(g, CHUNK, 0.0), lam.requires_grad)
-        for p, grad in zip(others, grads):
-            T._accum(p, _unchunk(grad, n))
+        grads, dlam = back(_chunks(g, CHUNK, 0.0), lam_node is not None)
+        for node, grad in zip(nodes, grads):
+            T._accum(node, _unchunk(grad, n))
         if dlam is None:
             return
         # da at each chunk's first lam and, past it, the reverse in-chunk
@@ -314,7 +335,7 @@ def _chunkwise(span, *inputs):
         da, dlog = dlam
         dlam = np.cumsum(dlog[..., :0:-1, :], axis=-2)[..., ::-1, :]
         dlam /= lc[..., 1:, :]
-        T._accum(lam, _unchunk(np.concatenate([da, dlam], axis=-2), n))
+        T._accum(lam_node, _unchunk(np.concatenate([da, dlam], axis=-2), n))
 
     return T._record(out, inputs, bw)
 
@@ -326,11 +347,11 @@ def _diagonal_span(a, gamma, state, qc, kc, vc):
     # chunk-major: the states entering each chunk and leaving the last
     S = np.empty((qc.shape[-3] + 1,) + state.shape)
     S[0] = state
-    U = np.moveaxis(S[1:], 0, -3)
+    U = _move(S[1:], 0, -3)
     np.matmul(_mT(kg), vc, out=U)
     U *= _mT(last)
     _carry(S, a * last)
-    S, state = np.moveaxis(S[:-1], 0, -3), S[-1].copy()
+    S, state = _move(S[:-1], 0, -3), S[-1].copy()
     o = np.matmul(qg * a, S)
     P = np.matmul(qg, _mT(kg))
     P *= np.tri(qc.shape[-2])
@@ -341,9 +362,9 @@ def _diagonal_span(a, gamma, state, qc, kc, vc):
         dP *= np.tri(CHUNK)
         # H_m = dL/dS_m, from chunk m's outputs and from S_{m+1}; the state
         # after chunk m is U_m plus its transition of S_m, so dL/dU_m = H_{m+1}
-        H = np.moveaxis(np.matmul(_mT(qg * a), gc), -3, 0)
+        H = _move(np.matmul(_mT(qg * a), gc), -3, 0)
         dU = np.zeros_like(S)
-        dU[..., :-1, :, :] = np.moveaxis(_carry(H, a * last, reverse=True)[1:], 0, -3)
+        dU[..., :-1, :, :] = _move(_carry(H, a * last, reverse=True)[1:], 0, -3)
         gS = np.matmul(gc, _mT(S))
         dkl = np.matmul(vc, _mT(dU))                        # dL/d(K~ gamma_last)
         dqg = np.matmul(dP, kg) + a * gS
@@ -426,9 +447,9 @@ def _dplr_span(a, gamma, state, qc, kc, vc, kapc, betc):
     # S_{m+1} = M_m S_m + R_m
     S = np.empty((M.shape[-3] + 1,) + state.shape)
     S[0] = state
-    S[1:] = np.moveaxis(MR[..., dk:], -3, 0)
+    S[1:] = _move(MR[..., dk:], -3, 0)
     _carry(S, M)
-    S, state = np.moveaxis(S[:-1], 0, -3), S[-1].copy()
+    S, state = _move(S[:-1], 0, -3), S[-1].copy()
     VU = B[..., dk:].copy()
     VU[..., c:, :] += np.matmul(W, S)                                 # [V; U]
     qg = left[..., :c, :]
@@ -441,9 +462,9 @@ def _dplr_span(a, gamma, state, qc, kc, vc, kapc, betc):
         F = np.matmul(_mT(qg * a), gc)
         F += np.matmul(_mT(W), dVU[..., c:, :])
         # dL/dS_m = F_m + M_m^T dL/dS_{m+1}; D_m = dL/dS_{m+1}, zero after the last chunk
-        H = _carry(np.moveaxis(F, -3, 0).copy(), M, reverse=True)
+        H = _carry(_move(F, -3, 0).copy(), M, reverse=True)
         D = np.zeros_like(F)
-        D[..., :-1, :, :] = np.moveaxis(H[1:], 0, -3)
+        D[..., :-1, :, :] = _move(H[1:], 0, -3)
         dVU += np.matmul(right, D * _mT(last))
         dU = dVU[..., c:, :]
         dY = np.empty(Z.shape)

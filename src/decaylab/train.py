@@ -141,15 +141,15 @@ def cross_entropy(logits, targets):
     s = z.sum(axis=-1, keepdims=True)
     picked = (np.take_along_axis(x, targets[..., None], axis=-1) - m - np.log(s))[..., 0]
     count = picked.size
-    out = Tensor(-picked.sum() / count)
+    nlogits = T._node(logits)
 
     def bw(g):
         soft = np.divide(z, s, out=z)
         # one target per position: a plain fancy-index subtraction, no repeats
         soft.reshape(-1, V)[np.arange(count), targets.reshape(-1)] -= 1.0
-        T._accum(logits, np.divide(np.multiply(soft, g, out=soft), count, out=soft))
+        T._accum(nlogits, np.divide(np.multiply(soft, g, out=soft), count, out=soft))
 
-    return T._record(out, (logits,), bw)
+    return T._record(Tensor(-picked.sum() / count), (logits,), bw)
 
 
 def wsd_lr(step, config: TrainConfig):

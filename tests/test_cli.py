@@ -154,7 +154,8 @@ def test_a_run_reproduces_from_its_resolved_config(named_by, tmp_path, corpus_pa
     else:
         argv = ["--config", _write(tmp_path, TINY_CONFIG), "--corpus", "c.txt"]
     assert cli.main(["train", *argv, "--out", "r1"]) == cli.EXIT_OK
-    assert "corpus = c.txt" in (tmp_path / "r1" / "config_resolved.txt").read_text().splitlines()
+    assert f"corpus = {tmp_path / 'c.txt'}" in (
+        tmp_path / "r1" / "config_resolved.txt").read_text().splitlines()
     assert cli.main(["train", "--config", "r1/config_resolved.txt", "--out", "r2"]) == cli.EXIT_OK
     for name in ("config_resolved.txt", "metrics.txt", "ckpt_final.bin"):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
@@ -167,12 +168,29 @@ def test_a_corpus_path_with_a_hash_reruns_from_its_resolved_config(tmp_path, cor
     shutil.copy(corpus_path, "c#1.txt")
     argv = ["--config", _write(tmp_path, TINY_CONFIG), "--corpus", "c#1.txt"]
     assert cli.main(["train", *argv, "--out", "r1"]) == cli.EXIT_OK
-    assert "corpus = c#1.txt" in (tmp_path / "r1" / "config_resolved.txt").read_text().splitlines()
+    assert f"corpus = {tmp_path / 'c#1.txt'}" in (
+        tmp_path / "r1" / "config_resolved.txt").read_text().splitlines()
     assert cli.main(["train", "--config", "r1/config_resolved.txt", "--out", "r2"]) == cli.EXIT_OK
     metrics = [(tmp_path / run / "metrics.txt").read_bytes() for run in ("r1", "r2")]
     assert metrics[0] == metrics[1]
     text = "[model]\n# a comment line\nhidden = 16 # width\n\t#indented comment\n"
     assert cli.parse_config(_write(tmp_path, text)).model.hidden == 16
+
+
+def test_a_relative_corpus_path_reruns_from_another_directory(tmp_path, corpus_path,
+                                                              monkeypatch):
+    # the echo names the corpus by its absolute path
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    shutil.copy(corpus_path, "c.txt")
+    argv = ["--config", _write(tmp_path, TINY_CONFIG), "--corpus", "c.txt"]
+    assert cli.main(["train", *argv, "--out", str(tmp_path / "r1")]) == cli.EXIT_OK
+    monkeypatch.chdir(tmp_path / "b")
+    assert cli.main(["train", "--config", str(tmp_path / "r1" / "config_resolved.txt"),
+                     "--out", "r2"]) == cli.EXIT_OK
+    for name in ("config_resolved.txt", "metrics.txt"):
+        assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "b" / "r2" / name).read_bytes()
 
 
 def test_cmd_train_seed_flag_overrides(tmp_path, corpus_path):

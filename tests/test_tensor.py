@@ -147,25 +147,23 @@ def test_backward_requires_tape():
 
 
 def test_tape_frees_graph_on_exit():
-    # exp's backward rule holds its own output, a reference cycle that only
-    # the cyclic collector could break if the tape kept the graph
+    # a graph that backward never walked keeps its saved arrays until the
+    # block ends; the graph has no reference cycles, so they go then without
+    # the cyclic collector, although the caller still holds the root
     x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
     gc.disable()
     try:
         with Tape():
             h = T.exp(x)
-            ref = weakref.ref(h)
+            ref = weakref.ref(h.data)
             loss = T.tsum(T.sigmoid(h))
-            backward(loss)
             del h
-            assert ref() is not None
-        del loss
+            assert ref() is not None  # exp's rule saves its output
         assert ref() is None
+        e = np.exp(x.data)
+        assert loss.item() == float(np.sum(1.0 / (1.0 + np.exp(-e))))
     finally:
         gc.enable()
-    e = np.exp(x.data)
-    s = 1.0 / (1.0 + np.exp(-e))
-    assert np.max(np.abs(x.grad - s * (1.0 - s) * e)) <= 1e-15
     with pytest.raises(RuntimeError):
         backward(T.tsum(x * x))
 
@@ -367,12 +365,13 @@ def test_intermediates_drop_grad_after_backward():
 
 def test_saved_array_dies_during_backward():
     # an array that only a backward rule holds is freed once that rule has
-    # run, while the tape block is still open
+    # run, while the tape block is still open: here a hand-written rule's
+    # array and exp's saved output
     x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
     seen = []
 
     def probe_bw(g):
-        seen.append(ref() is None)
+        seen.append((ref() is None, exp_ref() is None))
         T._accum(x, g)
 
     gc.disable()
@@ -383,14 +382,87 @@ def test_saved_array_dies_during_backward():
             ref = weakref.ref(saved)
             out = T._record(Tensor(p.data * saved), (p,),
                             lambda g, s=saved: T._accum(p, g * s))
-            del saved
-            assert ref() is not None
-            backward(T.tsum(out))
-            assert seen == [True]
-            assert len(tape.nodes) == 3
+            y = T.exp(out)
+            exp_ref = weakref.ref(y.data)
+            loss = T.tsum(y)
+            del saved, y
+            assert ref() is not None and exp_ref() is not None
+            backward(loss)
+            assert seen == [(True, True)]
+            assert len(tape.nodes) == 4
     finally:
         gc.enable()
-    assert np.array_equal(x.grad, np.exp(x.data))
+    e = np.exp(x.data)
+    # the hand-written rule takes the saved array as a constant
+    assert np.array_equal(x.grad, np.exp(x.data * e) * e)
+
+
+def test_a_value_no_rule_reads_dies_before_backward():
+    # add saves nothing and rmsnorm saves x / rms and rms, not its input, so
+    # the residual sum goes as soon as the caller drops it
+    rng = np.random.Generator(np.random.Philox(23))
+    x = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
+    gamma = Tensor(rng.normal(size=8), requires_grad=True)
+    gc.disable()
+    try:
+        with Tape():
+            h = x + x
+            refs = weakref.ref(h), weakref.ref(h.data)
+            y = T.rmsnorm(h, gamma)
+            del h
+            assert all(r() is None for r in refs)
+            backward(T.tsum(y))
+    finally:
+        gc.enable()
+    grads = x.grad, gamma.grad
+    x.grad = gamma.grad = None
+    with Tape():
+        h = x + x
+        backward(T.tsum(T.rmsnorm(h, gamma)))
+    assert all(np.array_equal(a, b) for a, b in zip(grads, (x.grad, gamma.grad)))
+
+
+def test_accum_takes_a_tensor_a_node_or_none():
+    # hand-written rules may hold a Tensor and add into it, as tests do
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    with Tape() as tape:
+        h = x * 2.0
+        y = T._record(Tensor(h.data.copy()), (h,), lambda g: T._accum(h, 3.0 * g))
+        backward(T.tsum(y))
+        assert len(tape.nodes) == 3
+    assert np.array_equal(x.grad, np.full(2, 6.0))
+    T._accum(None, np.ones(2))
+    T._accum(Tensor(np.zeros(2)), np.ones(2))  # takes no gradient
+
+
+def test_an_output_kept_past_its_tape_is_a_leaf_of_the_next():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    with Tape():
+        h = x * 3.0
+    with Tape():
+        backward(T.tsum(h * h))
+    assert np.array_equal(h.grad, 2.0 * h.data)
+    assert x.grad is None
+
+
+def test_no_library_rule_holds_a_tensor(held_tensors):
+    # a rule holds arrays and nodes: a Tensor would keep its value alive
+    # whether the rule reads it or not
+    rng = np.random.Generator(np.random.Philox(29))
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
+    m = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    with Tape() as tape:
+        h = T.head_project(x, w)                                     # (2, 2, 3, 4)
+        h = T.concat([T.silu(h), T.softplus(h)], axis=-1)[..., 2:6]
+        h = T.rmsnorm(T.matmul(T.exp(h), m), T.sqrt(T.sigmoid(m[0]) + 1.0))
+        h = T.transpose(T.reshape(h, (4, 3, 4)), (0, 2, 1))            # (4, 4, 3)
+        h = T.neg(h) / (3.0 - T.sigmoid(h)) * h
+        loss = T.tsum(T.matmul(T.broadcast_to(m, (4, 4, 4)), h))
+        held = [t for node in tape.nodes for t in held_tensors(node._backward)]
+        backward(loss)
+    assert held == []
+    assert all(np.all(np.isfinite(leaf.grad)) for leaf in (x, w, m))
 
 
 def _composed_rmsnorm(x, gamma, eps=1e-6):

@@ -1,12 +1,17 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+from decaylab import tensor as T
 from decaylab.decay import DecayConfig
 from decaylab.model import ModelConfig, init_params, lm_forward
 from decaylab.tensor import Tape, Tensor, backward
 from decaylab.train import (AdamW, Corpus, TrainConfig, clip_gradients,
                             cross_entropy, decays_weight, load_corpus,
-                            next_batch, train_loop, wsd_lr)
+                            loss_on_batch, next_batch, train_loop, wsd_lr)
 from decaylab.verify import finite_difference
 
 
@@ -140,6 +145,52 @@ def test_cross_entropy_matches_its_formula_bitwise(rng):
     soft = z / s
     soft.reshape(-1, 50)[np.arange(picked.size), targets.reshape(-1)] -= 1.0
     assert np.array_equal(logits.grad, np.ones(()) * soft / picked.size)
+
+
+def test_cross_entropy_does_not_keep_its_logits(rng):
+    # the rule reads exp(x - m), so the logits go when the caller drops them
+    x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
+    w = Tensor(rng.normal(size=(8, 5)), requires_grad=True)
+    targets = rng.integers(0, 5, size=4)
+    gc.disable()
+    try:
+        with Tape():
+            logits = T.matmul(x, w)
+            ref = weakref.ref(logits.data)
+            loss = cross_entropy(logits, targets)
+            del logits
+            assert ref() is None
+            backward(loss)
+    finally:
+        gc.enable()
+    assert x.grad is not None and w.grad is not None
+
+
+# tracemalloc peak of one taped DPLR + RoPE step at the acceptance geometry:
+# 51.4 MB measured (numpy 2.4), 77.2 MB when the tape held every output
+# Tensor and rules held their parents
+STEP_PEAK_MB = 54.0
+
+
+def test_a_taped_step_keeps_only_what_backward_reads(held_tensors):
+    dc = DecayConfig(strategy="gla", granularity="vector", sharing="shared")
+    config = ModelConfig(decay=dc, transition="dplr", posenc="rope", seed=7)
+    params = init_params(config)
+    tokens = np.random.Generator(np.random.Philox(7)).integers(0, 256, size=(8, 129))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = loss_on_batch(params, config, tokens[:, :-1], tokens[:, 1:])
+            held = [t for node in tape.nodes for t in held_tensors(node._backward)]
+            backward(loss)
+            nodes = len(tape.nodes)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert held == []
+    assert nodes == 80
+    assert peak < STEP_PEAK_MB
+    assert all(p.grad is not None for p in params.values())
 
 
 def test_adamw_matches_its_formula_bitwise(rng):
