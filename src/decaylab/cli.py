@@ -1,7 +1,7 @@
 """Command-line entry point: train, probe, verify, export.
 
 Experiments are described by a small `key = value` config file with
-[model], [decay], [train], and [probe] sections; every run directory
+[model], [decay] and [train] sections; every run directory
 receives an echo of the fully resolved config so results can be
 reproduced bit for bit.
 """
@@ -13,13 +13,13 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint
 from .decay import ConfigError, DecayConfig, STRATEGIES
-from .model import ModelConfig, config_to_dict
+from .model import ModelConfig
 from .probe import capture_trace, export_plot, export_table
 from .train import TrainConfig, load_corpus, train_loop
 from . import verify
@@ -29,65 +29,40 @@ EXIT_VERIFY = 1
 EXIT_IO = 2
 EXIT_COMPAT = 3
 
-_SECTIONS = {
-    "model": ModelConfig,
-    "decay": DecayConfig,
-    "train": TrainConfig,
-}
-_PROBE_KEYS = {"length": 2048}
-_SKIP_MODEL_KEYS = {"decay"}  # nested; configured via its own section
+# section -> {key: default}; the model's nested decay is a section of its own
+_SECTIONS = {name: {f.name: f.default for f in fields(cls) if f.name != "decay"}
+             for name, cls in (("model", ModelConfig), ("decay", DecayConfig),
+                               ("train", TrainConfig))}
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def _coerce(raw, default, key, lineno):
+    """``raw`` read as the type of ``default``; a None default (``lower_bound``) reads a float."""
+    kind = float if default is None else type(default)
     try:
-        if isinstance(default, bool):
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        if default is None:
-            try:
-                return int(raw)
-            except ValueError:
-                return float(raw)
-        return raw
-    except ValueError:
+        return _BOOLS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
         raise ConfigError(f"line {lineno}: cannot parse value for {key!r}: {raw!r}")
 
 
 @dataclass
 class ExperimentConfig:
-    """Resolved configuration: model + decay + train + probe settings."""
+    """Resolved configuration: model (with its decay) + train settings + corpus."""
 
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    probe_length: int = 2048
     corpus: str | None = None
 
     def dump(self):
-        lines = []
-        md = config_to_dict(self.model)
-        decay = md.pop("decay")
-        lines.append("[model]")
-        lines += [f"{k} = {v}" for k, v in sorted(md.items())]
-        lines.append("")
-        lines.append("[decay]")
-        lines += [f"{k} = {v}" for k, v in sorted(decay.items()) if v is not None]
-        lines.append("")
-        lines.append("[train]")
-        train = asdict(self.train)
-        if self.corpus:
-            train["corpus"] = self.corpus
-        lines += [f"{k} = {v}" for k, v in sorted(train.items())]
-        lines.append("")
-        lines.append("[probe]")
-        lines.append(f"length = {self.probe_length}")
-        return "\n".join(lines) + "\n"
+        blocks = []
+        for name in _SECTIONS:
+            config = self.model.decay if name == "decay" else getattr(self, name)
+            values = {key: getattr(config, key) for key in _SECTIONS[name]}
+            if name == "train" and self.corpus:
+                values["corpus"] = self.corpus
+            lines = [f"{k} = {v}" for k, v in sorted(values.items()) if v is not None]
+            blocks.append("\n".join([f"[{name}]"] + lines))
+        return "\n\n".join(blocks) + "\n"
 
 
 # a comment starts at a `#` that begins the line or follows whitespace
@@ -97,7 +72,6 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 def parse_config(path) -> ExperimentConfig:
     """Strict parser: unknown sections or keys are errors naming the line."""
     values = {name: {} for name in _SECTIONS}
-    probe = dict(_PROBE_KEYS)
     corpus = None
     section = None
     with open(path) as f:
@@ -107,7 +81,7 @@ def parse_config(path) -> ExperimentConfig:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 section = line[1:-1].strip()
-                if section not in _SECTIONS and section != "probe":
+                if section not in _SECTIONS:
                     raise ConfigError(f"line {lineno}: unknown section [{section}]")
                 continue
             if "=" not in line:
@@ -115,24 +89,14 @@ def parse_config(path) -> ExperimentConfig:
             if section is None:
                 raise ConfigError(f"line {lineno}: key outside any [section]")
             key, raw_val = (part.strip() for part in line.split("=", 1))
-            if section == "probe":
-                if key not in _PROBE_KEYS:
-                    raise ConfigError(f"line {lineno}: unknown key {key!r} in [probe]")
-                probe[key] = _coerce(raw_val, _PROBE_KEYS[key], key, lineno)
-                continue
-            cls = _SECTIONS[section]
             if section == "train" and key == "corpus":
                 corpus = raw_val
                 continue
-            known = {f.name: f for f in fields(cls) if f.name not in
-                     (_SKIP_MODEL_KEYS if section == "model" else ())}
-            if key not in known:
+            if key not in _SECTIONS[section]:
                 raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
-            values[section][key] = _coerce(raw_val, getattr(cls(), key), key, lineno)
-    decay = DecayConfig(**values["decay"])
-    model = ModelConfig(decay=decay, **values["model"])
-    train = TrainConfig(**values["train"])
-    return ExperimentConfig(model, train, probe_length=probe["length"], corpus=corpus)
+            values[section][key] = _coerce(raw_val, _SECTIONS[section][key], key, lineno)
+    model = ModelConfig(decay=DecayConfig(**values["decay"]), **values["model"])
+    return ExperimentConfig(model, TrainConfig(**values["train"]), corpus)
 
 
 class _Exit(Exception):
@@ -157,12 +121,18 @@ def _writing(out):
         yield
 
 
+def _check_vocab(tokens, vocab, what):
+    """Exit 3 if ``tokens`` hold a byte value outside the model's vocabulary."""
+    if tokens.max() >= vocab:
+        raise _Exit(EXIT_COMPAT, f"{what} has byte values outside the model vocabulary ({vocab})")
+
+
 def cmd_train(args):
     with _exits(EXIT_IO, (ConfigError, OSError, ValueError)):
         config = parse_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        config.model.seed = args.seed
-        config.train.seed = args.seed
+        if args.seed is not None:
+            config.model = replace(config.model, seed=args.seed)
+            config.train = replace(config.train, seed=args.seed)
     config.corpus = args.corpus or config.corpus
     if not config.corpus:
         raise _Exit(EXIT_IO, "no corpus given: pass --corpus or set [train] corpus in the config")
@@ -170,6 +140,7 @@ def cmd_train(args):
     config.corpus = os.path.abspath(config.corpus)
     with _exits(EXIT_IO, (OSError, ValueError)):
         corpus = load_corpus(config.corpus, config.train)
+    _check_vocab(corpus.data, config.model.vocab, "corpus")
     with _writing(args.out), open(os.path.join(args.out, "config_resolved.txt"), "w") as f:
         f.write(config.dump())
     print(config.dump())
@@ -193,9 +164,7 @@ def cmd_probe(args):
         tokens = np.frombuffer(f.read(args.length), dtype=np.uint8).astype(np.int64)
     if not len(tokens):
         raise _Exit(EXIT_IO, "probe text is empty")
-    if tokens.max() >= config.vocab:
-        raise _Exit(EXIT_COMPAT, "probe text has byte values outside the model "
-                    f"vocabulary ({config.vocab})")
+    _check_vocab(tokens, config.vocab, "probe text")
     with _exits(EXIT_COMPAT, ConfigError):  # a checkpoint without decay
         stats = capture_trace(params, config, tokens).stats()
     table = os.path.join(args.out, "decay_medians.csv")

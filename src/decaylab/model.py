@@ -48,6 +48,8 @@ class ModelConfig:
             raise ConfigError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if self.vocab < 2:
             raise ConfigError("vocab must be >= 2")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.posenc not in POSENCS:
             raise ConfigError(f"unknown posenc {self.posenc!r}")
         if self.transition not in TRANSITIONS:

@@ -51,7 +51,7 @@ class TrainConfig:
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ValueError(f"{key} must lie in [0, 1)")
         for key in ("stable_fraction", "eps", "weight_decay", "grad_clip_norm", "val_every",
-                    "checkpoint_every"):
+                    "checkpoint_every", "seed"):
             if not getattr(self, key) >= 0:
                 raise ValueError(f"{key} must be >= 0")
 

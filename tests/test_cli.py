@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -37,9 +38,6 @@ total_steps = 3
 batch_size = 2
 seq_len = 24
 val_every = 0
-
-[probe]
-length = 64
 """
 
 
@@ -54,7 +52,6 @@ def test_parse_empty_config_is_all_defaults(tmp_path):
     assert cfg.model.n_layers == 2
     assert cfg.model.decay.strategy == "mamba2"
     assert cfg.train.total_steps == 1000
-    assert cfg.probe_length == 2048
     assert cfg.corpus is None
 
 
@@ -64,7 +61,6 @@ def test_parse_config_sections(tmp_path):
     assert cfg.model.decay.strategy == "simple"
     assert cfg.model.decay.p == 0.99
     assert cfg.train.total_steps == 3
-    assert cfg.probe_length == 64
 
 
 def test_parse_config_vector_mamba2(tmp_path):
@@ -149,8 +145,7 @@ def test_a_run_reproduces_from_its_resolved_config(named_by, tmp_path, corpus_pa
     monkeypatch.chdir(tmp_path)
     shutil.copy(corpus_path, "c.txt")
     if named_by == "config":
-        argv = ["--config", _write(tmp_path, TINY_CONFIG.replace("[probe]",
-                                                                  "corpus = c.txt\n\n[probe]"))]
+        argv = ["--config", _write(tmp_path, TINY_CONFIG + "corpus = c.txt\n")]
     else:
         argv = ["--config", _write(tmp_path, TINY_CONFIG), "--corpus", "c.txt"]
     assert cli.main(["train", *argv, "--out", "r1"]) == cli.EXIT_OK
@@ -191,6 +186,29 @@ def test_a_relative_corpus_path_reruns_from_another_directory(tmp_path, corpus_p
                      "--out", "r2"]) == cli.EXIT_OK
     for name in ("config_resolved.txt", "metrics.txt"):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "b" / "r2" / name).read_bytes()
+
+
+def test_a_none_default_reads_a_float_and_reruns_from_its_resolved_config(tmp_path,
+                                                                          corpus_path):
+    # lower_bound defaults to None: `0` is read as a float and echoed as `0.0`
+    text = TINY_CONFIG.replace("strategy = simple", "strategy = hgrn2\nlower_bound = 0")
+    argv = ["--config", _write(tmp_path, text), "--corpus", corpus_path]
+    assert cli.main(["train", *argv, "--out", str(tmp_path / "r1")]) == cli.EXIT_OK
+    lines = (tmp_path / "r1" / "config_resolved.txt").read_text().splitlines()
+    assert [line for line in lines if line.startswith("[")] == ["[model]", "[decay]", "[train]"]
+    assert "lower_bound = 0.0" in lines
+    assert cli.main(["train", "--config", str(tmp_path / "r1" / "config_resolved.txt"),
+                     "--out", str(tmp_path / "r2")]) == cli.EXIT_OK
+    for name in ("config_resolved.txt", "metrics.txt", "ckpt_final.bin"):
+        assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+
+def test_the_readme_config_example_parses_and_round_trips(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [example] = re.findall(r"^```ini\n(.*?)^```", readme, re.S | re.M)
+    cfg = cli.parse_config(_write(tmp_path, example))
+    assert cfg.model.decay.strategy == "mamba2" and cfg.corpus == "data/corpus.txt"
+    assert cli.parse_config(_write(tmp_path, cfg.dump(), "echo.cfg")) == cfg
 
 
 def test_cmd_train_seed_flag_overrides(tmp_path, corpus_path):
@@ -245,6 +263,8 @@ def test_cmd_train_dplr_lrpe_is_a_config_error(tmp_path, corpus_path, capsys):
     ("train", "val_fraction", "nan", ""),
     ("train", "val_fraction", "1.0", ""),
     ("train", "val_fraction", "-0.1", ""),
+    ("model", "seed", "-1", ""),
+    ("train", "seed", "-3", ""),
 ])
 def test_cmd_train_rejects_an_out_of_range_value(section, key, value, extra, tmp_path,
                                                  corpus_path, capsys):
@@ -664,7 +684,11 @@ def inputs(tmp_path_factory, trained_run, corpus_path):
     for name, data in (("malformed", _malformed("header not json")), ("empty", b""),
                        ("short", b"x" * 40), ("config", TINY_CONFIG.encode()),
                        ("tnl_vector", b"[decay]\nstrategy = tnl\ngranularity = vector\n"),
-                       ("unparsable", b"[model]\nhidden = many\n")):
+                       ("unparsable", b"[model]\nhidden = many\n"),
+                       ("maybe", b"[model]\ntie_embeddings = maybe\n"),
+                       ("old_resolved", (TINY_CONFIG + "\n[probe]\nlength = 2048\n").encode()),
+                       ("vocab100", TINY_CONFIG.replace("heads = 2", "heads = 2\nvocab = 100")
+                        .encode())):
         files[name] = str(tmp / name)
         (tmp / name).write_bytes(data)
     return files
@@ -676,6 +700,12 @@ FAILURES = [
     ("train --config {missing} --corpus {corpus} --out {out}", 2, ["{missing}"]),
     ("train --config {unparsable} --corpus {corpus} --out {out}", 2, ["line 2", "hidden"]),
     ("train --config {tnl_vector} --corpus {corpus} --out {out}", 2, ["scalar-only"]),
+    ("train --config {maybe} --corpus {corpus} --out {out}", 2, ["line 2", "tie_embeddings"]),
+    ("train --config {old_resolved} --corpus {corpus} --out {out}", 2,
+     ["line 17", "unknown section [probe]"]),
+    ("train --config {config} --corpus {corpus} --out {out} --seed -1", 2, ["seed must be >= 0"]),
+    ("train --config {vocab100} --corpus {corpus} --out {out}", 3,
+     ["corpus has byte values", "vocabulary (100)"]),
     ("train --config {config} --out {out}", 2, ["--corpus", "[train] corpus"]),
     ("train --config {config} --corpus {missing} --out {out}", 2, ["{missing}"]),
     ("train --config {config} --corpus {short} --out {out}", 2, ["corpus too small"]),
