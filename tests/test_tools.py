@@ -2,7 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC_LINES = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+SRC_LINES = TOOLS / "src_lines.py"
 
 MODULE = '''\
 """A module docstring
@@ -28,3 +29,34 @@ def test_src_lines_counts_total_and_code_lines(tmp_path):
     # 10 lines; code: `import os`, `def twice(x):` and `return 2 * x`
     assert rows["pkg/mod.py"] == ["10", "3"]
     assert rows["total"] == ["10", "3"]
+
+
+TINY_CONFIG = """\
+[model]
+n_layers = 1
+hidden = 16
+heads = 2
+
+[decay]
+strategy = simple
+p = 0.99
+
+[train]
+batch_size = 2
+seq_len = 24
+"""
+
+
+def test_tape_census_rows_sum_to_the_total(tmp_path):
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_CONFIG)
+    run = subprocess.run([sys.executable, str(TOOLS / "tape_census.py"), str(config)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0].split() == ["rule", "MB"]
+    rows = {line.rsplit(None, 1)[0]: float(line.rsplit(None, 1)[1]) for line in lines[1:]}
+    total, peak = rows.pop("total"), rows.pop("step peak")
+    # each row and the total are printed to 0.001 MB
+    assert abs(sum(rows.values()) - total) <= 0.0005 * (len(rows) + 1)
+    assert rows["_chunkwise"] > 0 and peak > 0

@@ -167,9 +167,10 @@ def test_cross_entropy_does_not_keep_its_logits(rng):
 
 
 # tracemalloc peak of one taped DPLR + RoPE step at the acceptance geometry:
-# 51.4 MB measured (numpy 2.4), 77.2 MB when the tape held every output
+# 37.7 MB measured (numpy 2.4), 51.4 MB when forward_dplr's backward held
+# its pair matrices, B and [V; U], 77.2 MB when the tape held every output
 # Tensor and rules held their parents
-STEP_PEAK_MB = 54.0
+STEP_PEAK_MB = 39.6
 
 
 def test_a_taped_step_keeps_only_what_backward_reads(held_tensors):
