@@ -9,8 +9,9 @@ accumulation deterministic and reruns bitwise reproducible.
 If no tape is active, operations simply compute forward values.
 
 The graph holds no values.  A recorded op's output gets a :class:`Node`:
-its backward rule, its parents' nodes, the output's shape and a gradient
-slot; a leaf is its own node.  A rule saves only the arrays it reads
+its backward rule, the output's shape and a gradient slot; a leaf is its
+own node.  A node links to no other node; the tape's creation order is
+the only order the walk needs.  A rule saves only the arrays it reads
 (``mul`` its operands', ``exp`` its own output) and its parents' nodes,
 never a Tensor, so a value is freed once the program drops it and the
 last rule that reads it has run.
@@ -70,14 +71,14 @@ class Tape:
     ``nodes`` lists the graph nodes of the recorded ops in creation order.
     A node holds no values, and its rule saves only the arrays it reads, so
     the tape keeps alive only what the backward pass needs.
-    :func:`backward` drops each node's gradient, rule and parents as soon
-    as the rule has run, so the arrays the rule saved are freed during the
-    walk; ``nodes`` itself is kept until the block ends.  On exit the tape
-    frees the rest of its graph: every recorded node drops its backward
-    rule and its parents, and the tape drops its node list, so an output
-    kept past the block keeps only its value.  Leaves keep their ``grad``;
-    the allocator setting at the top of this module keeps the freed memory
-    for the next step.
+    :func:`backward` drops each node's gradient and rule as soon as the
+    rule has run, so the arrays the rule saved are freed during the walk;
+    ``nodes`` itself is kept until the block ends.  On exit the tape frees
+    the rest of its graph: every recorded node drops its backward rule,
+    and the tape drops its node list, so an output kept past the block
+    keeps only its value.  Leaves keep their ``grad``; the allocator
+    setting at the top of this module keeps the freed memory for the next
+    step.
     """
 
     def __init__(self):
@@ -91,7 +92,6 @@ class Tape:
         _tape_stack.pop()
         for node in self.nodes:
             node._backward = None
-            node._parents = ()
         self.nodes = []
         return False
 
@@ -110,15 +110,15 @@ def recording(*tensors):
 
 
 class Node:
-    """A recorded op in the graph: its backward rule, its parents' nodes,
-    the shape of its output and the output's gradient while the walk
-    reaches it.  It holds no values; the output Tensor points to it."""
+    """A recorded op in the graph: its backward rule, the shape of its
+    output and the output's gradient while the walk reaches it.  It holds
+    no values; the output Tensor points to it, and the rule holds the nodes
+    of the parents it sends gradients to."""
 
-    __slots__ = ("_backward", "_parents", "shape", "grad")
+    __slots__ = ("_backward", "shape", "grad")
 
-    def __init__(self, backward_fn, parents, shape):
+    def __init__(self, backward_fn, shape):
         self._backward = backward_fn
-        self._parents = parents
         self.shape = shape
         self.grad = None
 
@@ -204,18 +204,17 @@ def _record(out, parents, backward_fn):
     """Attach a node with ``backward_fn`` to ``out`` if a tape is active and
     one of the Tensors ``parents`` needs a gradient; returns ``out``.
 
-    ``backward_fn(g)`` should hold only the arrays it reads and the parents'
-    nodes (``_node``), not Tensors, whose values it would keep alive.
+    The node links to no parent: ``backward_fn(g)`` should hold only the
+    arrays it reads and the parents' nodes (``_node``) it sends gradients
+    to, not Tensors, whose values it would keep alive.
     """
     tape = active_tape()
     if tape is None:
         return out
-    nodes = tuple(n for n in (_node(p) for p in parents if isinstance(p, Tensor))
-                  if n is not None)
-    if not nodes:
+    if all(_node(p) is None for p in parents if isinstance(p, Tensor)):
         return out
     out.requires_grad = True
-    out._node = node = Node(backward_fn, nodes, out.data.shape)
+    out._node = node = Node(backward_fn, out.data.shape)
     tape.nodes.append(node)
     return out
 
@@ -581,13 +580,14 @@ def backward(root):
     """Accumulate gradients of a scalar ``root`` over the active tape.
 
     Nothing is returned: gradients land on each leaf's ``grad`` attribute.
-    Accumulation order is fixed reverse tape order.  Each node's gradient,
-    backward rule and parents are dropped as soon as the rule has run,
-    which frees the arrays the rule saved, so a tape is walked once.  The
-    walk holds only what the rules saved: for a DPLR + RoPE step at
-    2 x 64 x 4, batch 8 x seq 128, 34.0 MB when it starts and a 37.7 MB
-    peak (tracemalloc), against 64.6 and 77.2 MB when the tape held every
-    output Tensor.
+    Accumulation order is fixed reverse tape order, which needs no parent
+    links: a node's rule runs after every node recorded later, the only
+    ones that can send it gradient.  Each node's gradient and backward rule
+    are dropped as soon as the rule has run, which frees the arrays the
+    rule saved, so a tape is walked once.  The walk holds only what the
+    rules saved: for a DPLR + RoPE step at 2 x 64 x 4, batch 8 x seq 128,
+    34.0 MB when it starts and a 37.7 MB peak (tracemalloc), against 64.6
+    and 77.2 MB when the tape held every output Tensor.
     """
     tape = active_tape()
     if tape is None:
@@ -601,6 +601,5 @@ def backward(root):
     for node in reversed(tape.nodes):
         rule, g = node._backward, node.grad
         node._backward = node.grad = None
-        node._parents = ()
         if rule is not None and g is not None:
             rule(g)

@@ -1,6 +1,7 @@
 """Byte-level language-model training: corpus handling, deterministic
 batching, cross-entropy, AdamW with decoupled weight decay, the
-warmup-stable-decay learning-rate schedule, and the training loop.
+warmup-stable-decay learning-rate schedule, one training step and the
+training loop.
 """
 
 from __future__ import annotations
@@ -235,9 +236,26 @@ def loss_on_batch(params, config: ModelConfig, inputs, targets):
     return cross_entropy(logits, targets)
 
 
-def evaluate(params, config: ModelConfig, corpus, tcfg: TrainConfig, step):
-    inputs, targets = next_batch(corpus, tcfg, step, split="val")
-    return loss_on_batch(params, config, inputs, targets).item()
+def train_step(params, opt, model_config: ModelConfig, train_config: TrainConfig, inputs,
+               targets, lr):
+    """One optimizer step on a batch: the taped loss and its backward, a
+    gradient for every parameter (zeros for one the loss never reads),
+    clipping and the AdamW update.  Leaves every ``p.grad`` None.
+
+    Returns ``(loss, pre_clip_norm, clipped)``; ``clipped`` is True exactly
+    when ``clip_gradients`` scaled the gradients.
+    """
+    with Tape():
+        loss = loss_on_batch(params, model_config, inputs, targets)
+        backward(loss)
+    grads = {}
+    for name, p in params.items():
+        grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
+        p.grad = None
+    max_norm = train_config.grad_clip_norm
+    norm = clip_gradients(grads, max_norm)
+    opt.step(params, grads, lr)
+    return loss.item(), norm, bool(max_norm and norm > max_norm)
 
 
 def train_loop(model_config: ModelConfig, train_config: TrainConfig, corpus: Corpus,
@@ -256,25 +274,18 @@ def train_loop(model_config: ModelConfig, train_config: TrainConfig, corpus: Cor
         for step in range(train_config.total_steps):
             inputs, targets = next_batch(corpus, train_config, step)
             lr = wsd_lr(step, train_config)
-            with Tape():
-                loss = loss_on_batch(params, model_config, inputs, targets)
-                backward(loss)
-            grads = {}
-            for name, p in params.items():
-                grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-                p.grad = None
-            clip_gradients(grads, train_config.grad_clip_norm)
-            opt.step(params, grads, lr)
-            rec = {"step": step, "lr": lr, "train_loss": loss.item()}
-            line = f"{step},{lr:.10g},{loss.item():.10g}"
+            loss, _, _ = train_step(params, opt, model_config, train_config, inputs, targets, lr)
+            rec = {"step": step, "lr": lr, "train_loss": loss}
+            line = f"{step},{lr:.10g},{loss:.10g}"
             if train_config.val_every and (step + 1) % train_config.val_every == 0:
-                vl = evaluate(params, model_config, corpus, train_config, step)
+                inputs, targets = next_batch(corpus, train_config, step, split="val")
+                vl = loss_on_batch(params, model_config, inputs, targets).item()
                 rec["val_loss"] = vl
                 line += f",{vl:.10g}"
             records.append(rec)
             mf.write(line + "\n")
             if log is not None and (step % 20 == 0 or step == train_config.total_steps - 1):
-                log(f"step {step} lr {lr:.3g} loss {loss.item():.4f}")
+                log(f"step {step} lr {lr:.3g} loss {loss:.4f}")
             if (train_config.checkpoint_every
                     and (step + 1) % train_config.checkpoint_every == 0
                     and step + 1 < train_config.total_steps):

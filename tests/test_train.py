@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from decaylab import tensor as T
 from decaylab.decay import DecayConfig
 from decaylab.model import ModelConfig, init_params, lm_forward
 from decaylab.tensor import Tape, Tensor, backward
+from decaylab import train
 from decaylab.train import (AdamW, Corpus, TrainConfig, clip_gradients,
                             cross_entropy, decays_weight, load_corpus,
-                            loss_on_batch, next_batch, train_loop, wsd_lr)
+                            loss_on_batch, next_batch, train_loop, train_step,
+                            wsd_lr)
 from decaylab.verify import finite_difference
 
 
@@ -333,6 +336,72 @@ def _tiny_configs(corpus_small=False):
     tcfg = TrainConfig(total_steps=4, batch_size=2, seq_len=24, val_every=2,
                        checkpoint_every=2)
     return mcfg, tcfg
+
+
+def test_train_step_is_the_taped_step_clip_and_adamw(corpus):
+    # the returned loss and norm are loss_on_batch's and clip_gradients' over
+    # the same raw gradients, and the parameters match the sequence bitwise
+    mcfg, tcfg = _tiny_configs()
+    inputs, targets = next_batch(corpus, tcfg, 0)
+    params, ref = init_params(mcfg), init_params(mcfg)
+    loss, norm, clipped = train_step(params, AdamW(params, tcfg), mcfg, tcfg,
+                                     inputs, targets, 1e-3)
+    with Tape():
+        ref_loss = loss_on_batch(ref, mcfg, inputs, targets)
+        backward(ref_loss)
+    grads = {name: p.grad for name, p in ref.items()}
+    ref_norm = clip_gradients(grads, tcfg.grad_clip_norm)
+    AdamW(ref, tcfg).step(ref, grads, 1e-3)
+    assert type(loss) is float and loss == ref_loss.item()
+    assert norm == ref_norm
+    assert clipped == (ref_norm > tcfg.grad_clip_norm)
+    for name in params:
+        assert np.array_equal(params[name].data, ref[name].data), name
+
+
+@pytest.mark.parametrize("max_norm,expected", [(0.0, False), (1e12, False), (1e-12, True)])
+def test_train_step_reports_whether_it_clipped(corpus, max_norm, expected):
+    mcfg, tcfg = _tiny_configs()
+    tcfg = replace(tcfg, grad_clip_norm=max_norm)
+    params = init_params(mcfg)
+    inputs, targets = next_batch(corpus, tcfg, 0)
+    _, norm, clipped = train_step(params, AdamW(params, tcfg), mcfg, tcfg,
+                                  inputs, targets, 1e-3)
+    assert norm > 0 and clipped is expected
+
+
+def test_train_step_fills_unread_gradients_with_zeros(corpus):
+    mcfg, tcfg = _tiny_configs()
+    params = init_params(mcfg)
+    params["extra"] = Tensor(np.ones(3), requires_grad=True)
+    opt = AdamW(params, tcfg)
+    seen = {}
+    step = opt.step
+
+    def spy(params, grads, lr):
+        seen.update(grads)
+        step(params, grads, lr)
+
+    opt.step = spy
+    inputs, targets = next_batch(corpus, tcfg, 0)
+    train_step(params, opt, mcfg, tcfg, inputs, targets, 1e-3)
+    assert sorted(seen) == sorted(params)
+    assert np.array_equal(seen["extra"], np.zeros(3))
+    assert all(p.grad is None for p in params.values())
+
+
+def test_train_loop_runs_every_step_through_train_step(tmp_path, corpus, monkeypatch):
+    mcfg, tcfg = _tiny_configs()
+    lrs = []
+    step = train.train_step
+
+    def counting(params, opt, model_config, train_config, inputs, targets, lr):
+        lrs.append(lr)
+        return step(params, opt, model_config, train_config, inputs, targets, lr)
+
+    monkeypatch.setattr(train, "train_step", counting)
+    train_loop(mcfg, tcfg, corpus, str(tmp_path / "run"))
+    assert lrs == [wsd_lr(s, tcfg) for s in range(tcfg.total_steps)]
 
 
 def test_train_loop_runs_and_logs(tmp_path, corpus):
