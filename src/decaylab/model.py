@@ -246,6 +246,9 @@ def token_mixer_forward(x, params, config: ModelConfig, layer_idx, trace=None):
         o = forward_sequential(q, k, v, lam)
     else:
         o = forward_chunked(q, k, v, lam)
+    # without a tape nothing else holds the kernel's inputs, 1 MB each at
+    # n = 2048: dropping them keeps them out of the output gate and out_norm
+    q = k = v = lam = kappa = beta = None
     # (..., h, n, dk) -> (..., n, h * dk)
     nb = len(batch)
     perm = tuple(range(nb)) + (nb + 1, nb, nb + 2)
@@ -260,10 +263,40 @@ def _lrpe_params(config):
 
 
 def glu_forward(x, params, layer_idx):
-    """Channel mixer: Wo(sigmoid(x Wg) * (x Wu))."""
+    """Channel mixer: Wo(sigmoid(x Wg) * (x Wu)); one tape node.
+
+    The rule saves x, the gate, x Wu and the weights, not the gated product:
+    backward rebuilds that for Wo's gradient and then works in the buffers
+    it saved.  Values and gradients are bitwise those of the composed
+    ``T.matmul`` / ``T.sigmoid`` / ``*`` chain.
+    """
     pre = f"layers.{layer_idx}.glu."
-    gate = T.sigmoid(T.matmul(x, params[pre + "wg"]))
-    return T.matmul(gate * T.matmul(x, params[pre + "wu"]), params[pre + "wo"])
+    wg, wu, wo = params[pre + "wg"], params[pre + "wu"], params[pre + "wo"]
+    nx, nwg, nwu, nwo = (T._node(t) for t in (x, wg, wu, wo))
+    xd, wgd, wud, wod = x.data, wg.data, wu.data, wo.data
+    gate = T._sigmoid(np.matmul(xd, wgd))
+    up = np.matmul(xd, wud)
+    # without a tape nothing reads x Wu again, so the product takes its buffer
+    h = gate * up if T.recording(x, wg, wu, wo) else np.multiply(gate, up, out=up)
+
+    def rows(a):
+        return a.reshape(-1, a.shape[-1])
+
+    def bw(g):
+        T._accum(nwo, rows(gate * up).T @ rows(g))
+        dh = np.matmul(g, wod.T)
+        dgate = np.multiply(dh, up, out=up)
+        dup = np.multiply(dh, gate, out=dh)
+        T._accum(nx, np.matmul(dup, wud.T))
+        T._accum(nwu, rows(xd).T @ rows(dup))
+        del dh, dup
+        # sigmoid's rule: g s (1 - s)
+        dgate *= gate
+        dgate *= np.subtract(1.0, gate, out=gate)
+        T._accum(nx, np.matmul(dgate, wgd.T))
+        T._accum(nwg, rows(xd).T @ rows(dgate))
+
+    return T._record(Tensor(np.matmul(h, wod)), (x, wg, wu, wo), bw)
 
 
 def _embed(tokens, params, config: ModelConfig):

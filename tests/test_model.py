@@ -275,6 +275,37 @@ def test_glu_gradient(rng):
     assert grad_check(build, leaves, rel_tol=1e-4) == []
 
 
+def _composed_glu(x, params, layer_idx):
+    # the chain glu_forward's one node replaces, kept as its oracle
+    pre = f"layers.{layer_idx}.glu."
+    gate = T.sigmoid(T.matmul(x, params[pre + "wg"]))
+    return T.matmul(gate * T.matmul(x, params[pre + "wu"]), params[pre + "wo"])
+
+
+@pytest.mark.parametrize("shape, x_grad", [((3, 5, 16), True), ((7, 16), True),
+                                           ((3, 5, 16), False)])
+def test_glu_node_is_bitwise_the_composed_chain(shape, x_grad, rng):
+    params = init_params(ModelConfig(**SMALL))
+    x = rng.normal(size=shape)
+    weight = rng.normal(size=shape)
+    results = []
+    for glu, n_nodes in ((glu_forward, 1), (_composed_glu, 5)):
+        leaves = {name: Tensor(p.data, requires_grad=True)
+                  for name, p in params.items() if name.startswith("layers.1.glu.")}
+        xt = Tensor(x, requires_grad=x_grad)
+        with T.Tape() as tape:
+            y = glu(xt, leaves, 1)
+            assert len(tape.nodes) == n_nodes
+            T.backward(T.tsum(y * weight))
+        results.append([y.data, xt.grad] + [leaves[f"layers.1.glu.{w}"].grad
+                                            for w in ("wg", "wu", "wo")])
+    fused, composed = results
+    if not x_grad:
+        assert fused[1] is None and composed[1] is None
+        del fused[1], composed[1]
+    assert all(np.array_equal(a, b) for a, b in zip(fused, composed))
+
+
 def test_zero_input_mixer_output_is_zero():
     config = ModelConfig(**SMALL)
     params = init_params(config)

@@ -221,6 +221,17 @@ def test_activation_rules_match_their_formulas_bitwise():
         assert np.array_equal(xt.grad, grad)
 
 
+def test_silu_rule_saves_only_its_input():
+    # the rule rebuilds sigmoid(x) in backward rather than saving it
+    x = Tensor(np.linspace(-3.0, 3.0, 12).reshape(3, 4), requires_grad=True)
+    with Tape() as tape:
+        T.silu(x)
+        (node,) = tape.nodes
+        held = [c.cell_contents for c in node._backward.__closure__]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    assert len(arrays) == 1 and arrays[0] is x.data
+
+
 def test_composed_expression_matches_finite_differences():
     rng = np.random.Generator(np.random.Philox(15))
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)

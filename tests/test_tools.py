@@ -56,7 +56,10 @@ def test_tape_census_rows_sum_to_the_total(tmp_path):
     lines = run.stdout.splitlines()
     assert lines[0].split() == ["rule", "MB"]
     rows = {line.rsplit(None, 1)[0]: float(line.rsplit(None, 1)[1]) for line in lines[1:]}
-    total, peak = rows.pop("total"), rows.pop("step peak")
+    total = rows.pop("total")
+    peaks = [rows.pop(name) for name in ("forward peak", "backward peak", "step peak")]
     # each row and the total are printed to 0.001 MB
     assert abs(sum(rows.values()) - total) <= 0.0005 * (len(rows) + 1)
-    assert rows["_chunkwise"] > 0 and peak > 0
+    assert rows["_chunkwise"] > 0 and min(peaks) > 0
+    # the step's peak is the larger of the forward's and the backward's
+    assert peaks[2] == max(peaks[:2])

@@ -5,8 +5,9 @@ of its model on random tokens, batch_size x seq_len from its [train]
 section, seeded by its train seed.  It prints, per kind of backward rule
 (the function that recorded it, such as ``matmul`` or ``_chunkwise``), the
 MB of arrays the rules hold when the backward starts, then their total and
-the step's tracemalloc peak, forward and backward, from after the
-parameters are made.  Each array is counted once, as the base array that
+the tracemalloc peaks, from after the parameters are made, of the forward,
+of the backward (the peak is reset when it starts) and of the whole step,
+the larger of the two.  Each array is counted once, as the base array that
 owns its memory, under the first rule in tape order that reaches it.
 
     python tools/tape_census.py experiment.cfg
@@ -55,9 +56,9 @@ def held_arrays(rule):
 
 
 def census(config):
-    """(Counter of bytes held at backward start per rule kind, the step's
-    tracemalloc peak in bytes) for one taped step of ``config``, an
-    ``ExperimentConfig``."""
+    """(Counter of bytes held at backward start per rule kind, the forward's
+    and the backward's tracemalloc peaks in bytes) for one taped step of
+    ``config``, an ``ExperimentConfig``."""
     params = init_params(config.model)
     rng = np.random.Generator(np.random.Philox(config.train.seed))
     tokens = rng.integers(0, config.model.vocab,
@@ -67,6 +68,7 @@ def census(config):
     try:
         with tensor.Tape() as tape:
             loss = loss_on_batch(params, config.model, tokens[:, :-1], tokens[:, 1:])
+            forward_peak = tracemalloc.get_traced_memory()[1]
             for node in tape.nodes:
                 if node._backward is None:
                     continue
@@ -75,23 +77,26 @@ def census(config):
                     if key not in counted:
                         counted.add(key)
                         held[kind] += size
+            tracemalloc.reset_peak()
             tensor.backward(loss)
-        peak = tracemalloc.get_traced_memory()[1]
+        backward_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return held, peak
+    return held, forward_peak, backward_peak
 
 
 def main(argv):
     if len(argv) != 1:
         print("usage: tape_census.py <config>", file=sys.stderr)
         return 2
-    held, peak = census(cli.parse_config(argv[0]))
+    held, forward_peak, backward_peak = census(cli.parse_config(argv[0]))
     print(f"{'rule':<24} {'MB':>8}")
     for kind, size in held.most_common():
         print(f"{kind:<24} {size / MB:>8.3f}")
     print(f"{'total':<24} {sum(held.values()) / MB:>8.3f}")
-    print(f"{'step peak':<24} {peak / MB:>8.3f}")
+    for name, peak in (("forward peak", forward_peak), ("backward peak", backward_peak),
+                       ("step peak", max(forward_peak, backward_peak))):
+        print(f"{name:<24} {peak / MB:>8.3f}")
     return 0
 
 
