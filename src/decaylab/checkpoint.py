@@ -47,7 +47,7 @@ def save_checkpoint(path, params: dict, config: ModelConfig):
     buf += hbytes
     for n in names:
         buf += np.ascontiguousarray(params[n].data, dtype="<f8").tobytes()
-    buf += hashlib.sha256(bytes(buf)).digest()
+    buf += hashlib.sha256(buf).digest()
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
@@ -67,7 +67,8 @@ def load_checkpoint(path):
         raw = f.read()
     if len(raw) < len(MAGIC) + 4 + 32 or raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
-    body, digest = raw[:-32], raw[-32:]
+    # a view, not a copy of the file: the digest and the tensors read it
+    body, digest = memoryview(raw)[:-32], raw[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise CheckpointError(f"{path}: checksum mismatch")
     hlen = struct.unpack("<I", raw[len(MAGIC): len(MAGIC) + 4])[0]

@@ -7,9 +7,10 @@ width 1 or dk, trains and runs through the factorized chunk kernel
 ``forward_dplr``.  Each is only its chunk algebra, one span at a time; the
 driver ``_chunkwise`` serves both.  It cuts the sequence into chunks of
 ``CHUNK`` positions, the one chunk size, runs spans of ``SPAN`` positions
-without a tape, carrying the state between them, and falls back to the
-scan where the divisions by running products of lam would lose
-precision.  At (8, 4, 128, 16) on one BLAS thread the forward and
+without a tape, carrying the state between them, runs a taped call in
+``SLICES`` slices of the batch, and falls back to the scan where the
+divisions by running products of lam would lose precision.  At
+(8, 4, 128, 16) on one BLAS thread the forward and
 backward of ``forward_chunked`` took 4.8 ms at width 1, against 5.3 ms
 for the pair-decay kernel it replaced, and 5.8 ms at width dk, against
 13 ms for the scan; inside a training step the two DPLR layers took
@@ -46,6 +47,10 @@ _BLOCK = 64
 CHUNK = 16
 # Positions per span of the chunk kernels without a tape.
 SPAN = 256
+# Slices of the leading (batch) axis that a taped call of the chunk kernels
+# runs in, each over the whole sequence: a span's working set, and its
+# backward's, is then a slice's.
+SLICES = 4
 # The least lam past a chunk's first position that the chunk kernels divide
 # by; below it the call runs the scan.
 FLOOR = 1e-4
@@ -247,16 +252,22 @@ def _unchunk(x, n):
     return x.reshape(x.shape[:-3] + (-1, x.shape[-1]))[..., :n, :]
 
 
+def _divides(lam):
+    """Whether the chunk kernels may divide by lam's running products: every
+    lam past a chunk's first position is at least ``FLOOR``, which bounds
+    gamma below by FLOOR ** (CHUNK - 1).  Reductions over lam and, if its
+    least value fails, over each offset past a chunk's first position, so
+    no array of lam's size is made; a NaN fails."""
+    return (lam.min(initial=np.inf) >= FLOOR
+            or all(lam[..., j::CHUNK, :].min(initial=np.inf) >= FLOOR for j in range(1, CHUNK)))
+
+
 def _decays(lc):
     """a, the first lam of each chunk (..., N, 1, w), and gamma (..., N, c, w),
     the running product of lam from each chunk's second position (gamma = 1
-    at the first), of chunked lam; or None where the factorized form must not
-    divide by them: some lam past a chunk's first position lies below
-    ``FLOOR``, which also bounds gamma below by FLOOR ** (CHUNK - 1)."""
+    at the first), of chunked lam."""
     gamma = lc.copy()
     gamma[..., 0, :] = 1.0
-    if not np.all(gamma >= FLOOR):
-        return None
     np.cumprod(gamma, axis=-2, out=gamma)
     return lc[..., :1, :], gamma
 
@@ -293,49 +304,72 @@ def _chunkwise(span, *inputs):
     after its last chunk and its backward, which maps the chunked output
     gradient and whether lam needs one to the chunked input gradients and
     (da, d log gamma), or None.  Without a tape the forward runs in spans of
-    ``SPAN`` positions, each carrying its state into the next; under a tape
-    it runs as one span.  Where ``_decays`` refuses the division, the call
-    runs the scan.
+    ``SPAN`` positions, each carrying its state into the next.  Under a tape
+    it runs ``SLICES`` slices of the leading (batch) axis, each as one span
+    over the whole sequence, and the backward runs one slice's backward at a
+    time into full-size gradients; every op of a span acts per leading
+    index, so the slices give bitwise the values of one span over the whole
+    batch.  Where ``_divides`` refuses lam, the call runs the scan.
     """
     inputs = tuple(as_tensor(x) for x in inputs)
     _check_shapes(*(x.data for x in inputs))
     q, v, lam = inputs[0], inputs[2], inputs[3]
+    if not _divides(lam.data):
+        return _recurrence(*inputs)
     others = inputs[:3] + inputs[4:]
     n = q.shape[-2]
     taped = T.recording(*inputs)
+    lead = q.shape[0] if q.ndim > 2 else 1
+    size = max(-(-lead // SLICES) if taped else lead, 1)
     step = max(n, 1) if taped else SPAN
-    state = np.zeros(q.shape[:-2] + (q.shape[-1], v.shape[-1]))
     # the output is laid out time-major in memory, so that the model's
     # (..., n, heads * dv) reshape of it is a view
     out = np.empty((n,) + v.shape[:-2] + v.shape[-1:])
-    for t0 in range(0, max(n, 1), step):  # an empty sequence runs one empty span
-        part = (..., slice(t0, t0 + step), slice(None))
-        lc = _chunks(lam.data[part], CHUNK, 1.0)
-        decays = _decays(lc)
-        if decays is None:
-            return _recurrence(*inputs)
-        chunked = [_chunks(x.data[part], CHUNK, 0.0) for x in others]
-        o, state, back = span(*decays, state, *chunked)
-        out[t0:t0 + step] = _move(_unchunk(o, min(step, n - t0)), -2, 0)
-        if not taped:  # so that the next span's arrays replace these, not join them
-            del lc, decays, chunked, o, back
+    backs = []  # under a tape, per slice: its rows, its chunked lam and its backward
+    # an empty batch or sequence runs one empty slice and span
+    for b0 in range(0, max(lead, 1), size):
+        rows = (slice(b0, b0 + size),) if q.ndim > 2 else ()
+        state = np.zeros(q.data[rows].shape[:-2] + (q.shape[-1], v.shape[-1]))
+        for t0 in range(0, max(n, 1), step):
+            part = rows + (..., slice(t0, t0 + step), slice(None))
+            lc = _chunks(lam.data[part], CHUNK, 1.0)
+            chunked = [_chunks(x.data[part], CHUNK, 0.0) for x in others]
+            o, state, back = span(*_decays(lc), state, *chunked)
+            out[(slice(t0, t0 + step),) + rows] = _move(_unchunk(o, min(step, n - t0)), -2, 0)
+            del chunked, o
+            if not taped:  # so that the next span's arrays replace these, not join them
+                del lc, back
+        if taped:
+            backs.append((rows, lc, back))
     out = Tensor(_move(out, 0, -2))
     if not taped:
         return out
-    nodes, lam_node = [T._node(x) for x in others], T._node(lam)
+    nodes = [T._node(x) for x in others] + [T._node(lam)]
+    with_lam = nodes[-1] is not None
 
     def bw(g):
-        grads, dlam = back(_chunks(g, CHUNK, 0.0), lam_node is not None)
-        for node, grad in zip(nodes, grads):
+        full = None
+        while backs:
+            rows, lc, back = backs.pop(0)
+            grads, dlam = back(_chunks(g[rows], CHUNK, 0.0), with_lam)
+            grads = list(grads)
+            del back
+            if with_lam:
+                # da at each chunk's first lam and, past it, the reverse
+                # in-chunk cumsum of d log gamma over lam
+                da, dlog = dlam
+                dlog = np.cumsum(dlog[..., :0:-1, :], axis=-2)[..., ::-1, :]
+                dlog /= lc[..., 1:, :]
+                grads.append(np.concatenate([da, dlog], axis=-2))
+                del da, dlog, dlam
+            if full is None:  # with one slice its gradients are the full ones
+                full = grads if not backs else [np.empty((lead,) + x.shape[1:]) for x in grads]
+            if full is not grads:
+                for buf, x in zip(full, grads):
+                    buf[rows] = x
+            del grads, lc
+        for node, grad in zip(nodes, full):
             T._accum(node, _unchunk(grad, n))
-        if dlam is None:
-            return
-        # da at each chunk's first lam and, past it, the reverse in-chunk
-        # cumsum of d log gamma over lam
-        da, dlog = dlam
-        dlam = np.cumsum(dlog[..., :0:-1, :], axis=-2)[..., ::-1, :]
-        dlam /= lc[..., 1:, :]
-        T._accum(lam_node, _unchunk(np.concatenate([da, dlam], axis=-2), n))
 
     return T._record(out, inputs, bw)
 
@@ -408,7 +442,7 @@ def forward_chunked(q, k, v, lam):
     cumsum of Q~ . dQ~ - K~ . dK~ with the gamma_last and state terms on the
     chunk's last row; dlam = d log lam / lam, but for a, whose gradient is
     taken directly.  ``_chunkwise`` runs it: in spans without a tape, and on
-    the scan where ``_decays`` refuses the division.
+    the scan where ``_divides`` refuses lam.
     """
     return _chunkwise(_diagonal_span, q, k, v, lam)
 
@@ -566,7 +600,7 @@ def forward_dplr(q, k, v, lam, kappa, beta):
     transposed GEMMs; through the solve, with Y = [C | A V],
     dY = T^-T d[W | U0] and dL = -stril(dY [W | U0]^T).  Last comes d log
     gamma, as in ``forward_chunked``.  ``_chunkwise`` runs it: in spans
-    without a tape, and on the scan where ``_decays`` refuses the division.
+    without a tape, and on the scan where ``_divides`` refuses lam.
 
     A taped call's backward holds the chunked inputs, gamma, Z = [W | U0],
     T^-1, M and the states.  It rebuilds [Q~; K^], [K~; -B~], the pair
@@ -574,7 +608,9 @@ def forward_dplr(q, k, v, lam, kappa, beta):
     B = [[0, V], [W, U0]] only for the GEMM dY B^T, which split into
     [d(A V) V^T | dY Z^T] would round differently.  At (8, 4, 128, 16) and
     width dk this took the live memory after the forward from 10.1 to
-    3.6 MB and the backward's peak from 24.8 to 14.6 MB (tracemalloc).
+    3.6 MB and the backward's peak from 24.8 to 14.6 MB (tracemalloc); run
+    in ``SLICES`` batch slices, the forward's peak went 12.3 -> 5.9 MB and
+    the backward's 14.6 -> 8.75 MB.
     """
     return _chunkwise(_dplr_span, q, k, v, lam, kappa, beta)
 

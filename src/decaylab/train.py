@@ -125,32 +125,45 @@ def next_batch(corpus: Corpus, config: TrainConfig, step, split="train"):
     return window[:, :-1], window[:, 1:]
 
 
-def cross_entropy(logits, targets):
+def cross_entropy(logits, targets, *, in_place=False):
     """Mean over positions of -log softmax(logits)[target], stable.
 
     Per-position gradient is (softmax(logits) - onehot(target)) / count.
+    With ``in_place`` the softmax and then the gradient are taken in the
+    logits' own buffer, and where the logits are a recorded op's output the
+    loss's backward runs in that op's tape node, ahead of its own rule: only
+    for logits that nothing else reads.
     """
     logits = T.as_tensor(logits)
     targets = np.asarray(targets)
-    V = logits.shape[-1]
+    x = logits.data
+    V = x.shape[-1]
     if targets.size and (targets.min() < 0 or targets.max() >= V):
         raise ValueError(f"target out of range [0, {V})")
-    x = logits.data
+    # read before z, which may be x, overwrites it
+    picked = np.take_along_axis(x, targets[..., None], axis=-1)
     m = x.max(axis=-1, keepdims=True)
-    z = np.subtract(x, m)
+    z = np.subtract(x, m, out=x if in_place else None)
     np.exp(z, out=z)
     s = z.sum(axis=-1, keepdims=True)
-    picked = (np.take_along_axis(x, targets[..., None], axis=-1) - m - np.log(s))[..., 0]
+    picked = (picked - m - np.log(s))[..., 0]
     count = picked.size
-    nlogits = T._node(logits)
 
-    def bw(g):
+    def grad(g):
         soft = np.divide(z, s, out=z)
         # one target per position: a plain fancy-index subtraction, no repeats
         soft.reshape(-1, V)[np.arange(count), targets.reshape(-1)] -= 1.0
-        T._accum(nlogits, np.divide(np.multiply(soft, g, out=soft), count, out=soft))
+        return np.divide(np.multiply(soft, g, out=soft), count, out=soft)
 
-    return T._record(Tensor(-picked.sum() / count), (logits,), bw)
+    loss = Tensor(-picked.sum() / count)
+    if in_place and T._fold(logits, loss, grad):
+        return loss
+    nlogits = T._node(logits)
+
+    def bw(g):
+        T._accum(nlogits, grad(g))
+
+    return T._record(loss, (logits,), bw)
 
 
 def wsd_lr(step, config: TrainConfig):
@@ -232,8 +245,9 @@ def clip_gradients(grads: dict, max_norm):
 
 
 def loss_on_batch(params, config: ModelConfig, inputs, targets):
-    logits = lm_forward(inputs, params, config)
-    return cross_entropy(logits, targets)
+    # nothing else reads these logits: the loss takes its softmax in their
+    # buffer and runs its backward in the LM head's tape node
+    return cross_entropy(lm_forward(inputs, params, config), targets, in_place=True)
 
 
 def train_step(params, opt, model_config: ModelConfig, train_config: TrainConfig, inputs,

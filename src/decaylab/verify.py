@@ -95,7 +95,7 @@ def _rel_diff(a, b):
 # positions with lam = value).  Zeros at t = 0, on a chunk boundary and at a
 # span's first position keep the chunk form, over more than two spans and,
 # with a (2, 3) batch, across one span boundary; so does a run just above
-# FLOOR past a chunk's first position, the least gamma that ``_decays``
+# FLOOR past a chunk's first position, the least lam that ``_divides``
 # admits.  A zero at a span's last position or in the middle of a chunk, a
 # run of 1e-30 and a run just below FLOOR send the call to the scan.  They
 # also cover n not a multiple of the chunk, n below the chunk and n = 1.

@@ -470,6 +470,35 @@ def test_chunked_vector_matches_the_scan_across_spans(rng, batch, n, monkeypatch
             assert np.array_equal(kernel(*args).data, o.data)
 
 
+def _taped_outputs_and_grads(kernel, args, g):
+    leaves = [Tensor(x, requires_grad=True) for x in args]
+    with T.Tape():
+        o = kernel(*leaves)
+        T.backward(T.tsum(o * g))
+    return [o.data] + [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("kernel", [R.forward_chunked, R.forward_dplr])
+@pytest.mark.parametrize("batch", [1, 3, 5, 8])
+def test_a_taped_call_in_batch_slices_is_bitwise_one_slice(rng, kernel, batch, monkeypatch):
+    # the outputs and every gradient of a taped call, in R.SLICES slices of
+    # the leading axis and in 3 uneven ones, against one slice of the whole
+    # batch; at widths 1 and dk, one chunk-aligned n and two ragged ones
+    monkeypatch.setattr(R, "_recurrence", None)
+    for n in (37, 128, 300):
+        for scalar in (True, False):
+            args = _with_transition(rng, kernel, *_chunk_inputs(rng, (batch, 2), n, dk=8, dv=8,
+                                                                scalar=scalar))
+            g = rng.normal(size=(batch, 2, n, 8))
+            results = []
+            for slices in (1, R.SLICES, 3):
+                with monkeypatch.context() as m:
+                    m.setattr(R, "SLICES", slices)
+                    results.append(_taped_outputs_and_grads(kernel, args, g))
+            for got in results[1:]:
+                assert all(np.array_equal(a, b) for a, b in zip(got, results[0])), (n, scalar)
+
+
 def _alloc_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -497,10 +526,11 @@ def test_chunked_vector_peak_is_below_the_scan(rng, layout):
 
 
 # one taped forward_dplr at (8, 4, 128, 16), lam of width dk (tracemalloc,
-# numpy 2.4): 3.6 MB live after the forward and a 14.6 MB peak through the
-# backward, against 10.1 and 24.8 MB when its backward held the pair
-# matrices, B and [V; U]
-DPLR_LIVE_MB, DPLR_PEAK_MB = 3.8, 15.4
+# numpy 2.4): 3.6 MB live after the forward, a 5.9 MB peak in the forward and
+# an 8.75 MB peak through the backward, in R.SLICES slices of the batch;
+# 12.3 and 14.6 MB over the whole batch at once, and 24.8 MB through the
+# backward when it held the pair matrices, B and [V; U]
+DPLR_LIVE_MB, DPLR_FORWARD_PEAK_MB, DPLR_PEAK_MB = 3.8, 6.2, 9.2
 
 
 def test_a_taped_dplr_call_keeps_only_what_its_backward_reads(rng):
@@ -512,12 +542,13 @@ def test_a_taped_dplr_call_keeps_only_what_its_backward_reads(rng):
     try:
         with T.Tape():
             o = R.forward_dplr(*leaves)
-            live = tracemalloc.get_traced_memory()[0] / 2**20
+            live, forward_peak = (x / 2**20 for x in tracemalloc.get_traced_memory())
             tracemalloc.reset_peak()
             T.backward(T.tsum(o * g))
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
     assert live <= DPLR_LIVE_MB
+    assert forward_peak <= DPLR_FORWARD_PEAK_MB
     assert peak <= DPLR_PEAK_MB
     assert all(leaf.grad is not None for leaf in leaves)

@@ -53,7 +53,8 @@ def test_tape_census_rows_sum_to_the_total(tmp_path):
     run = subprocess.run([sys.executable, str(TOOLS / "tape_census.py"), str(config)],
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    lines = run.stdout.splitlines()
+    held, rules = run.stdout.split("\n\n")
+    lines = held.splitlines()
     assert lines[0].split() == ["rule", "MB"]
     rows = {line.rsplit(None, 1)[0]: float(line.rsplit(None, 1)[1]) for line in lines[1:]}
     total = rows.pop("total")
@@ -63,3 +64,13 @@ def test_tape_census_rows_sum_to_the_total(tmp_path):
     assert rows["_chunkwise"] > 0 and min(peaks) > 0
     # the step's peak is the larger of the forward's and the backward's
     assert peaks[2] == max(peaks[:2])
+    # the three backward rules with the highest peaks, highest first: the
+    # first one's peak is the backward's, and no rule peaks below its start
+    lines = rules.splitlines()
+    assert lines[0].split() == ["peak", "rule", "index", "start", "MB", "peak", "MB"]
+    top = [line.split() for line in lines[1:]]
+    assert len(top) == 3 and len({index for _, index, _, _ in top}) == 3
+    for name, index, start, peak in top:
+        assert name.isidentifier() and int(index) >= 0 and 0 < float(start) <= float(peak)
+    assert [float(row[3]) for row in top] == sorted((float(row[3]) for row in top), reverse=True)
+    assert float(top[0][3]) == peaks[1]

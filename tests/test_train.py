@@ -1,4 +1,5 @@
 import gc
+import os
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -150,6 +151,25 @@ def test_cross_entropy_matches_its_formula_bitwise(rng):
     assert np.array_equal(logits.grad, np.ones(()) * soft / picked.size)
 
 
+def test_cross_entropy_in_place_on_a_leaf_records_a_node_of_its_own(rng):
+    # a leaf has no op's node for the loss to run in: in place, the loss and
+    # the gradient are bitwise those of the call with a buffer of its own,
+    # from one node of the loss's own, and the leaf's values are overwritten
+    x = rng.normal(0.0, 5.0, size=(3, 17, 50))
+    targets = rng.integers(0, 50, size=(3, 17))
+    results = []
+    for in_place in (False, True):
+        logits = Tensor(x.copy(), requires_grad=True)
+        with Tape() as tape:
+            loss = cross_entropy(logits, targets, in_place=in_place)
+            assert len(tape.nodes) == 1
+            backward(loss)
+        assert np.array_equal(logits.data, x) != in_place
+        results.append((loss.item(), logits.grad))
+    assert results[0][0] == results[1][0]
+    assert np.array_equal(results[0][1], results[1][1])
+
+
 def test_cross_entropy_does_not_keep_its_logits(rng):
     # the rule reads exp(x - m), so the logits go when the caller drops them
     x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
@@ -169,15 +189,46 @@ def test_cross_entropy_does_not_keep_its_logits(rng):
     assert x.grad is not None and w.grad is not None
 
 
+@pytest.mark.parametrize("tied", [False, True])
+def test_the_loss_in_the_heads_node_matches_matmul_and_cross_entropy_bitwise(tied):
+    # loss_on_batch takes the softmax in the logits' buffer and runs its
+    # backward in the LM head's node: one node in place of the loss's own,
+    # and the loss and every gradient bitwise those of lm_forward, whose head
+    # is T.matmul, followed by cross_entropy; tied, the embedding's gradient
+    # sums the head's and the lookup's
+    config = ModelConfig(decay=DecayConfig(strategy="mamba2"), tie_embeddings=tied, seed=3)
+    tokens = np.random.Generator(np.random.Philox(3)).integers(0, 256, size=(2, 33))
+    results = []
+    for loss_fn in (loss_on_batch,
+                    lambda p, c, i, t: cross_entropy(lm_forward(i, p, c), t)):
+        params = init_params(config)
+        with Tape() as tape:
+            loss = loss_fn(params, config, tokens[:, :-1], tokens[:, 1:])
+            nodes = len(tape.nodes)
+            backward(loss)
+        results.append((loss.item(), nodes, {n: p.grad for n, p in params.items()}))
+    (fused, fused_nodes, fused_grads), (ref, ref_nodes, ref_grads) = results
+    assert fused == ref
+    # without a tape there is no node to fold into
+    assert loss_on_batch(init_params(config), config, tokens[:, :-1], tokens[:, 1:]).item() == ref
+    assert fused_nodes == ref_nodes - 1
+    assert ("lm_head" in ref_grads) != tied
+    for name, grad in ref_grads.items():
+        assert np.array_equal(fused_grads[name], grad), name
+
+
 # tracemalloc peaks of one taped step at the acceptance geometry, about 5 %
-# above the measured values (numpy 2.4).  DPLR + RoPE: 34.7 MB, in the
-# backward; 37.7 MB when silu saved its sigmoid and the GLU its gated
-# product, 51.4 MB when forward_dplr's backward held its pair matrices, B
-# and [V; U], 77.2 MB when the tape held every output Tensor and rules held
-# their parents.  mamba2: 27.0 MB, at the end of the forward; 31.0 MB
-# before the silu and GLU change.
-STEP_PEAK_MB = 36.4
-MAMBA2_STEP_PEAK_MB = 28.4
+# above the measured values (numpy 2.4).  DPLR + RoPE: 30.8 MB, in the
+# backward; 34.7 MB when the chunk kernels ran a taped call over the whole
+# batch at once and the loss had a logits buffer of its own, 37.7 MB when
+# silu saved its sigmoid and the GLU its gated product, 51.4 MB when
+# forward_dplr's backward held its pair matrices, B and [V; U], 77.2 MB when
+# the tape held every output Tensor and rules held their parents.  mamba2:
+# 25.7 MB, in the backward, with the bound kept below the 27.0 MB it took,
+# at the end of the forward, before the batch slices and the loss in the
+# logits' buffer; 31.0 MB before the silu and GLU change.
+STEP_PEAK_MB = 32.3
+MAMBA2_STEP_PEAK_MB = 26.9
 
 
 def _taped_step(config, held_tensors):
@@ -204,7 +255,7 @@ def test_a_taped_step_keeps_only_what_backward_reads(held_tensors):
     config = ModelConfig(decay=dc, transition="dplr", posenc="rope", seed=7)
     held, nodes, peak = _taped_step(config, held_tensors)
     assert held == []
-    assert nodes == 72
+    assert nodes == 71
     assert peak < STEP_PEAK_MB
 
 
@@ -212,7 +263,7 @@ def test_a_taped_mamba2_step_keeps_only_what_backward_reads(held_tensors):
     config = ModelConfig(decay=DecayConfig(strategy="mamba2"), seed=7)
     held, nodes, peak = _taped_step(config, held_tensors)
     assert held == []
-    assert nodes == 58
+    assert nodes == 57
     assert peak < MAMBA2_STEP_PEAK_MB
 
 
@@ -475,3 +526,24 @@ def test_checkpoint_round_trip(tmp_path, corpus):
     bad.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError):
         load_checkpoint(str(bad))
+
+
+def test_checkpoint_save_and_load_copy_the_file_once(tmp_path):
+    # save holds its buffer and no copy of it for the digest (1.28 x the file
+    # at the default geometry, tracemalloc; 2.13 with the copy); load holds
+    # the file and the tensors, and no copy of the file without its digest
+    # (2.02 x; 3.02 with the copy)
+    from decaylab.checkpoint import load_checkpoint, save_checkpoint
+    config = ModelConfig(seed=1)
+    params = init_params(config)
+    path = str(tmp_path / "ckpt.bin")
+    peaks = []
+    for call in (lambda: save_checkpoint(path, params, config), lambda: load_checkpoint(path)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] / os.path.getsize(path))
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 1.5
+    assert peaks[1] < 2.5

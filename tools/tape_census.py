@@ -8,7 +8,9 @@ MB of arrays the rules hold when the backward starts, then their total and
 the tracemalloc peaks, from after the parameters are made, of the forward,
 of the backward (the peak is reset when it starts) and of the whole step,
 the larger of the two.  Each array is counted once, as the base array that
-owns its memory, under the first rule in tape order that reaches it.
+owns its memory, under the first rule in tape order that reaches it.  Last
+come the three backward rules with the highest peaks: each one's kind, its
+index on the tape, the MB live when it starts and its peak.
 
     python tools/tape_census.py experiment.cfg
 """
@@ -55,48 +57,72 @@ def held_arrays(rule):
     return found
 
 
+def kind(rule):
+    """The function that recorded a backward rule, such as ``matmul``."""
+    return rule.__qualname__.split(".<locals>")[0]
+
+
+def watched(rule, index, rules):
+    """``rule``, appending (its peak, the bytes live when it starts, its
+    kind, ``index``) to ``rules`` when it runs."""
+    def run(g):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rule(g)
+        rules.append((tracemalloc.get_traced_memory()[1], start, kind(rule), index))
+
+    return run
+
+
 def census(config):
     """(Counter of bytes held at backward start per rule kind, the forward's
-    and the backward's tracemalloc peaks in bytes) for one taped step of
-    ``config``, an ``ExperimentConfig``."""
+    and the backward's tracemalloc peaks in bytes, and per backward rule its
+    peak, the bytes live when it starts, its kind and its tape index, highest
+    peak first) for one taped step of ``config``, an ``ExperimentConfig``."""
     params = init_params(config.model)
     rng = np.random.Generator(np.random.Philox(config.train.seed))
     tokens = rng.integers(0, config.model.vocab,
                           size=(config.train.batch_size, config.train.seq_len + 1))
-    held, counted = Counter(), set()
+    held, counted, rules = Counter(), set(), []
     tracemalloc.start()
     try:
         with tensor.Tape() as tape:
             loss = loss_on_batch(params, config.model, tokens[:, :-1], tokens[:, 1:])
             forward_peak = tracemalloc.get_traced_memory()[1]
-            for node in tape.nodes:
+            for index, node in enumerate(tape.nodes):
                 if node._backward is None:
                     continue
-                kind = node._backward.__qualname__.split(".<locals>")[0]
                 for key, size in held_arrays(node._backward).items():
                     if key not in counted:
                         counted.add(key)
-                        held[kind] += size
+                        held[kind(node._backward)] += size
+                node._backward = watched(node._backward, index, rules)
             tracemalloc.reset_peak()
             tensor.backward(loss)
-        backward_peak = tracemalloc.get_traced_memory()[1]
+        # each rule resets the peak when it starts, so the backward's is
+        # the highest of theirs and of what followed the last one
+        backward_peak = max([tracemalloc.get_traced_memory()[1]] + [r[0] for r in rules])
     finally:
         tracemalloc.stop()
-    return held, forward_peak, backward_peak
+    return held, forward_peak, backward_peak, sorted(rules, reverse=True)
 
 
 def main(argv):
     if len(argv) != 1:
         print("usage: tape_census.py <config>", file=sys.stderr)
         return 2
-    held, forward_peak, backward_peak = census(cli.parse_config(argv[0]))
+    held, forward_peak, backward_peak, rules = census(cli.parse_config(argv[0]))
     print(f"{'rule':<24} {'MB':>8}")
-    for kind, size in held.most_common():
-        print(f"{kind:<24} {size / MB:>8.3f}")
+    for name, size in held.most_common():
+        print(f"{name:<24} {size / MB:>8.3f}")
     print(f"{'total':<24} {sum(held.values()) / MB:>8.3f}")
     for name, peak in (("forward peak", forward_peak), ("backward peak", backward_peak),
                        ("step peak", max(forward_peak, backward_peak))):
         print(f"{name:<24} {peak / MB:>8.3f}")
+    print()
+    print(f"{'peak rule':<24} {'index':>8} {'start MB':>10} {'peak MB':>10}")
+    for peak, start, name, index in rules[:3]:
+        print(f"{name:<24} {index:>8} {start / MB:>10.3f} {peak / MB:>10.3f}")
     return 0
 
 
