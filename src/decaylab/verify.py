@@ -92,17 +92,22 @@ def _rel_diff(a, b):
 
 
 # Cases of the chunk kernels, run at both widths of lam: (batch, n, value,
-# positions with lam = value).  Zeros at t = 0, on a chunk boundary and at a
-# span's first position keep the chunk form, over more than two spans and,
-# with a (2, 3) batch, across one span boundary; so does a run just above
-# FLOOR past a chunk's first position, the least lam that ``_divides``
-# admits.  A zero at a span's last position or in the middle of a chunk, a
-# run of 1e-30 and a run just below FLOOR send the call to the scan.  They
-# also cover n not a multiple of the chunk, n below the chunk and n = 1.
+# positions with lam = value).  A call on ``batch`` runs spans of
+# ``R._span(batch)`` positions, with a tape and without: at (1, 4), the
+# probe's, 256, at (2, 3) 160 and at (8, 4), the training geometry's, 32.
+# Zeros at t = 0, on a chunk boundary and at a span's first position keep
+# the chunk form, over three and four spans and, with a (2, 3) batch,
+# across one span boundary; so does a run just above FLOOR past a chunk's
+# first position, the least lam that ``_divides`` admits.  A zero at a
+# span's last position or in the middle of a chunk, a run of 1e-30 and a
+# run just below FLOOR send the call to the scan.  They also cover n not a
+# multiple of the chunk, n below the chunk and n = 1.
+_PROBE, _PAIR, _TRAIN = (R._span(batch) for batch in ((1, 4), (2, 3), (8, 4)))
 _CHUNK_CASES = [
-    ((), 2 * R.SPAN + R.CHUNK + 3, 0.0, (0, R.CHUNK, R.SPAN)),
-    ((2, 3), R.SPAN + 5, 0.0, (0, R.CHUNK)),
-    ((2, 3), R.SPAN + 5, 0.0, (0, R.CHUNK, R.SPAN - 1)),
+    ((1, 4), 2 * _PROBE + R.CHUNK + 3, 0.0, (0, R.CHUNK, _PROBE)),
+    ((8, 4), 3 * _TRAIN + 5, 0.0, (0, R.CHUNK, _TRAIN, 2 * _TRAIN)),
+    ((2, 3), _PAIR + 5, 0.0, (0, R.CHUNK)),
+    ((2, 3), _PAIR + 5, 0.0, (0, R.CHUNK, _PAIR - 1)),
     ((2, 3), R.CHUNK + 5, 0.0, (0, R.CHUNK)),
     ((), R.CHUNK - 3, 0.0, (0,)),
     ((), 1, 0.0, (0,)),

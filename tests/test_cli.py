@@ -450,8 +450,8 @@ def test_cmd_verify_detects_a_perturbed_span_state(monkeypatch, capsys):
     assert cli.main(["verify", "--level", "quick"]) == cli.EXIT_VERIFY
     out = capsys.readouterr().out
     assert "FAIL chunked-vs-sequential" in out and "FAIL dplr" in out
-    assert "no-tape output rel diff" in out
-    assert ": output rel diff" not in out and "dq rel diff" not in out
+    # a taped call runs the same spans as one without a tape
+    assert ": output rel diff" in out and "no-tape output rel diff" in out
 
 
 def test_cmd_verify_detects_a_perturbed_dplr_chunk_state(monkeypatch, capsys):
@@ -460,7 +460,8 @@ def test_cmd_verify_detects_a_perturbed_dplr_chunk_state(monkeypatch, capsys):
     def perturbed(y, trans, reverse=False):
         y = real(y, trans, reverse)
         if trans.shape[-2] > 1 and not reverse:
-            y *= 1.0 + 1e-6  # the states the DPLR kernel carries between chunks
+            for s in y:  # the states the DPLR kernel carries between chunks
+                s *= 1.0 + 1e-6
         return y
 
     monkeypatch.setattr(recurrence, "_carry", perturbed)

@@ -369,26 +369,25 @@ def test_chunked_scalar_gradients(rng, batch, n):
     assert grad_check(build, leaves, rel_tol=1e-4) == []
 
 
-@pytest.mark.parametrize("n", [1, 9, 2 * R.CHUNK + 3, 2 * R.SPAN + 5])
+@pytest.mark.parametrize("n", [1, 9, 2 * R.CHUNK + 3, 2 * R._span((2, 2)) + 5])
 def test_chunked_scalar_is_bitwise_equal_with_and_without_a_tape(rng, n):
-    # and vector: at 2 * SPAN + 5 the call without a tape runs three spans,
-    # the one under a tape a single span
+    # and vector: at 2 spans + 5 both calls run three spans
     for scalar in (True, False):
-        q, k, v, lam = _chunk_inputs(rng, (2, 3), n, scalar=scalar)
+        q, k, v, lam = _chunk_inputs(rng, (2, 2), n, scalar=scalar)
         o = R.forward_chunked(q, k, v, lam)
-        assert o.shape == (2, 3, n, 2)
+        assert o.shape == (2, 2, n, 2)
         assert np.max(np.abs(o.data - R.forward_oracle(q, k, v, lam))) <= 1e-10
         assert np.array_equal(_on_tape(R.forward_chunked, q, k, v, lam).data, o.data)
 
 
-@pytest.mark.parametrize("n", [1, 37, 300, 2 * R.SPAN + 11])
+@pytest.mark.parametrize("n", [1, 37, 300, 2 * R._span((2, 2)) + 11])
 def test_dplr_is_bitwise_equal_with_and_without_a_tape(rng, n, monkeypatch):
-    # at widths 1 and dk, on the chunk path alone; at 2 * SPAN + 11 the call
-    # without a tape runs three spans, the one under a tape a single span
+    # at widths 1 and dk, on the chunk path alone; at 300 both calls run two
+    # spans, at 2 spans + 11 three
     monkeypatch.setattr(R, "_recurrence", None)
     for scalar in (True, False):
         args = _with_transition(rng, R.forward_dplr,
-                                *_chunk_inputs(rng, (2, 3), n, scalar=scalar))
+                                *_chunk_inputs(rng, (2, 2), n, scalar=scalar))
         o = R.forward_dplr(*args)
         assert np.array_equal(_on_tape(R.forward_dplr, *args).data, o.data)
 
@@ -452,13 +451,15 @@ def _scan(*arrays):
     return R._recurrence(*(T.as_tensor(x) for x in arrays))
 
 
-@pytest.mark.parametrize("batch,n", [((), 1), ((), 5), ((2, 3), R.SPAN // 2 + 5),
-                                     ((1,), R.SPAN + 9), ((2, 3), R.SPAN + 5),
-                                     ((2,), 2 * R.SPAN + R.CHUNK + 1)])
+@pytest.mark.parametrize("batch,n", [((), 1), ((), 5), ((1, 4), R._span((1, 4)) // 2 + 5),
+                                     ((1, 4), R._span((1, 4)) + 9), ((4,), R._span((4,)) + 5),
+                                     ((2, 2), 2 * R._span((2, 2)) + R.CHUNK + 1),
+                                     ((8, 4), 3 * R._span((8, 4)) + 5)])
 def test_chunked_vector_matches_the_scan_across_spans(rng, batch, n, monkeypatch):
     # both chunk kernels; no zero past a chunk's first position and none on a
     # span boundary, so the whole call stays on the chunk path and carries
-    # the state
+    # the state, with a tape and without: over up to three spans of 256
+    # positions and, at (8, 4), the training geometry, over four of 32
     for kernel, tol in ((R.forward_chunked, 1e-10), (R.forward_dplr, 1e-12)):
         args = _with_transition(rng, kernel, *_chunk_inputs(rng, batch, n, scalar=False))
         ref = _scan(*args).data
@@ -467,7 +468,7 @@ def test_chunked_vector_matches_the_scan_across_spans(rng, batch, n, monkeypatch
             o = kernel(*args)
             assert o.shape == ref.shape
             assert np.max(np.abs(o.data - ref)) <= tol * max(np.max(np.abs(ref)), 1.0), kernel
-            assert np.array_equal(kernel(*args).data, o.data)
+            assert np.array_equal(_on_tape(kernel, *args).data, o.data)
 
 
 def _taped_outputs_and_grads(kernel, args, g):
@@ -480,10 +481,11 @@ def _taped_outputs_and_grads(kernel, args, g):
 
 @pytest.mark.parametrize("kernel", [R.forward_chunked, R.forward_dplr])
 @pytest.mark.parametrize("batch", [1, 3, 5, 8])
-def test_a_taped_call_in_batch_slices_is_bitwise_one_slice(rng, kernel, batch, monkeypatch):
-    # the outputs and every gradient of a taped call, in R.SLICES slices of
-    # the leading axis and in 3 uneven ones, against one slice of the whole
-    # batch; at widths 1 and dk, one chunk-aligned n and two ragged ones
+def test_a_call_in_spans_is_bitwise_one_span(rng, kernel, batch, monkeypatch):
+    # the outputs, with a tape and without, and every gradient of a call in
+    # spans of one chunk and of the default R.ROWS, against one span over the
+    # whole sequence; at widths 1 and dk, one chunk-aligned n and two ragged
+    # ones
     monkeypatch.setattr(R, "_recurrence", None)
     for n in (37, 128, 300):
         for scalar in (True, False):
@@ -491,10 +493,10 @@ def test_a_taped_call_in_batch_slices_is_bitwise_one_slice(rng, kernel, batch, m
                                                                 scalar=scalar))
             g = rng.normal(size=(batch, 2, n, 8))
             results = []
-            for slices in (1, R.SLICES, 3):
+            for rows in (batch * 2 * (n + R.CHUNK), 1, R.ROWS):  # one span, one chunk, default
                 with monkeypatch.context() as m:
-                    m.setattr(R, "SLICES", slices)
-                    results.append(_taped_outputs_and_grads(kernel, args, g))
+                    m.setattr(R, "ROWS", rows)
+                    results.append([kernel(*args).data] + _taped_outputs_and_grads(kernel, args, g))
             for got in results[1:]:
                 assert all(np.array_equal(a, b) for a, b in zip(got, results[0])), (n, scalar)
 
@@ -525,16 +527,22 @@ def test_chunked_vector_peak_is_below_the_scan(rng, layout):
             assert _alloc_peak(kernel, *args) <= _alloc_peak(scan, *args), (kernel, width)
 
 
-# one taped forward_dplr at (8, 4, 128, 16), lam of width dk (tracemalloc,
-# numpy 2.4): 3.6 MB live after the forward, a 5.9 MB peak in the forward and
-# an 8.75 MB peak through the backward, in R.SLICES slices of the batch;
-# 12.3 and 14.6 MB over the whole batch at once, and 24.8 MB through the
-# backward when it held the pair matrices, B and [V; U]
+# one taped forward_dplr, lam of width dk (tracemalloc, numpy 2.4).  At
+# (8, 4, 128, 16), in four spans of 32 positions: 3.55 MB live after the
+# forward, a 5.93 MB peak in the forward and an 8.89 MB peak through the
+# backward; 3.6, 5.9 and 8.75 MB in four batch slices, each over the whole
+# sequence, 12.3 and 14.6 MB peaks over the whole batch at once, and 24.8 MB
+# through the backward when it held the pair matrices, B and [V; U]
 DPLR_LIVE_MB, DPLR_FORWARD_PEAK_MB, DPLR_PEAK_MB = 3.8, 6.2, 9.2
+# At (1, 4, 2048, 16), in eight spans of 256 positions: a 9.37 MB peak in
+# the forward and 15.31 MB through the backward, against 24.2 and 29.1 MB in
+# one span over the whole sequence; the bounds are 5 % and 4.5 % above them
+LONG_FORWARD_PEAK_MB, LONG_PEAK_MB = 9.84, 16.0
 
 
-def test_a_taped_dplr_call_keeps_only_what_its_backward_reads(rng):
-    shape = (8, 4, 128, 16)
+def _taped_dplr_memory(rng, shape):
+    """MB live after one taped forward_dplr on ``shape``, lam of width dk,
+    and the peaks of its forward and its backward; checks every gradient."""
     q, k, v, g = (rng.normal(size=shape) for _ in range(4))
     args = _with_transition(rng, R.forward_dplr, q, k, v, rng.uniform(0.5, 1.0, size=shape))
     leaves = [Tensor(x, requires_grad=True) for x in args]
@@ -548,7 +556,18 @@ def test_a_taped_dplr_call_keeps_only_what_its_backward_reads(rng):
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+    assert all(leaf.grad is not None for leaf in leaves)
+    return live, forward_peak, peak
+
+
+def test_a_taped_dplr_call_keeps_only_what_its_backward_reads(rng):
+    live, forward_peak, peak = _taped_dplr_memory(rng, (8, 4, 128, 16))
     assert live <= DPLR_LIVE_MB
     assert forward_peak <= DPLR_FORWARD_PEAK_MB
     assert peak <= DPLR_PEAK_MB
-    assert all(leaf.grad is not None for leaf in leaves)
+
+
+def test_a_long_taped_dplr_call_peaks_at_a_spans_working_set(rng):
+    _, forward_peak, peak = _taped_dplr_memory(rng, (1, 4, 2048, 16))
+    assert forward_peak <= LONG_FORWARD_PEAK_MB
+    assert peak <= LONG_PEAK_MB
