@@ -6,6 +6,7 @@ embedding and LM head.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -96,6 +97,14 @@ def _ones(rng, shape):
     return np.ones(shape)
 
 
+def _decay_projection(config: ModelConfig):
+    """Name -> shape of one layer's decay projection weights: the config's
+    row of ``decay.PROJECTIONS`` at its width, heads and head width."""
+    dims = {"d": config.hidden, "h": config.heads, "dk": config.head_dim}
+    return {name: tuple(dims.get(s, s) for s in shape)
+            for name, shape in config.decay.projection.items()}
+
+
 def _layout(config: ModelConfig):
     """(name, shape, init) of every parameter, in draw order: ``init(rng,
     shape)`` returns its initial array.  ``init_params`` draws from it and
@@ -104,7 +113,6 @@ def _layout(config: ModelConfig):
     dk = config.head_dim
     dc = config.decay
     row = D.STRATEGIES[dc.strategy]
-    dims = {"d": d, "h": h, "dk": dk}
     layout = [("embedding", (config.vocab, d), _trunc_normal)]
     if config.posenc == "tpe":
         m = config.tpe_state
@@ -123,8 +131,8 @@ def _layout(config: ModelConfig):
         # its output joins the residual stream at the model width
         layout.append((pre + "wv", (h, d, dk), _trunc_normal))
         if row.projected:
-            layout += [(pre + "decay." + name, tuple(dims.get(s, s) for s in shape),
-                        _trunc_normal) for name, shape in dc.projection.items()]
+            layout += [(pre + "decay." + name, shape, _trunc_normal)
+                       for name, shape in _decay_projection(config).items()]
         for name, init in row.scalars.items():
             layout.append((pre + "decay." + name, (h, 1, 1),
                            lambda rng, shape, init=init, layer=i + 1:
@@ -173,12 +181,7 @@ def param_count(config: ModelConfig) -> int:
     per_layer += h * d * dk                    # wv
     row = D.STRATEGIES[dc.strategy]
     if row.projected:
-        if dc.granularity == "scalar":
-            per_layer += h * d
-        elif dc.sharing == "shared":
-            per_layer += h * d * dk
-        else:
-            per_layer += d * dk + h * dk * dk
+        per_layer += sum(math.prod(shape) for shape in _decay_projection(config).values())
     per_layer += len(row.scalars) * h          # learned decay scalars
     if config.transition == "dplr":
         per_layer += h * d * dk + h * d

@@ -19,8 +19,8 @@ last rule that reads it has run.
 Only the ops the library runs live here; ``take`` serves the embedding
 lookup and scatter-adds its gradient.  RoPE, LightNet's decay, the scans,
 the GLU and cross-entropy record their own single nodes through
-``_record``, ``_node`` and ``_accum``; a training step's loss runs its
-backward in the LM head's node through ``_fold``.
+``_record``, ``_node`` and ``_accum``.  ``_record`` is the only way a rule
+reaches the tape, and a recorded node's rule and shape are never swapped.
 """
 
 from __future__ import annotations
@@ -218,25 +218,6 @@ def _record(out, parents, backward_fn):
     out._node = node = Node(backward_fn, out.data.shape)
     tape.nodes.append(node)
     return out
-
-
-def _fold(out, value, grad):
-    """Record Tensor ``value``, computed from ``out``, on the node of the op
-    that returned ``out`` rather than on a node of its own: the node's rule
-    then maps ``value``'s gradient to ``out``'s through ``grad`` before it
-    runs.  Only for an ``out`` that nothing else reads.  Returns whether
-    ``out`` has such a node."""
-    node = out._node
-    if node is None or node._backward is None:
-        return False
-    rule = node._backward
-
-    def bw(g):
-        rule(grad(g))
-
-    node._backward, node.shape = bw, value.shape
-    value._node, value.requires_grad = node, True
-    return True
 
 
 def _unbroadcast(grad, shape):

@@ -130,9 +130,8 @@ def cross_entropy(logits, targets, *, in_place=False):
 
     Per-position gradient is (softmax(logits) - onehot(target)) / count.
     With ``in_place`` the softmax and then the gradient are taken in the
-    logits' own buffer, and where the logits are a recorded op's output the
-    loss's backward runs in that op's tape node, ahead of its own rule: only
-    for logits that nothing else reads.
+    logits' own buffer: only for logits that nothing else reads, the rule
+    of the op that made them included.
     """
     logits = T.as_tensor(logits)
     targets = np.asarray(targets)
@@ -147,23 +146,15 @@ def cross_entropy(logits, targets, *, in_place=False):
     np.exp(z, out=z)
     s = z.sum(axis=-1, keepdims=True)
     picked = (picked - m - np.log(s))[..., 0]
-    count = picked.size
+    count, nlogits = picked.size, T._node(logits)
 
-    def grad(g):
+    def bw(g):
         soft = np.divide(z, s, out=z)
         # one target per position: a plain fancy-index subtraction, no repeats
         soft.reshape(-1, V)[np.arange(count), targets.reshape(-1)] -= 1.0
-        return np.divide(np.multiply(soft, g, out=soft), count, out=soft)
+        T._accum(nlogits, np.divide(np.multiply(soft, g, out=soft), count, out=soft))
 
-    loss = Tensor(-picked.sum() / count)
-    if in_place and T._fold(logits, loss, grad):
-        return loss
-    nlogits = T._node(logits)
-
-    def bw(g):
-        T._accum(nlogits, grad(g))
-
-    return T._record(loss, (logits,), bw)
+    return T._record(Tensor(-picked.sum() / count), (logits,), bw)
 
 
 def wsd_lr(step, config: TrainConfig):
@@ -245,8 +236,8 @@ def clip_gradients(grads: dict, max_norm):
 
 
 def loss_on_batch(params, config: ModelConfig, inputs, targets):
-    # nothing else reads these logits: the loss takes its softmax in their
-    # buffer and runs its backward in the LM head's tape node
+    # nothing else reads these logits, the head's rule included: the loss
+    # takes its softmax and its gradient in their buffer
     return cross_entropy(lm_forward(inputs, params, config), targets, in_place=True)
 
 

@@ -304,6 +304,12 @@ def suite_gradients(level="full"):
         lambda lv: T.tsum(lv["table"][ids] * weight), {"table": table})]
     failures += [f"cross entropy {m}" for m in grad_check(
         lambda lv: cross_entropy(lv["x"], ids), {"x": x})]
+    # as a training step runs it: the head's output is fresh on every call,
+    # so the loss may take its softmax in that buffer
+    head = Tensor(rng3.normal(size=(4, 5)), requires_grad=True)
+    failures += [f"cross entropy in place {m}" for m in grad_check(
+        lambda lv: cross_entropy(T.matmul(lv["x"], lv["head"]), ids, in_place=True),
+        {"x": x, "head": head})]
     return failures
 
 

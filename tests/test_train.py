@@ -152,22 +152,33 @@ def test_cross_entropy_matches_its_formula_bitwise(rng):
 
 
 def test_cross_entropy_in_place_on_a_leaf_records_a_node_of_its_own(rng):
-    # a leaf has no op's node for the loss to run in: in place, the loss and
-    # the gradient are bitwise those of the call with a buffer of its own,
-    # from one node of the loss's own, and the leaf's values are overwritten
+    # in place, on a leaf and on a matmul's output under a tape: the loss
+    # adds one node of its own, overwrites the logits' values, and the loss
+    # and the gradients reaching the leaves are bitwise those of the call
+    # with a buffer of its own
     x = rng.normal(0.0, 5.0, size=(3, 17, 50))
+    a = rng.normal(size=(3, 17, 8))
+    w = rng.normal(size=(8, 50))
     targets = rng.integers(0, 50, size=(3, 17))
-    results = []
-    for in_place in (False, True):
-        logits = Tensor(x.copy(), requires_grad=True)
-        with Tape() as tape:
-            loss = cross_entropy(logits, targets, in_place=in_place)
-            assert len(tape.nodes) == 1
-            backward(loss)
-        assert np.array_equal(logits.data, x) != in_place
-        results.append((loss.item(), logits.grad))
-    assert results[0][0] == results[1][0]
-    assert np.array_equal(results[0][1], results[1][1])
+    for matmul in (False, True):
+        results = []
+        for in_place in (False, True):
+            if matmul:
+                leaves = (Tensor(a, requires_grad=True), Tensor(w, requires_grad=True))
+            else:
+                leaves = (Tensor(x.copy(), requires_grad=True),)
+            with Tape() as tape:
+                logits = T.matmul(*leaves) if matmul else leaves[0]
+                before, nodes = logits.data.copy(), len(tape.nodes)
+                loss = cross_entropy(logits, targets, in_place=in_place)
+                assert len(tape.nodes) == nodes + 1
+                backward(loss)
+            assert np.array_equal(logits.data, before) != in_place
+            results.append((loss.item(), [leaf.grad for leaf in leaves]))
+        (ref, ref_grads), (loss, grads) = results
+        assert loss == ref
+        for grad, ref_grad in zip(grads, ref_grads):
+            assert np.array_equal(grad, ref_grad)
 
 
 def test_cross_entropy_does_not_keep_its_logits(rng):
@@ -190,12 +201,11 @@ def test_cross_entropy_does_not_keep_its_logits(rng):
 
 
 @pytest.mark.parametrize("tied", [False, True])
-def test_the_loss_in_the_heads_node_matches_matmul_and_cross_entropy_bitwise(tied):
-    # loss_on_batch takes the softmax in the logits' buffer and runs its
-    # backward in the LM head's node: one node in place of the loss's own,
-    # and the loss and every gradient bitwise those of lm_forward, whose head
-    # is T.matmul, followed by cross_entropy; tied, the embedding's gradient
-    # sums the head's and the lookup's
+def test_loss_on_batch_is_lm_forward_and_cross_entropy_bitwise(tied):
+    # loss_on_batch takes the softmax and its gradient in the logits' buffer:
+    # as many nodes, and the loss and every gradient bitwise those of
+    # lm_forward followed by cross_entropy with a buffer of its own; tied,
+    # the embedding's gradient sums the head's and the lookup's
     config = ModelConfig(decay=DecayConfig(strategy="mamba2"), tie_embeddings=tied, seed=3)
     tokens = np.random.Generator(np.random.Philox(3)).integers(0, 256, size=(2, 33))
     results = []
@@ -207,14 +217,13 @@ def test_the_loss_in_the_heads_node_matches_matmul_and_cross_entropy_bitwise(tie
             nodes = len(tape.nodes)
             backward(loss)
         results.append((loss.item(), nodes, {n: p.grad for n, p in params.items()}))
-    (fused, fused_nodes, fused_grads), (ref, ref_nodes, ref_grads) = results
-    assert fused == ref
-    # without a tape there is no node to fold into
+    (got, got_nodes, got_grads), (ref, ref_nodes, ref_grads) = results
+    assert got == ref
     assert loss_on_batch(init_params(config), config, tokens[:, :-1], tokens[:, 1:]).item() == ref
-    assert fused_nodes == ref_nodes - 1
+    assert got_nodes == ref_nodes
     assert ("lm_head" in ref_grads) != tied
     for name, grad in ref_grads.items():
-        assert np.array_equal(fused_grads[name], grad), name
+        assert np.array_equal(got_grads[name], grad), name
 
 
 # tracemalloc peaks of one taped step at the acceptance geometry, about 5 %
@@ -255,7 +264,7 @@ def test_a_taped_step_keeps_only_what_backward_reads(held_tensors):
     config = ModelConfig(decay=dc, transition="dplr", posenc="rope", seed=7)
     held, nodes, peak = _taped_step(config, held_tensors)
     assert held == []
-    assert nodes == 71
+    assert nodes == 72
     assert peak < STEP_PEAK_MB
 
 
@@ -263,7 +272,7 @@ def test_a_taped_mamba2_step_keeps_only_what_backward_reads(held_tensors):
     config = ModelConfig(decay=DecayConfig(strategy="mamba2"), seed=7)
     held, nodes, peak = _taped_step(config, held_tensors)
     assert held == []
-    assert nodes == 57
+    assert nodes == 58
     assert peak < MAMBA2_STEP_PEAK_MB
 
 
