@@ -16,10 +16,11 @@ import hashlib
 import json
 import os
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
-from .model import ModelConfig, _layout, config_from_dict, config_to_dict
+from .model import ModelConfig, _layout, config_from_dict
 from .tensor import Tensor
 
 MAGIC = b"DLABCKP1"
@@ -36,7 +37,7 @@ def save_checkpoint(path, params: dict, config: ModelConfig):
     names = sorted(params)
     header = {
         "version": VERSION,
-        "config": config_to_dict(config),
+        "config": asdict(config),
         "seed": config.seed,
         "tensors": [{"name": n, "shape": list(params[n].shape)} for n in names],
     }

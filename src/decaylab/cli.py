@@ -70,10 +70,12 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Strict parser: unknown sections or keys are errors naming the line."""
+    """Strict parser: unknown sections or keys, and a key given twice in one
+    section, are errors naming the line."""
     values = {name: {} for name in _SECTIONS}
     corpus = None
     section = None
+    first = {}  # (section, key) -> the line that gave it
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = _COMMENT.split(raw, 1)[0].strip()
@@ -89,6 +91,10 @@ def parse_config(path) -> ExperimentConfig:
             if section is None:
                 raise ConfigError(f"line {lineno}: key outside any [section]")
             key, raw_val = (part.strip() for part in line.split("=", 1))
+            if (section, key) in first:
+                raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}], "
+                                  f"first given on line {first[section, key]}")
+            first[section, key] = lineno
             if section == "train" and key == "corpus":
                 corpus = raw_val
                 continue

@@ -7,7 +7,7 @@ embedding and LM head.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,10 +64,6 @@ class ModelConfig:
     @property
     def head_dim(self):
         return self.hidden // self.heads
-
-
-def config_to_dict(config: ModelConfig) -> dict:
-    return asdict(config)
 
 
 def config_from_dict(d: dict) -> ModelConfig:
@@ -228,11 +224,10 @@ def token_mixer_forward(x, params, config: ModelConfig, layer_idx, trace=None):
         k = T.silu(T.head_project(x, params[pre + "wk"]))
     v = T.head_project(x, params[pre + "wv"])
     if config.posenc == "rope":
-        rp = P.RopeParams(config.head_dim, config.rope_base)
-        q, k = P.rope_apply(q, rp), P.rope_apply(k, rp)
+        q, k = P.rope_apply(q, config.rope_base), P.rope_apply(k, config.rope_base)
     elif config.posenc == "lrpe":
-        lp = _lrpe_params(config)
-        q, k = P.lrpe_apply(q, lp), P.lrpe_apply(k, lp)
+        thetas = _lrpe_params(config)
+        q, k = P.lrpe_apply(q, thetas), P.lrpe_apply(k, thetas)
         if lam.shape[-1] != 1:
             lam = T.concat([lam, lam], axis=-1)
     if config.transition == "dplr":
@@ -261,8 +256,9 @@ def token_mixer_forward(x, params, config: ModelConfig, layer_idx, trace=None):
 
 
 def _lrpe_params(config):
+    """LRPE's fixed thetas, one per head channel, drawn from the model seed."""
     rng = np.random.Generator(np.random.Philox([config.seed, 0x1e9e]))
-    return P.LrpeParams(rng.normal(0.0, 1.0, size=config.head_dim))
+    return rng.normal(0.0, 1.0, size=config.head_dim)
 
 
 def glu_forward(x, params, layer_idx):
@@ -309,7 +305,7 @@ def _embed(tokens, params, config: ModelConfig):
         raise ValueError(f"token id out of range [0, {config.vocab})")
     x = params["embedding"][tokens]
     if config.posenc == "tpe":
-        x = P.tpe_apply(x, P.TpeParams(params["tpe.a"], params["tpe.b"], params["tpe.gates"]))
+        x = P.tpe_apply(x, params["tpe.a"], params["tpe.b"], params["tpe.gates"])
     return x
 
 

@@ -2,11 +2,13 @@
 Toeplitz/SSM encoding (TPE), plus the executable check that RoPE composes
 with scalar (or pair-duplicated vector) decay without breaking relative
 position structure.
+
+The encodings take plain values: ``rope_apply(x, base)`` with RoPE's
+frequency base (``ModelConfig.rope_base``) and the head width read from x,
+``lrpe_apply(x, thetas)`` and ``tpe_apply(x, a, b, gate_logits)``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,19 +21,9 @@ class ContractError(ValueError):
     """Raised when a compatibility precondition is violated."""
 
 
-@dataclass
-class RopeParams:
-    head_dim: int
-    base: float = 10000.0
-
-    def __post_init__(self):
-        if self.head_dim % 2 != 0:
-            raise ValueError(f"rope: head dimension must be even, got {self.head_dim}")
-
-    @property
-    def thetas(self):
-        half = self.head_dim // 2
-        return self.base ** (-2.0 * np.arange(half) / self.head_dim)
+def _thetas(head_dim, base):
+    """RoPE's frequencies base^(-2i/head_dim), i = 0..head_dim/2 - 1."""
+    return base ** (-2.0 * np.arange(head_dim // 2) / head_dim)
 
 
 def _angles(thetas, positions):
@@ -39,8 +31,8 @@ def _angles(thetas, positions):
     return np.asarray(positions, dtype=np.float64)[:, None] * thetas[None, :]
 
 
-def _rope_trig(params: RopeParams, positions):
-    angles = _angles(params.thetas, positions)
+def _rope_trig(head_dim, base, positions):
+    angles = _angles(_thetas(head_dim, base), positions)
     return np.cos(angles), np.sin(angles)
 
 
@@ -53,16 +45,18 @@ def _rotate(x, cos, sin):
     return y
 
 
-def rope_apply(x, params: RopeParams):
-    """Rotate consecutive pairs of x (..., n, d) by angles t * theta, t = 0..n-1.
+def rope_apply(x, base):
+    """Rotate consecutive pairs of x (..., n, d) by angles t * theta, t = 0..n-1,
+    with theta_i = base^(-2i/d).
 
     One tape node: the rotation is orthogonal, so the gradient is ``g``
     rotated back by the same angles.
     """
     x = as_tensor(x)
-    if x.shape[-1] != params.head_dim:
-        raise ValueError(f"rope: expected last dim {params.head_dim}, got {x.shape[-1]}")
-    cos, sin = _rope_trig(params, np.arange(x.shape[-2]))
+    d = x.shape[-1]
+    if d % 2 != 0:
+        raise ValueError(f"rope: head dimension must be even, got {d}")
+    cos, sin = _rope_trig(d, base, np.arange(x.shape[-2]))
     nx = T._node(x)
 
     def bw(g):
@@ -71,50 +65,25 @@ def rope_apply(x, params: RopeParams):
     return T._record(Tensor(_rotate(x.data, cos, sin)), (x,), bw)
 
 
-@dataclass
-class LrpeParams:
-    thetas: np.ndarray
-
-    def __post_init__(self):
-        self.thetas = np.asarray(self.thetas, dtype=np.float64)
-        if not np.all(np.isfinite(self.thetas)):
-            raise ValueError("lrpe: thetas must be finite")
-
-
-def lrpe_apply(x, params: LrpeParams):
+def lrpe_apply(x, thetas):
     """concat[x cos(t theta), x sin(t theta)], t = 0..n-1; doubles the head dimension.
 
     Inner products of encoded q/k depend on positions only through t - s.
     """
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError("lrpe: thetas must be finite")
     x = as_tensor(x)
-    angles = _angles(params.thetas, np.arange(x.shape[-2]))
+    angles = _angles(thetas, np.arange(x.shape[-2]))
     return T.concat([x * np.cos(angles), x * np.sin(angles)], axis=-1)
 
 
-@dataclass
-class TpeParams:
-    """Per-channel rank-m SSM kernel r_i = sum_nu a_nu b_nu gate_nu^i.
+def tpe_apply(x, a, b, gate_logits):
+    """Causal Toeplitz mixing o_t = sum_{s<=t} r_{t-s} x_s per channel, with
+    the rank-m SSM kernel r_i = sum_nu a_nu b_nu gate_nu^i.
 
-    ``a`` and ``b`` are (d, m); ``gate_logits`` is (d, m) and is passed
-    through a sigmoid so the recurrent gates stay in (0, 1).
-    """
-
-    a: object
-    b: object
-    gate_logits: object
-
-    def __post_init__(self):
-        self.a = as_tensor(self.a)
-        self.b = as_tensor(self.b)
-        self.gate_logits = as_tensor(self.gate_logits)
-        if self.a.shape != self.b.shape or self.a.shape != self.gate_logits.shape:
-            raise ValueError("tpe: a, b, gate_logits must share shape (d, m)")
-        if self.a.shape[-1] < 1:
-            raise ValueError("tpe: state expansion m must be >= 1")
-
-
-def tpe_apply(x, params: TpeParams):
-    """Causal Toeplitz mixing o_t = sum_{s<=t} r_{t-s} x_s per channel.
+    ``a``, ``b`` and ``gate_logits`` are (d, m); the logits pass through a
+    sigmoid so the recurrent gates stay in (0, 1).
 
     Runs as an m-dimensional linear recurrence per channel via the decay
     scan; applied exactly once, right after the embedding layer.  The scan,
@@ -123,27 +92,31 @@ def tpe_apply(x, params: TpeParams):
     took 31.1 ms against 30.5 ms for the scan at n = 2048 without a tape,
     and 38.7 ms against 25.7 ms at a batch of 8 x 128 with its backward.
     """
+    if not np.shape(a) == np.shape(b) == np.shape(gate_logits):
+        raise ValueError("tpe: a, b, gate_logits must share shape (d, m)")
+    m = np.shape(a)[-1]
+    if m < 1:
+        raise ValueError("tpe: state expansion m must be >= 1")
     x = as_tensor(x)
     n, d = x.shape[-2], x.shape[-1]
-    m = params.a.shape[-1]
     batch = x.shape[:-2]
     # channels become a batch axis: v is (..., d, n, 1)
     perm = tuple(range(len(batch))) + (len(batch) + 1, len(batch))
     xt = T.transpose(x, perm)
     v = T.reshape(xt, batch + (d, n, 1))
     full = batch + (d, n, m)
-    q = T.broadcast_to(T.reshape(params.a, (d, 1, m)), full)
-    k = T.broadcast_to(T.reshape(params.b, (d, 1, m)), full)
-    lam = T.broadcast_to(T.reshape(T.sigmoid(params.gate_logits), (d, 1, m)), full)
+    q = T.broadcast_to(T.reshape(a, (d, 1, m)), full)
+    k = T.broadcast_to(T.reshape(b, (d, 1, m)), full)
+    lam = T.broadcast_to(T.reshape(T.sigmoid(gate_logits), (d, 1, m)), full)
     o = T.reshape(forward_sequential(q, k, v, lam), batch + (d, n))
     return T.transpose(o, perm)
 
 
-def tpe_toeplitz_oracle(x, params: TpeParams):
+def tpe_toeplitz_oracle(x, a, b, gate_logits):
     """Direct O(n^2) Toeplitz-sum evaluation. Test oracle only."""
-    x = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    a, b = params.a.data, params.b.data
-    gates = 1.0 / (1.0 + np.exp(-params.gate_logits.data))
+    x, a, b, gate_logits = (t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
+                            for t in (x, a, b, gate_logits))
+    gates = 1.0 / (1.0 + np.exp(-gate_logits))
     n, d = x.shape[-2], x.shape[-1]
     lags = np.arange(n)
     # r[i, c] = sum_nu a[c, nu] b[c, nu] gates[c, nu]^i
@@ -171,7 +144,7 @@ def _pairwise_lambda(lam, dk):
     return lam.copy()
 
 
-def rope_decay_equivalence(q, k, v, lam, params: RopeParams):
+def rope_decay_equivalence(q, k, v, lam, base):
     """Max abs deviation between the rotated-recurrence and closed relative forms.
 
     Path (i): rotate q and k with :func:`rope_apply`, then run the scan.
@@ -183,7 +156,7 @@ def rope_decay_equivalence(q, k, v, lam, params: RopeParams):
                for x in (q, k, v))
     n, dk = q.shape[-2], q.shape[-1]
     lam_full = _pairwise_lambda(lam, dk)
-    qr, kr = (rope_apply(x, params).data for x in (q, k))
+    qr, kr = (rope_apply(x, base).data for x in (q, k))
     o_rec = forward_sequential(qr, kr, v, lam_full).data
 
     o_rel = np.zeros_like(o_rec)
@@ -191,7 +164,7 @@ def rope_decay_equivalence(q, k, v, lam, params: RopeParams):
     for t in range(n):
         w[:t, :] *= lam_full[t, None, :]
         w[t, :] = 1.0
-        k_rot = _rotate(k[: t + 1], *_rope_trig(params, np.arange(-t, 1)))
+        k_rot = _rotate(k[: t + 1], *_rope_trig(dk, base, np.arange(-t, 1)))
         coef = (q[t, None, :] * w[: t + 1] * k_rot).sum(axis=-1)
         o_rel[t] = coef @ v[: t + 1]
     return float(np.max(np.abs(o_rec - o_rel)))

@@ -6,6 +6,7 @@ training loop.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -38,6 +39,9 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
+        for key, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
         if not self.warmup_fraction > 0:
             raise ValueError("warmup_fraction must be > 0")
         if self.warmup_fraction + self.stable_fraction > 1.0 + 1e-12:

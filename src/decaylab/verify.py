@@ -14,7 +14,8 @@ import numpy as np
 from . import decay as D
 from . import recurrence as R
 from . import tensor as T
-from .posenc import RopeParams, TpeParams, rope_decay_equivalence, tpe_apply, tpe_toeplitz_oracle
+from .model import ModelConfig
+from .posenc import rope_decay_equivalence, tpe_apply, tpe_toeplitz_oracle
 from .tensor import Tape, Tensor, backward
 from .train import cross_entropy
 
@@ -57,9 +58,10 @@ def suite_sequential_vs_oracle(level="full"):
     diffs = []
     for _ in range(cases):
         n, d, m = (int(rng.integers(1, hi)) for hi in (65, 5, 4))
-        params = TpeParams(*rng.normal(size=(3, d, m)))
+        a, b, gate_logits = rng.normal(size=(3, d, m))
         x = rng.normal(size=(int(rng.integers(1, 3)), n, d))
-        diffs.append(np.max(np.abs(tpe_apply(x, params).data - tpe_toeplitz_oracle(x, params))))
+        diffs.append(np.max(np.abs(tpe_apply(x, a, b, gate_logits).data
+                                   - tpe_toeplitz_oracle(x, a, b, gate_logits))))
     worst = float(np.max(diffs))
     if not worst <= 1e-10:
         failures.append(f"tpe: max abs diff {worst:.3e}")
@@ -181,19 +183,18 @@ def suite_dplr(level="full"):
 def suite_rope_decay(level="full"):
     failures = []
     seeds = range(100) if level == "full" else range(10)
-    params = RopeParams(8)
     for seed in seeds:
         rng = np.random.Generator(np.random.Philox([4, seed]))
         n = int(rng.integers(2, 33))
         q, k = rng.normal(size=(2, n, 8))
         v = rng.normal(size=(n, 5))
         lam_s = rng.uniform(0.2, 1.0, size=(n,))
-        dev = rope_decay_equivalence(q, k, v, lam_s, params)
+        dev = rope_decay_equivalence(q, k, v, lam_s, ModelConfig.rope_base)
         if not dev <= 1e-8:
             failures.append(f"seed {seed} scalar decay deviation {dev:.3e}")
         pair = rng.uniform(0.2, 1.0, size=(n, 4))
         lam_v = np.repeat(pair, 2, axis=-1)
-        dev = rope_decay_equivalence(q, k, v, lam_v, params)
+        dev = rope_decay_equivalence(q, k, v, lam_v, ModelConfig.rope_base)
         if not dev <= 1e-8:
             failures.append(f"seed {seed} paired vector decay deviation {dev:.3e}")
     return failures

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from decaylab import cli
 from decaylab import decay, model, recurrence, tensor
 from decaylab.checkpoint import MAGIC, save_checkpoint
 from decaylab.decay import STRATEGIES, ConfigError, DecayConfig
-from decaylab.model import ModelConfig, config_to_dict, init_params, lm_forward
+from decaylab.model import ModelConfig, init_params, lm_forward
 from decaylab.tensor import Tensor
 
 
@@ -82,6 +83,19 @@ def test_parse_config_unknown_key_names_line(tmp_path):
         cli.parse_config(_write(tmp_path, text))
     assert "line 3" in str(exc.value)
     assert "wat" in str(exc.value)
+
+
+@pytest.mark.parametrize("text,lines", [
+    ("[model]\nhidden = 16\nheads = 2\nhidden = 32\n", (2, 4)),
+    ("[train]\ncorpus = a.txt\n\n# again\ncorpus = b.txt\n", (2, 5)),
+    ("[decay]\nstrategy = gla\n[model]\nhidden = 16\n[decay]\nstrategy = gla\n", (2, 6)),
+])
+def test_parse_config_rejects_a_key_given_twice_naming_both_lines(text, lines, tmp_path):
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(_write(tmp_path, text))
+    message = str(exc.value)
+    assert message.startswith(f"line {lines[1]}:") and f"line {lines[0]}" in message
+    assert "duplicate" in message
 
 
 def test_parse_config_unknown_section(tmp_path):
@@ -265,6 +279,10 @@ def test_cmd_train_dplr_lrpe_is_a_config_error(tmp_path, corpus_path, capsys):
     ("train", "val_fraction", "-0.1", ""),
     ("model", "seed", "-1", ""),
     ("train", "seed", "-3", ""),
+    ("train", "peak_lr", "inf", ""),
+    ("train", "weight_decay", "inf", ""),
+    ("train", "eps", "inf", ""),
+    ("train", "grad_clip_norm", "inf", ""),
 ])
 def test_cmd_train_rejects_an_out_of_range_value(section, key, value, extra, tmp_path,
                                                  corpus_path, capsys):
@@ -592,7 +610,7 @@ def test_cmd_export_missing_checkpoint(tmp_path, capsys):
 def _malformed(case):
     """A checkpoint whose digest is right but whose contents are not."""
     config = ModelConfig(n_layers=1, hidden=8, heads=2)
-    header = {"version": 1, "config": config_to_dict(config), "seed": config.seed,
+    header = {"version": 1, "config": asdict(config), "seed": config.seed,
               "tensors": [{"name": "final_norm", "shape": [8]}]}
     blobs = np.ones(8).tobytes()
     hextra = 0
@@ -687,6 +705,7 @@ def inputs(tmp_path_factory, trained_run, corpus_path):
                        ("tnl_vector", b"[decay]\nstrategy = tnl\ngranularity = vector\n"),
                        ("unparsable", b"[model]\nhidden = many\n"),
                        ("maybe", b"[model]\ntie_embeddings = maybe\n"),
+                       ("twice", b"[train]\npeak_lr = 1e-3\npeak_lr = 1e-2\n"),
                        ("old_resolved", (TINY_CONFIG + "\n[probe]\nlength = 2048\n").encode()),
                        ("vocab100", TINY_CONFIG.replace("heads = 2", "heads = 2\nvocab = 100")
                         .encode())):
@@ -702,6 +721,7 @@ FAILURES = [
     ("train --config {unparsable} --corpus {corpus} --out {out}", 2, ["line 2", "hidden"]),
     ("train --config {tnl_vector} --corpus {corpus} --out {out}", 2, ["scalar-only"]),
     ("train --config {maybe} --corpus {corpus} --out {out}", 2, ["line 2", "tie_embeddings"]),
+    ("train --config {twice} --corpus {corpus} --out {out}", 2, ["line 3", "line 2", "peak_lr"]),
     ("train --config {old_resolved} --corpus {corpus} --out {out}", 2,
      ["line 17", "unknown section [probe]"]),
     ("train --config {config} --corpus {corpus} --out {out} --seed -1", 2, ["seed must be >= 0"]),

@@ -4,6 +4,7 @@ import json
 import os
 import struct
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from decaylab import tensor as T
 from decaylab.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from decaylab.decay import GRANULARITIES, SHARINGS, STRATEGIES, ConfigError, DecayConfig
 from decaylab.model import (POSENCS, TRANSITIONS, ModelConfig, config_from_dict,
-                            config_to_dict, glu_forward, init_params, lm_forward,
-                            param_count, token_mixer_forward)
+                            glu_forward, init_params, lm_forward, param_count,
+                            token_mixer_forward)
 from decaylab.probe import median
 from decaylab.tensor import Tensor
 from decaylab.train import cross_entropy
@@ -53,8 +54,8 @@ def test_dplr_rejects_lrpe(strategy):
 def test_config_round_trip():
     config = ModelConfig(decay=DecayConfig(strategy="gla", sharing="shared"),
                          posenc="rope", **SMALL)
-    again = config_from_dict(config_to_dict(config))
-    assert config_to_dict(again) == config_to_dict(config)
+    again = config_from_dict(asdict(config))
+    assert asdict(again) == asdict(config)
 
 
 def _store_value_dim(path, value_dim):
@@ -78,7 +79,7 @@ def test_stored_value_dim_loads_only_when_equal_to_hidden(tmp_path, capsys):
     save_checkpoint(str(path), params, config)
     _store_value_dim(path, config.hidden)
     loaded, again = load_checkpoint(str(path))
-    assert config_to_dict(again) == config_to_dict(config)
+    assert asdict(again) == asdict(config)
     assert all(np.array_equal(loaded[n].data, params[n].data) for n in params)
     _store_value_dim(path, 32)
     with pytest.raises(CheckpointError, match="value_dim"):
@@ -202,6 +203,18 @@ def test_causality(kwargs, rng):
     mod = lm_forward(toks2, params, config).data
     assert np.array_equal(base[:7], mod[:7])
     assert not np.array_equal(base[7:], mod[7:])
+
+
+@pytest.mark.parametrize("posenc", ["rope", "none"])
+def test_rope_base_reaches_the_rotation_only_under_rope(posenc, rng):
+    toks = _tokens(rng, 12)
+    logits = []
+    for base in (ModelConfig.rope_base, 100.0):
+        config = ModelConfig(**SMALL, posenc=posenc, rope_base=base)
+        logits.append(lm_forward(toks, init_params(config), config).data)
+    # position 0 is rotated by angle 0 under any base
+    assert logits[0][0].tobytes() == logits[1][0].tobytes()
+    assert (logits[0].tobytes() == logits[1].tobytes()) == (posenc == "none")
 
 
 def test_forward_determinism(rng):
