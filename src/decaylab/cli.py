@@ -20,7 +20,7 @@ import numpy as np
 from .checkpoint import CheckpointError, load_checkpoint
 from .decay import ConfigError, DecayConfig, STRATEGIES
 from .model import ModelConfig
-from .probe import capture_trace, export_plot, export_table
+from .probe import capture_trace, export_plot, export_table, layer_stats
 from .train import TrainConfig, load_corpus, train_loop
 from . import verify
 
@@ -172,7 +172,7 @@ def cmd_probe(args):
         raise _Exit(EXIT_IO, "probe text is empty")
     _check_vocab(tokens, config.vocab, "probe text")
     with _exits(EXIT_COMPAT, ConfigError):  # a checkpoint without decay
-        stats = capture_trace(params, config, tokens).stats()
+        stats = layer_stats(capture_trace(params, config, tokens))
     table = os.path.join(args.out, "decay_medians.csv")
     plot = os.path.join(args.out, "decay_medians.svg")
     with _writing(args.out):

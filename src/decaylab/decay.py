@@ -48,7 +48,15 @@ PROJECTIONS = {
 
 
 class ConfigError(ValueError):
-    """Raised for invalid or inconsistent decay configuration."""
+    """Raised for invalid or inconsistent configuration."""
+
+
+def _require_finite(config):
+    """Raise ``ConfigError`` naming the first float field of the dataclass
+    ``config`` that is not finite."""
+    for key, value in vars(config).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -93,6 +101,7 @@ class DecayConfig:
     lower_bound: float | None = None
 
     def __post_init__(self):
+        _require_finite(self)
         row = STRATEGIES.get(self.strategy)
         if row is None:
             raise ConfigError(f"unknown decay strategy {self.strategy!r}")

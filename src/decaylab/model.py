@@ -38,9 +38,8 @@ class ModelConfig:
     rope_base: float = 10000.0
 
     def __post_init__(self):
-        if self.n_layers < 1:
-            raise ConfigError("n_layers must be >= 1")
-        for key in ("heads", "hidden", "glu_ratio", "tpe_state"):
+        D._require_finite(self)
+        for key in ("n_layers", "heads", "hidden", "glu_ratio", "tpe_state"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         if not self.rope_base > 0:

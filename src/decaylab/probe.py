@@ -1,12 +1,13 @@
 """Decay-distribution instrumentation: run a model over a probe text,
-record the decay values each layer actually feeds into its recurrence, and
-summarize per-layer medians as tables and a small SVG chart.
+record the decay values each layer actually feeds into its recurrence, as
+one array per layer with its head axis, and summarize per-layer medians as
+tables and a small SVG chart.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,25 +26,6 @@ class LayerStats:
     max: float
 
 
-@dataclass
-class DecayTrace:
-    """Sampled decay values per layer with summary statistics.
-
-    Medians aggregate over positions, heads, and dimensions jointly.
-    """
-
-    samples: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def stats(self):
-        out = []
-        for layer in sorted(self.samples):
-            vals = self.samples[layer]
-            out.append(LayerStats(layer=layer, count=vals.size,
-                                  min=float(vals.min()), median=median(vals),
-                                  mean=float(vals.mean()), max=float(vals.max())))
-        return out
-
-
 def median(values):
     """Middle order statistic; mean of the two middle values for even counts."""
     vals = np.asarray(values, dtype=np.float64).ravel()
@@ -58,9 +40,23 @@ def median(values):
     return float((part[:n // 2].max() + part[n // 2]) / 2.0)
 
 
-def capture_trace(params, config: ModelConfig, tokens) -> DecayTrace:
-    """Per-layer decay samples of the model on ``tokens``, bitwise equal to
-    what ``lm_forward(..., trace=...)`` records.
+def layer_stats(samples):
+    """One ``LayerStats`` row per layer of ``samples`` (layer -> decay array,
+    as ``capture_trace`` returns), in layer order.  Statistics aggregate over
+    positions, heads and dimensions jointly."""
+    out = []
+    for layer in sorted(samples):
+        vals = samples[layer].ravel()
+        out.append(LayerStats(layer=layer, count=vals.size,
+                              min=float(vals.min()), median=median(vals),
+                              mean=float(vals.mean()), max=float(vals.max())))
+    return out
+
+
+def capture_trace(params, config: ModelConfig, tokens):
+    """Per-layer decay samples of the model on ``tokens``: a dict, layer ->
+    that layer's lambda of shape (..., heads, n, w), w = 1 for scalar decay,
+    bitwise equal to what ``lm_forward(..., trace=...)`` records.
 
     A layer's decay depends only on the stream entering it, so the forward
     runs the full blocks of all but the last layer and then only the last
@@ -76,7 +72,7 @@ def capture_trace(params, config: ModelConfig, tokens) -> DecayTrace:
         x = _block(x, params, config, i, trace=raw)
     token_mixer_forward(T.rmsnorm(x, params[f"layers.{last}.attn_norm"]),
                         params, config, last, trace=raw)
-    return DecayTrace({layer_idx: lam.ravel() for layer_idx, lam in raw})
+    return dict(raw)
 
 
 def _rewrite(path, text):
@@ -95,7 +91,7 @@ def _rewrite(path, text):
 
 
 def export_table(stats: list[LayerStats], path):
-    """CSV of ``stats`` (one trace's :meth:`DecayTrace.stats`) with header
+    """CSV of ``stats`` (``layer_stats`` of one trace) with header
     layer,count,min,median,mean,max at 9 significant digits."""
     lines = ["layer,count,min,median,mean,max"]
     for s in stats:
@@ -110,8 +106,8 @@ _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
 
 
 def export_plot(curves: dict[str, list[LayerStats]], path):
-    """Layer index vs per-layer median for each named curve (one trace's
-    :meth:`DecayTrace.stats`), as a single self-contained SVG with legend
+    """Layer index vs per-layer median for each named curve (``layer_stats``
+    of one trace), as a single self-contained SVG with legend
     and a fixed [0, 1] y-range."""
     if not curves:
         raise ValueError("export_plot: need at least one curve")

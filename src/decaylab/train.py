@@ -6,7 +6,6 @@ training loop.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -14,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import save_checkpoint
-from .decay import STRATEGIES
+from .decay import STRATEGIES, _require_finite
 from .model import ModelConfig, init_params, lm_forward
 from .tensor import Tape, Tensor, backward
 
@@ -39,9 +38,7 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
-        for key, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value}")
+        _require_finite(self)
         if not self.warmup_fraction > 0:
             raise ValueError("warmup_fraction must be > 0")
         if self.warmup_fraction + self.stable_fraction > 1.0 + 1e-12:

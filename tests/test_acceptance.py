@@ -16,7 +16,7 @@ from decaylab import verify
 from decaylab.checkpoint import load_checkpoint
 from decaylab.decay import DecayConfig
 from decaylab.model import ModelConfig, glu_forward, init_params, lm_forward
-from decaylab.probe import capture_trace, median
+from decaylab.probe import capture_trace, layer_stats, median
 from decaylab.tensor import Tensor
 from decaylab.train import TrainConfig, cross_entropy, load_corpus, train_loop
 from decaylab.verify import grad_check
@@ -279,15 +279,16 @@ def test_criterion_10_probe_integrity():
     traced = lm_forward(toks, params, config, trace=recorded).data
     if not np.array_equal(plain, traced):
         ok, detail = False, "tracing perturbs logits"
-    probed = capture_trace(params, config, toks).samples
-    if any(probed[layer].tobytes() != lam.ravel().tobytes() for layer, lam in recorded):
+    probed = capture_trace(params, config, toks)
+    if any(probed[layer].shape != lam.shape or probed[layer].tobytes() != lam.tobytes()
+           for layer, lam in recorded):
         ok, detail = False, "probe samples differ from the full forward's decay"
 
     tnl_cfg = ModelConfig(n_layers=3, hidden=16, heads=2, vocab=256,
                           decay=DecayConfig(strategy="tnl", granularity="scalar"))
-    trace = capture_trace(init_params(tnl_cfg), tnl_cfg,
-                          rng.integers(0, 256, size=32))
-    for s in trace.stats():
+    samples = capture_trace(init_params(tnl_cfg), tnl_cfg,
+                            rng.integers(0, 256, size=32))
+    for s in layer_stats(samples):
         consts = [D.tnl_decay(j, 2, s.layer + 1, 3) for j in (1, 2)]
         if s.median != float(np.mean(consts)):
             ok, detail = False, f"tnl layer {s.layer} median mismatch"
@@ -305,8 +306,7 @@ def test_criterion_11_lightnet_medians_qualitative(smoke_runs, corpus_path):
     params, config = load_checkpoint(str(out / "ckpt_final.bin"))
     with open(corpus_path, "rb") as f:
         tokens = np.frombuffer(f.read(), dtype=np.uint8)[:2048].astype(np.int64)
-    trace = capture_trace(params, config, tokens)
-    stats = trace.stats()
+    stats = layer_stats(capture_trace(params, config, tokens))
     high = sum(1 for s in stats if s.median > 0.9)
     verdict = "PASS" if high > len(stats) / 2 else "FAIL"
     medians = ", ".join(f"layer {s.layer}: {s.median:.4f}" for s in stats)

@@ -283,6 +283,8 @@ def test_cmd_train_dplr_lrpe_is_a_config_error(tmp_path, corpus_path, capsys):
     ("train", "weight_decay", "inf", ""),
     ("train", "eps", "inf", ""),
     ("train", "grad_clip_norm", "inf", ""),
+    ("model", "rope_base", "inf", "posenc = rope\n"),
+    ("decay", "tau", "inf", "strategy = gla\n"),
 ])
 def test_cmd_train_rejects_an_out_of_range_value(section, key, value, extra, tmp_path,
                                                  corpus_path, capsys):

@@ -9,8 +9,8 @@ from decaylab.checkpoint import save_checkpoint
 from decaylab.decay import (GRANULARITIES, SHARINGS, STRATEGIES, ConfigError,
                             DecayConfig, tnl_decay)
 from decaylab.model import POSENCS, TRANSITIONS, ModelConfig, init_params, lm_forward
-from decaylab.probe import (DecayTrace, capture_trace, export_plot,
-                            export_table, median)
+from decaylab.probe import (capture_trace, export_plot, export_table,
+                            layer_stats, median)
 from decaylab.tensor import Tensor
 
 
@@ -55,15 +55,36 @@ def test_median_with_ties_straddling_the_middle(n, rng):
 def test_capture_trace_basic(rng):
     config, params = _model()
     tokens = rng.integers(0, 256, size=32)
-    trace = capture_trace(params, config, tokens)
-    assert sorted(trace.samples) == [0, 1]
-    for layer, vals in trace.samples.items():
+    samples = capture_trace(params, config, tokens)
+    assert sorted(samples) == [0, 1]
+    for layer, vals in samples.items():
         assert vals.size > 0
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-    stats = trace.stats()
+    stats = layer_stats(samples)
     for s in stats:
         assert s.min <= s.median <= s.max
-        assert s.count == trace.samples[s.layer].size
+        assert s.count == samples[s.layer].size
+
+
+@pytest.mark.parametrize("strategy,granularity,width", [
+    ("mamba2", "scalar", 1), ("gla", "vector", 8), ("tnl", "scalar", 1)])
+def test_capture_trace_keeps_the_head_axis(strategy, granularity, width, rng):
+    config, params = _model(strategy=strategy, granularity=granularity)
+    samples = capture_trace(params, config, rng.integers(0, 256, size=24))
+    # one sequence: (heads, n, w), w = 1 for scalar decay
+    assert {layer: vals.shape for layer, vals in samples.items()} == {
+        0: (2, 24, width), 1: (2, 24, width)}
+    batched = capture_trace(params, config, rng.integers(0, 256, size=(3, 24)))
+    assert {vals.shape for vals in batched.values()} == {(3, 2, 24, width)}
+
+
+def test_layer_stats_of_an_array_equals_layer_stats_of_its_ravel(rng):
+    config, params = _model(strategy="gla", granularity="vector")
+    samples = capture_trace(params, config, rng.integers(0, 256, size=(2, 20)))
+    assert layer_stats(samples) == layer_stats({k: v.ravel() for k, v in samples.items()})
+    vals = rng.uniform(size=(3, 2, 5, 4))
+    assert layer_stats({4: vals}) == layer_stats({4: vals.ravel()})
+    assert [s.layer for s in layer_stats({2: vals, 0: vals})] == [0, 2]
 
 
 def test_capture_trace_rejects_no_decay(rng):
@@ -87,8 +108,8 @@ def test_tracing_does_not_change_logits(rng):
 
 def test_tnl_trace_matches_formula(rng):
     config, params = _model(strategy="tnl", granularity="scalar")
-    trace = capture_trace(params, config, rng.integers(0, 256, size=16))
-    for s in trace.stats():
+    samples = capture_trace(params, config, rng.integers(0, 256, size=16))
+    for s in layer_stats(samples):
         consts = [tnl_decay(j, 2, s.layer + 1, 2) for j in (1, 2)]
         assert s.median == float(np.mean(consts))
         assert s.min == min(consts)
@@ -99,15 +120,15 @@ def test_tnl_trace_input_invariance(rng):
     config, params = _model(strategy="tnl", granularity="scalar")
     t1 = capture_trace(params, config, rng.integers(0, 256, size=16))
     t2 = capture_trace(params, config, rng.integers(0, 256, size=16))
-    for a, b in zip(t1.stats(), t2.stats()):
+    for a, b in zip(layer_stats(t1), layer_stats(t2)):
         assert a.median == b.median
 
 
 def test_export_table_row_count(tmp_path, rng):
     config, params = _model()
-    trace = capture_trace(params, config, rng.integers(0, 256, size=16))
+    samples = capture_trace(params, config, rng.integers(0, 256, size=16))
     path = tmp_path / "medians.csv"
-    export_table(trace.stats(), str(path))
+    export_table(layer_stats(samples), str(path))
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 3
     assert lines[0] == "layer,count,min,median,mean,max"
@@ -115,8 +136,7 @@ def test_export_table_row_count(tmp_path, rng):
 
 def test_export_table_deterministic_and_round_trip(tmp_path, rng):
     config, params = _model()
-    trace = capture_trace(params, config, rng.integers(0, 256, size=16))
-    stats = trace.stats()
+    stats = layer_stats(capture_trace(params, config, rng.integers(0, 256, size=16)))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     export_table(stats, str(p1))
     export_table(stats, str(p2))
@@ -130,7 +150,7 @@ def test_export_table_deterministic_and_round_trip(tmp_path, rng):
 
 def test_exports_rewrite_a_longer_file_exactly(tmp_path, rng):
     config, params = _model()
-    stats = capture_trace(params, config, rng.integers(0, 256, size=16)).stats()
+    stats = layer_stats(capture_trace(params, config, rng.integers(0, 256, size=16)))
     for export, name in ((export_table, "t.csv"), (lambda t, p: export_plot({"m": t}, p), "p.svg")):
         fresh, reused = tmp_path / ("fresh_" + name), tmp_path / name
         export(stats, str(fresh))
@@ -140,18 +160,17 @@ def test_exports_rewrite_a_longer_file_exactly(tmp_path, rng):
 
 
 def test_export_table_nine_significant_digits(tmp_path):
-    trace = DecayTrace(samples={0: np.array([0.123456789123456])})
     path = tmp_path / "t.csv"
-    export_table(trace.stats(), str(path))
+    export_table(layer_stats({0: np.array([0.123456789123456])}), str(path))
     row = path.read_text().strip().split("\n")[1]
     assert "0.123456789" in row
 
 
 def test_export_plot_marker_count(tmp_path, rng):
     config, params = _model()
-    trace = capture_trace(params, config, rng.integers(0, 256, size=16))
+    samples = capture_trace(params, config, rng.integers(0, 256, size=16))
     path = tmp_path / "plot.svg"
-    export_plot({"mamba2": trace.stats()}, str(path))
+    export_plot({"mamba2": layer_stats(samples)}, str(path))
     svg = path.read_text()
     assert svg.startswith("<svg") or svg.startswith("<?xml") or "<svg" in svg
     assert svg.count("<circle") == 2
@@ -159,9 +178,8 @@ def test_export_plot_marker_count(tmp_path, rng):
 
 
 def test_export_plot_y_axis_clamps(tmp_path):
-    trace = DecayTrace(samples={0: np.array([5.0]), 1: np.array([-3.0])})
     path = tmp_path / "p.svg"
-    export_plot({"x": trace.stats()}, str(path))
+    export_plot({"x": layer_stats({0: np.array([5.0]), 1: np.array([-3.0])})}, str(path))
     svg = path.read_text()
     # both markers land on the axis extremes rather than outside the frame
     import re
@@ -172,10 +190,10 @@ def test_export_plot_y_axis_clamps(tmp_path):
 
 def test_export_plot_deterministic(tmp_path, rng):
     config, params = _model()
-    trace = capture_trace(params, config, rng.integers(0, 256, size=16))
+    stats = layer_stats(capture_trace(params, config, rng.integers(0, 256, size=16)))
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    export_plot({"m": trace.stats()}, str(p1))
-    export_plot({"m": trace.stats()}, str(p2))
+    export_plot({"m": stats}, str(p1))
+    export_plot({"m": stats}, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -188,7 +206,7 @@ def _full_forward_trace(params, config, tokens):
     """The reference trace: every layer's decay as ``lm_forward`` records it."""
     raw = []
     lm_forward(tokens, params, config, trace=raw)
-    return DecayTrace({layer: lam.ravel() for layer, lam in raw})
+    return dict(raw)
 
 
 def _cells(strategy, n_layers):
@@ -214,11 +232,12 @@ def test_capture_trace_equals_full_forward_bitwise(strategy, rng):
             params = {name: Tensor(p.data * rng.uniform(0.5, 1.5, p.shape))
                       for name, p in init_params(config, seed=cells).items()}
             tokens = rng.integers(0, 17, size=12)
-            fast = capture_trace(params, config, tokens).samples
-            full = _full_forward_trace(params, config, tokens).samples
+            fast = capture_trace(params, config, tokens)
+            full = _full_forward_trace(params, config, tokens)
             assert sorted(fast) == sorted(full) == list(range(n_layers))
             for layer in full:
                 assert fast[layer].dtype == full[layer].dtype
+                assert fast[layer].shape == full[layer].shape
                 assert fast[layer].tobytes() == full[layer].tobytes(), (config, layer)
             cells += 1
     assert cells >= 3 * 4
@@ -271,13 +290,13 @@ def test_cmd_probe_takes_stats_once_and_writes_the_full_forward_outputs(
     save_checkpoint(str(ckpt), params, config)
     tokens = rng.integers(0, 256, size=48)
     text.write_bytes(tokens.astype(np.uint8).tobytes())
-    real_stats, calls = DecayTrace.stats, []
+    real_stats, calls = cli.layer_stats, []
 
-    def counted_stats(self):
-        calls.append(self)
-        return real_stats(self)
+    def counted_stats(samples):
+        calls.append(samples)
+        return real_stats(samples)
 
-    monkeypatch.setattr(DecayTrace, "stats", counted_stats)
+    monkeypatch.setattr(cli, "layer_stats", counted_stats)
     out = tmp_path / "probe"
     assert cli.main(["probe", str(ckpt), str(text), "--out", str(out)]) == cli.EXIT_OK
     assert len(calls) == 1
@@ -305,7 +324,7 @@ def _probe_matches_the_scan_route(tmp_path, monkeypatch, rng, decay):
         assert cli.main(["probe", str(ckpt), str(text), "--out", str(out)]) == cli.EXIT_OK
         rows = (out / "decay_medians.csv").read_text().splitlines()[1:]
         table = np.array([[float(x) for x in row.split(",")] for row in rows])
-        return table, capture_trace(params, config, tokens).samples
+        return table, capture_trace(params, config, tokens)
 
     table, samples = probe(tmp_path / "chunked")
     with monkeypatch.context() as m:

@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 SRC_LINES = TOOLS / "src_lines.py"
 
@@ -74,3 +76,23 @@ def test_tape_census_rows_sum_to_the_total(tmp_path):
         assert name.isidentifier() and int(index) >= 0 and 0 < float(start) <= float(peak)
     assert [float(row[3]) for row in top] == sorted((float(row[3]) for row in top), reverse=True)
     assert float(top[0][3]) == peaks[1]
+
+
+@pytest.mark.parametrize("decay,share", [("strategy = simple\np = 1e-6\n", 1.0),
+                                         ("strategy = gla\n", 0.0)])
+def test_fallback_census_counts_the_calls_that_ran_the_scan(decay, share, tmp_path,
+                                                            corpus_path):
+    # simple at p = 1e-6 starts with lam near 1e-6, below recurrence.FLOOR
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_CONFIG.replace("strategy = simple\np = 0.99\n", decay))
+    run = subprocess.run([sys.executable, str(TOOLS / "fallback_census.py"), str(config),
+                          "--corpus", corpus_path, "--steps", "2"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == f"{decay.split()[2]}: 2 steps, peak lr 0.0003"
+    assert lines[1].split() == ["layer", "calls", "scan", "share"]
+    # one layer, one chunk-kernel call per step
+    rows = [line.split() for line in lines[2:]]
+    assert rows == [["0", "2", str(int(2 * share)), f"{share:.3f}"],
+                    ["total", "2", str(int(2 * share)), f"{share:.3f}"]]
