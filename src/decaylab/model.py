@@ -206,8 +206,9 @@ def compute_decay(x, params, config: ModelConfig, layer_idx):
 def token_mixer_forward(x, params, config: ModelConfig, layer_idx, trace=None):
     """Per-head linear attention with decay; returns (..., n, hidden).
 
-    ``trace``, when given, is a list receiving the per-layer lambda values
-    exactly as fed to the recurrence (plain arrays, post-sharing).
+    ``trace``, when given, is a list receiving (layer, lambda) with lambda
+    a plain array as ``compute_decay`` returns it, before lrpe doubles a
+    vector lambda along its last axis for the recurrence.
     """
     dc = config.decay
     n = x.shape[-2]

@@ -1,6 +1,6 @@
 """Decay-distribution instrumentation: run a model over a probe text,
-record the decay values each layer actually feeds into its recurrence, as
-one array per layer with its head axis, and summarize per-layer medians as
+record the decay values each layer computes for its recurrence, as one
+array per layer with its head axis, and summarize per-layer medians as
 tables and a small SVG chart.
 """
 
@@ -55,8 +55,11 @@ def layer_stats(samples):
 
 def capture_trace(params, config: ModelConfig, tokens):
     """Per-layer decay samples of the model on ``tokens``: a dict, layer ->
-    that layer's lambda of shape (..., heads, n, w), w = 1 for scalar decay,
-    bitwise equal to what ``lm_forward(..., trace=...)`` records.
+    that layer's lambda as ``compute_decay`` returns it, shape
+    (..., heads, n, w) with w = 1 for scalar decay, bitwise equal to what
+    ``lm_forward(..., trace=...)`` records.  Under lrpe the recurrence reads
+    a vector lambda doubled to width 2w; the doubled copy repeats each
+    value, so the medians are the same.
 
     A layer's decay depends only on the stream entering it, so the forward
     runs the full blocks of all but the last layer and then only the last

@@ -84,9 +84,9 @@ def test_fallback_census_counts_the_calls_that_ran_the_scan(decay, share, tmp_pa
                                                             corpus_path):
     # simple at p = 1e-6 starts with lam near 1e-6, below recurrence.FLOOR
     config = tmp_path / "tiny.cfg"
-    config.write_text(TINY_CONFIG.replace("strategy = simple\np = 0.99\n", decay))
-    run = subprocess.run([sys.executable, str(TOOLS / "fallback_census.py"), str(config),
-                          "--corpus", corpus_path, "--steps", "2"],
+    config.write_text(TINY_CONFIG.replace("strategy = simple\np = 0.99\n", decay)
+                      + f"total_steps = 2\ncorpus = {corpus_path}\n")
+    run = subprocess.run([sys.executable, str(TOOLS / "fallback_census.py"), str(config)],
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()

@@ -4,14 +4,15 @@ A chunk-kernel call (``recurrence.forward_chunked`` or ``forward_dplr``)
 runs the sequential scan over the whole call when ``recurrence._divides``
 refuses its lam, that is when some lam past a chunk's first position is
 below ``recurrence.FLOOR``.  This tool reads an experiment config with
-``cli.parse_config``, runs N ``train.train_step`` calls of its model on
-``next_batch`` batches of the corpus, with the learning rate of
-``train.wsd_lr`` for a run of N total steps (no validation passes), and
-prints per layer the kernel calls and how many of them ran the scan, with
-their share, then the totals.  It wraps ``_divides`` and
-``model.token_mixer_forward`` from outside; the package is not changed.
+``cli.parse_config`` and runs its ``[train] total_steps`` calls of
+``train.train_step`` on ``next_batch`` batches of the corpus (``--corpus``,
+else ``[train] corpus``), with the learning rate of ``train.wsd_lr`` (no
+validation passes).  It prints per layer the kernel calls and how many of
+them ran the scan, with their share, then the totals.  It wraps
+``_divides`` and ``model.token_mixer_forward`` from outside; the package is
+not changed.
 
-    python tools/fallback_census.py experiment.cfg --corpus corpus.txt --steps 300
+    python tools/fallback_census.py experiment.cfg [--corpus corpus.txt]
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -29,11 +29,11 @@ from decaylab.model import init_params  # noqa: E402
 from decaylab.train import AdamW, load_corpus, next_batch, train_step, wsd_lr  # noqa: E402
 
 
-def census(config, corpus_path, steps):
+def census(config, corpus_path):
     """(Counter of kernel calls per layer, Counter of those that ran the
-    scan) over ``steps`` training steps of ``config``, an
+    scan) over the ``total_steps`` training steps of ``config``, an
     ``ExperimentConfig``."""
-    train_config = replace(config.train, total_steps=steps)
+    train_config = config.train
     corpus = load_corpus(corpus_path, train_config)
     params = init_params(config.model)
     opt = AdamW(params, train_config)
@@ -53,7 +53,7 @@ def census(config, corpus_path, steps):
 
     model.token_mixer_forward, recurrence._divides = traced_mixer, counted_divides
     try:
-        for step in range(steps):
+        for step in range(train_config.total_steps):
             inputs, targets = next_batch(corpus, train_config, step)
             train_step(params, opt, config.model, train_config, inputs, targets,
                        wsd_lr(step, train_config))
@@ -66,14 +66,14 @@ def main(argv):
     parser = argparse.ArgumentParser(
         description="count the chunk-kernel calls that fall back to the scan")
     parser.add_argument("config")
-    parser.add_argument("--corpus", required=True)
-    parser.add_argument("--steps", type=int, required=True)
+    parser.add_argument("--corpus", help="path to a text corpus (overrides config)")
     args = parser.parse_args(argv)
-    if args.steps < 1:
-        parser.error(f"--steps must be positive, got {args.steps}")
     config = cli.parse_config(args.config)
-    calls, scans = census(config, args.corpus, args.steps)
-    print(f"{config.model.decay.strategy}: {args.steps} steps, "
+    corpus = args.corpus or config.corpus
+    if not corpus:
+        parser.error("no corpus given: pass --corpus or set [train] corpus in the config")
+    calls, scans = census(config, corpus)
+    print(f"{config.model.decay.strategy}: {config.train.total_steps} steps, "
           f"peak lr {config.train.peak_lr:g}")
     print(f"{'layer':<8} {'calls':>8} {'scan':>8} {'share':>8}")
     for layer in sorted(calls):
