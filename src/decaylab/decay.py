@@ -13,8 +13,7 @@ knows about it:
   Each is stored as ``layers.{i}.decay.<name>`` and skips weight decay;
 - ``source``: ``"pointwise"`` (elementwise in F), ``"sequence"`` (from F
   along time) or ``"head"`` (no decay projection, no key sharing);
-- ``scalar_only``: vector granularity and sharing are rejected;
-- ``sample(rng, f)``: the lambda ``decaylab verify`` checks its kernels on.
+- ``scalar_only``: vector granularity and sharing are rejected.
 
 A new strategy is one row here and touches no other file.
 
@@ -68,20 +67,11 @@ class Strategy:
     scalars: dict[str, Callable] = field(default_factory=dict)
     source: str = "pointwise"  # "pointwise" | "sequence" | "head"
     scalar_only: bool = False
-    sample: Callable | None = None
 
     @property
     def projected(self):
         """Whether lambda comes from the decay projection F."""
         return self.source != "head"
-
-    def random_lambda(self, rng, f):
-        """Lambda for ``decaylab verify``: the row's ``sample``, or by default
-        its decay at N(0, 1) learned scalars, tau = 16 and a U(0, 0.9) floor."""
-        if self.sample is not None:
-            return self.sample(rng, f)
-        draws = {name: rng.normal() for name in self.scalars}
-        return self.decay(f, tau=16.0, lower_bound=float(rng.uniform(0.0, 0.9)), **draws).data
 
 
 @dataclass
@@ -354,17 +344,11 @@ STRATEGIES: dict[str, Strategy] = {
         "exp(lse(f_{<t-1}) - lse(f_{<t}))",
         lambda f, **_: lightnet_decay(f), source="sequence"),
     "tnl": Strategy(
-        "exp(-8j/h * (1 - l/L))", _tnl, source="head", scalar_only=True,
-        sample=lambda rng, f: np.full((f.shape[0], 1), tnl_decay(
-            1 + rng.integers(0, 4), 4, 1 + rng.integers(0, 3), 3))),
+        "exp(-8j/h * (1 - l/L))", _tnl, source="head", scalar_only=True),
     "tnl_l": Strategy(
         "exp(-softplus(g)), g learned from the tnl constant",
         lambda f, g, **_: T.exp(-T.softplus(g)),
-        scalars={"g": _tnl_l_g}, source="head", scalar_only=True,
-        sample=lambda rng, f: np.full(
-            (f.shape[0], 1), float(np.exp(-np.log1p(np.exp(rng.normal())))))),
-    "none": Strategy(
-        "1", lambda f, heads, **_: np.ones((heads, 1, 1)), source="head",
-        sample=lambda rng, f: np.ones((f.shape[0], 1))),
+        scalars={"g": _tnl_l_g}, source="head", scalar_only=True),
+    "none": Strategy("1", lambda f, heads, **_: np.ones((heads, 1, 1)), source="head"),
 }
 POINTWISE = tuple(name for name, row in STRATEGIES.items() if row.source == "pointwise")

@@ -26,9 +26,13 @@ dimensions); the DPLR ``kappa`` is (..., n, dk) and ``beta`` (..., n, 1),
 taken as given: the model L2-normalizes kappa before the call.
 
 The scan runs time-major: inputs are moved to (n, ..., d) so that each
-step's state is one contiguous block.  The Python loop holds only the
-in-place state update (and its adjoint in backward); outputs and
-gradients are batched matmuls over the stored states and adjoints.
+position's state is one contiguous block.  It has no loop of its own: it
+is ``_carry``, the chunk kernels' state loop, at one position per step,
+the chunkwise form with chunks of one position.  Block by block it carries
+each state into the next through that position's transition, and its
+backward carries the state gradients back from the last block.  Outputs
+and gradients are batched matmuls over the stored states and state
+gradients.
 """
 
 from __future__ import annotations
@@ -98,60 +102,41 @@ def _time_major(x):
     return np.ascontiguousarray(_move(x, -2, 0))
 
 
+def _transitions(lam, kap, bk, part):
+    """The transitions at positions ``part`` (a slice) of time-major lam and,
+    for DPLR, kap and bk = beta * kappa (None for the diagonal transition),
+    laid out as ``_carry`` takes them: diag(lam_t) as a row (..., N, 1, w),
+    or diag(lam_t) - bk_t kap_t^T as a matrix (..., N, dk, dk)."""
+    if kap is None:
+        return _move(lam[part, ..., None, :], 0, -3)
+    M = -bk[part, ..., :, None] * kap[part, ..., None, :]
+    diag = np.arange(M.shape[-1])
+    M[..., diag, diag] += lam[part]
+    return _move(M, 0, -3)
+
+
 def _scan(q, k, v, lam, kap=None, bk=None, keep=False):
     """Left-to-right scan on time-major arrays (n, ..., d).
 
-    s_t = lam_t * s_{t-1} + k_t v_t^T - bk_t u_t^T with u_t = kap_t^T s_{t-1},
-    and o_t = s_t^T q_t.  The rank-one term is present only when ``kap``
-    is given (``bk`` is beta * kappa).  Returns (o, states, u): ``states``
+    s_t = M_t s_{t-1} + k_t v_t^T and o_t = s_t^T q_t, with M_t the
+    transition of ``_transitions``: ``_carry`` at one position per step,
+    over blocks of ``_BLOCK`` positions.  Returns (o, states): ``states``
     is the full (n, ..., dk, dv) buffer when ``keep`` is set and None
-    otherwise; ``u`` is (n, ..., 1, dv), or None without ``kap``.
+    otherwise.
     """
     n, dk, dv = q.shape[0], q.shape[-1], v.shape[-1]
     batch = q.shape[1:-1]
     o = np.empty((n,) + batch + (1, dv))
     states = np.empty((n if keep else min(n, _BLOCK),) + batch + (dk, dv))
-    u = None if kap is None else np.empty((n,) + batch + (1, dv))
-    tmp = np.empty(batch + (dk, dv))
     prev = np.zeros(batch + (dk, dv))
-    lam = lam[..., None]
     for t0 in range(0, n, _BLOCK):
         t1 = min(t0 + _BLOCK, n)
         s = states[t0:t1] if keep else states[:t1 - t0]
         np.einsum("...d,...e->...de", k[t0:t1], v[t0:t1], out=s)
-        for i, t in enumerate(range(t0, t1)):
-            np.multiply(lam[t], prev, out=tmp)
-            s[i] += tmp
-            if kap is not None:
-                np.matmul(kap[t, ..., None, :], prev, out=u[t])
-                np.multiply(bk[t, ..., :, None], u[t], out=tmp)
-                s[i] -= tmp
-            prev = s[i]
+        _carry([prev, *s], _transitions(lam, kap, bk, slice(t0, t1)))
         np.matmul(q[t0:t1, ..., None, :], s, out=o[t0:t1])
-        prev = prev.copy()  # the next block may overwrite the buffer
-    return o[..., 0, :], (states if keep else None), u
-
-
-def _adjoint(g, q, lam, kap=None, bk=None):
-    """Right-to-left adjoint scan of ``_scan`` on time-major arrays.
-
-    G_t = dL/ds_t = q_t g_t^T + M_{t+1}^T G_{t+1}, where M_t is the
-    transition diag(lam_t) - bk_t kap_t^T.  Returns (G, w) with
-    w_t = kap_t^T G_t for t >= 1 (w_0 is left unset), or w None without ``kap``.
-    """
-    n = q.shape[0]
-    G = np.einsum("...d,...e->...de", q, g)
-    w = None if kap is None else np.empty(g.shape[:-1] + (1, g.shape[-1]))
-    tmp = np.empty(G.shape[1:])
-    lam = lam[..., None]
-    for t in range(n - 1, 0, -1):
-        np.multiply(lam[t], G[t], out=tmp)
-        G[t - 1] += tmp
-        if kap is not None:
-            np.matmul(kap[t, ..., None, :], G[t], out=w[t])
-            np.multiply(bk[t, ..., :, None], w[t], out=tmp)
-            G[t - 1] -= tmp
-    return G, w
+        prev = s[-1].copy()  # the next block may overwrite the buffer
+    return o[..., 0, :], (states if keep else None)
 
 
 def _time_major_inputs(arrays):
@@ -167,13 +152,14 @@ def _recurrence(q, k, v, lam, kappa=None, beta=None):
     """Run the scan on Tensors and record its backward; returns o.
 
     The full state buffer is kept only while a tape records the call; the
-    backward rebuilds the time-major inputs rather than holding copies.
+    backward rebuilds the time-major inputs rather than holding copies,
+    and each block's transitions as it reaches the block.
     """
     parents = (q, k, v, lam) if kappa is None else (q, k, v, lam, kappa, beta)
     keep = T.recording(*parents)
     arrays = [p.data for p in parents]
     qt, kt, vt, lt, kap, _, bk = _time_major_inputs(arrays)
-    o, states, u = _scan(qt, kt, vt, lt, kap, bk, keep)
+    o, states = _scan(qt, kt, vt, lt, kap, bk, keep)
     out = Tensor(np.ascontiguousarray(_move(o, 0, -2)))
     if not keep:
         return out
@@ -182,7 +168,11 @@ def _recurrence(q, k, v, lam, kappa=None, beta=None):
     def bw(g):
         qt, kt, vt, lt, kap, bet, bk = _time_major_inputs(arrays)
         gt = _time_major(g)
-        G, w = _adjoint(gt, qt, lt, kap, bk)
+        # G_t = dL/ds_t = q_t g_t^T + M_{t+1}^T G_{t+1}, block by block from the end
+        G = np.einsum("...d,...e->...de", qt, gt)
+        for t0 in reversed(range(0, len(G), _BLOCK)):
+            t1 = t0 + _BLOCK + 1
+            _carry(G[t0:t1], _transitions(lt, kap, bk, slice(t0 + 1, t1)), reverse=True)
         grads = [
             np.matmul(states, gt[..., :, None])[..., 0],   # dq_t = s_t g_t
             np.matmul(G, vt[..., :, None])[..., 0],        # dk_t = G_t v_t
@@ -195,12 +185,15 @@ def _recurrence(q, k, v, lam, kappa=None, beta=None):
             dlam = dlam.sum(axis=-1, keepdims=True)
         grads.append(dlam)
         if kap is not None:
+            # u_t = kap_t^T s_{t-1} and w_t = kap_t^T G_t; u_0 = kap_0^T s_{-1} = 0,
+            # so both gradients vanish at t = 0
+            u = np.matmul(kap[1:, ..., None, :], states[:-1])
+            w = np.matmul(kap[1:, ..., None, :], G[1:])
             dkap = np.zeros_like(kap)
             dbet = np.zeros_like(bet)
-            # u_0 = kappa_0^T s_{-1} = 0, so both vanish at t = 0
-            dbet[1:] = -(w[1:] * u[1:]).sum(axis=-1)
-            dkap[1:] = -bet[1:] * (np.matmul(G[1:], np.swapaxes(u[1:], -1, -2))
-                                   + np.matmul(states[:-1], np.swapaxes(w[1:], -1, -2)))[..., 0]
+            dbet[1:] = -(w * u).sum(axis=-1)
+            dkap[1:] = -bet[1:] * (np.matmul(G[1:], _mT(u))
+                                   + np.matmul(states[:-1], _mT(w)))[..., 0]
             grads += [dkap, dbet]
         for node, grad in zip(nodes, grads):
             T._accum(node, _move(grad, 0, -2))
@@ -278,10 +271,11 @@ def _mT(x):
 
 
 def _carry(y, trans, reverse=False):
-    """y_{m+1} += T_m y_m in place over chunk-major y (M, ..., dk, dv), or
-    y_m += T_m^T y_{m+1} from the end with ``reverse``; T_m is chunk m's
+    """y_{m+1} += T_m y_m in place over step-major y (M, ..., dk, dv), or
+    y_m += T_m^T y_{m+1} from the end with ``reverse``; T_m is step m's
     transition, a diagonal (..., N, 1, w) or a matrix (..., N, dk, dk), and
-    y may be a list of its entries.  Returns y."""
+    y may be a list of its entries.  A step is a chunk in the chunk kernels
+    and one position in the scan.  Returns y."""
     trans = _move(trans, -3, 0)
     if trans.shape[-2] == 1:
         op, trans = np.multiply, _mT(trans)  # a diagonal scales the rows of y

@@ -1,7 +1,8 @@
 """Self-check suites behind the `verify` subcommand: oracle equivalence
-(the decay scan and TPE), chunked equivalence, the DPLR chunk kernel against
-its dense oracle and the scan and its reductions, RoPE-decay compatibility,
-gradient checks, and the algebraic decay identities.
+(the decay scan and TPE), chunked equivalence, the DPLR chunk kernel and the
+DPLR scan against the dense oracle, the chunk kernel against the scan and
+its reductions, RoPE-decay compatibility, gradient checks, and the
+algebraic decay identities.
 """
 
 from __future__ import annotations
@@ -21,8 +22,19 @@ from .train import cross_entropy
 
 
 def _random_lambda(rng, strategy, granularity, n, dk):
-    shape = (n, 1) if granularity == "scalar" else (n, dk)
-    return D.STRATEGIES[strategy].random_lambda(rng, Tensor(rng.normal(0.0, 3.0, size=shape)))
+    """lam, (n, 1) or (n, dk), through the row's decay at N(0, 1) learned
+    scalars, tau = 16 and a U(0, 0.9) floor: of N(0, 3) activations for a
+    projected row or, for a per-head row, one of 4 heads in one of 3
+    layers at every position."""
+    row = D.STRATEGIES[strategy]
+    f = Tensor(rng.normal(0.0, 3.0, size=(n, 1) if granularity == "scalar" else (n, dk)))
+    inputs = {name: rng.normal() for name in row.scalars}
+    inputs.update(tau=16.0, lower_bound=float(rng.uniform(0.0, 0.9)))
+    if row.projected:
+        return row.decay(f, **inputs).data
+    heads = T.as_tensor(row.decay(None, heads=4, layer=int(rng.integers(1, 4)), n_layers=3,
+                                  **inputs)).data
+    return np.full((n, 1), np.broadcast_to(heads, (4, 1, 1))[rng.integers(0, 4), 0, 0])
 
 
 def _decay_cells():
@@ -167,6 +179,19 @@ def suite_dplr(level="full"):
         diff = float(np.max(np.abs(o_zero.data - o_diag.data)))
         if not diff <= 1e-12:
             failures.append(f"beta=0 reduction diff {diff:.3e}")
+    # the scan itself, over three blocks of R._BLOCK positions, at both widths of lam
+    rng_s = np.random.Generator(np.random.Philox([3, 1]))
+    n, dk, dv = 2 * R._BLOCK + 5, 4, 3
+    for width in (1, dk):
+        lam = rng_s.uniform(0.1, 1.0, size=(2, 3, n, width))
+        q, k, v = (rng_s.normal(size=(2, 3, n, d)) for d in (dk, dk, dv))
+        kappa = rng_s.normal(size=(2, 3, n, dk))
+        kappa /= np.linalg.norm(kappa, axis=-1, keepdims=True)
+        beta = rng_s.uniform(0.05, 0.95, size=(2, 3, n, 1))
+        o_scan = R._recurrence(*(Tensor(x) for x in (q, k, v, lam, kappa, beta)))
+        diff = _rel_diff(o_scan.data, R.dplr_dense_oracle(q, k, v, lam, kappa, beta))
+        if not diff <= 1e-10:
+            failures.append(f"scan width={width}: dense oracle rel diff {diff:.3e}")
     for scale in (1.0, 3.0):
         failures += _chunk_cases_against_the_scan(R.forward_dplr, rng, 4, 3, scale)
     # delta-rule overwrite: the second write through the same unit key
@@ -258,6 +283,23 @@ def suite_gradients(level="full"):
         return T.tsum(o * o)
 
     failures += [f"scan {m}" for m in grad_check(scan_loss, {"q": q, "k": k, "v": v, "lam": lam})]
+
+    # the DPLR scan, whose backward every chunk kernel is checked against,
+    # across a block boundary
+    rng_d = np.random.Generator(np.random.Philox([5, 1]))
+    n_d = R._BLOCK + 3
+    kappa = rng_d.normal(size=(n_d, dk))
+    kappa /= np.linalg.norm(kappa, axis=-1, keepdims=True)
+    arrays = [rng_d.normal(size=(n_d, d)) for d in (dk, dk, dv)] + [
+        rng_d.uniform(0.2, 0.95, size=(n_d, dk)), kappa, rng_d.uniform(0.05, 0.95, size=(n_d, 1))]
+    dplr = {name: Tensor(x, requires_grad=True)
+            for name, x in zip(("q", "k", "v", "lam", "kappa", "beta"), arrays)}
+
+    def dplr_scan_loss(leaves):
+        o = R._recurrence(*leaves.values())
+        return T.tsum(o * o)
+
+    failures += [f"dplr scan {m}" for m in grad_check(dplr_scan_loss, dplr)]
 
     for strategy in D.POINTWISE:
         f = Tensor(rng.normal(0.0, 2.0, size=(4, 3)), requires_grad=True)

@@ -491,6 +491,22 @@ def test_cmd_verify_detects_a_perturbed_dplr_chunk_state(monkeypatch, capsys):
     assert ": output rel diff" in out and "no-tape output rel diff" in out
 
 
+def test_cmd_verify_detects_a_flipped_rank_one_term_in_the_scan(monkeypatch, capsys):
+    real = recurrence._transitions
+
+    def flipped(lam, kap, bk, part):
+        # diag(lam_t) + bk_t kap_t^T in place of diag(lam_t) - bk_t kap_t^T
+        return real(lam, kap, None if bk is None else -bk, part)
+
+    monkeypatch.setattr(recurrence, "_transitions", flipped)
+    assert cli.main(["verify", "--level", "quick"]) == cli.EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert "FAIL dplr" in out and "PASS chunked-vs-sequential" in out
+    assert "scan width=1: dense oracle rel diff" in out
+    assert "scan width=4: dense oracle rel diff" in out
+    assert "FAIL gradients" in out and "dplr scan kappa: rel err" in out
+
+
 def _routes(monkeypatch, owner, name, fallback, rebind=()):
     """Counts of the calls to ``owner.name`` that finish on their fast route
     and of those that call ``owner.fallback``.  ``rebind`` lists further

@@ -90,8 +90,21 @@ def test_export_prints_formula_and_values(toy, tmp_path, capsys):
     assert "  layers.1.decay.b: 2 2\n" in out
 
 
-def test_verify_covers_the_row(toy):
+# a per-head row: one learned value per head, no decay projection
+HEAD_TOY = Strategy(
+    "sigmoid(c + j)",
+    lambda f, heads, c, **_: T.sigmoid(c + np.arange(heads).reshape(heads, 1, 1)),
+    scalars={"c": lambda heads, **_: np.zeros(heads)}, source="head", scalar_only=True)
+
+
+def test_verify_covers_the_row(toy, monkeypatch):
+    monkeypatch.setitem(D.STRATEGIES, "head_toy", HEAD_TOY)
     cells = verify._decay_cells()
     assert [c for c in cells if c[0] == "toy"] == [("toy",) + layout for layout in LAYOUTS]
-    lam = verify._random_lambda(np.random.Generator(np.random.Philox(0)), "toy", "vector", 7, 3)
+    assert [c for c in cells if c[0] == "head_toy"] == [("head_toy", "scalar", "independent")]
+    rng = np.random.Generator(np.random.Philox(0))
+    lam = verify._random_lambda(rng, "toy", "vector", 7, 3)
     assert lam.shape == (7, 3) and np.all((lam > 0.0) & (lam < 1.0))
+    # one head's value at every position
+    lam = verify._random_lambda(rng, "head_toy", "scalar", 7, 3)
+    assert lam.shape == (7, 1) and np.all(lam == lam[0]) and 0.0 < lam[0, 0] < 1.0
