@@ -6,9 +6,11 @@ TNL and its learnable variant, no decay), and the row is all the package
 knows about it:
 
 - ``formula``: the text ``decaylab export`` prints;
-- ``decay(f, **inputs)``: lambda from the decay activation F, the learned
-  scalars by name and the knobs of :meth:`DecayConfig.inputs`.  A
-  ``"head"`` row gets ``f=None`` and returns one value per head, (h, 1, 1);
+- ``decay(f, **inputs)``: log lambda from the decay activation F, the
+  learned scalars by name and the knobs of :meth:`DecayConfig.inputs`.  A
+  ``"head"`` row gets ``f=None`` and returns one value per head, (h, 1, 1).
+  The chunk kernels take log lambda, and lambda is its exp where something
+  reads it; a row may return -inf where lambda is exactly 0;
 - ``scalars``: learned per-head scalar name -> init from the same knobs.
   Each is stored as ``layers.{i}.decay.<name>`` and skips weight decay;
 - ``source``: ``"pointwise"`` (elementwise in F), ``"sequence"`` (from F
@@ -21,7 +23,7 @@ A new strategy is one row here and touches no other file.
 sharing): the names of the weights that produce F and their shapes in terms
 of the hidden width ``"d"``, the heads ``"h"`` and the head width ``"dk"``.
 It is the one place the layouts are defined.  The module also holds key
-sharing (k = 1 - lambda).
+sharing (k = 1 - lambda, from log lambda).
 """
 
 from __future__ import annotations
@@ -212,53 +214,64 @@ def _running_lse(x):
 
 
 def lightnet_decay(f):
-    """Cumulative-softmax decay: lambda_t = d_{t-1} / d_t, d_t = sum_{i<=t} exp(F_i).
+    """Cumulative-softmax decay, as log lambda: lambda_t = d_{t-1} / d_t,
+    d_t = sum_{i<=t} exp(F_i).
 
-    Time runs along axis -2.  The empty prefix gives lambda_1 = 0, and
-    1 - lambda_t = exp(F_t) / d_t holds.  lambda_t = exp(lse_{t-1} - lse_t)
-    through the blocked running log-sum-exp of :func:`_running_lse`, whose
-    sequential fallback takes over where F rises more than
-    ``LIGHTNET_LIMIT`` above a block's reference; on both routes lambda_t
-    depends only on F_{<=t}, bitwise.  The backward is a reverse scan over
-    bounded terms, finite for any finite F.
+    Time runs along axis -2.  log lambda_t = lse_{t-1} - lse_t through the
+    blocked running log-sum-exp of :func:`_running_lse`, whose sequential
+    fallback takes over where F rises more than ``LIGHTNET_LIMIT`` above a
+    block's reference; on both routes it depends only on F_{<=t}, bitwise.
+    The empty prefix gives log lambda_1 = -inf, lambda_1 = 0, and
+    1 - lambda_t = exp(F_t) / d_t holds.  The backward is a reverse scan over
+    bounded terms, finite for any finite F and any finite gradient.
     """
     f = as_tensor(f)
     x = f.data
     if x.shape[-2] < 1:
         raise ValueError("lightnet_decay: need at least one position")
     lse = _running_lse(x)
-    lam_data = np.concatenate(
-        [np.zeros_like(x[..., :1, :]),
-         np.exp(lse[..., :-1, :] - lse[..., 1:, :])], axis=-2)
+    log_lam = np.concatenate(
+        [np.full_like(x[..., :1, :], -np.inf), lse[..., :-1, :] - lse[..., 1:, :]], axis=-2)
     nf = T._node(f)
 
     def bw(g):
-        # 1 - lambda_t = exp(F_t - lse_t), without cancellation.
-        # dL/dF_s = p_s (W_s - g_s) with W_s = sum_{t>=s} g_t p_t prod_{s<i<=t} lambda_i,
-        # i.e. W_s = g_s p_s + lambda_{s+1} W_{s+1}: every factor lies in [0, 1]
-        p = np.exp(x - lse)
-        c = _move(g * p, -2, 0)
-        lam_t = _move(lam_data, -2, 0)
-        w = np.empty_like(c)
-        w[-1] = c[-1]
+        # with h = dL/d log lambda, h_1 = 0 (log lambda_1 is a constant) and
+        # h_{n+1} = 0, and p_s = exp(F_s - lse_s) = 1 - lambda_s without
+        # cancellation, dL/dF_s = p_s X_s where
+        # X_s = sum_{t>=s} (h_{t+1} - h_t) prod_{s<i<=t} lambda_i,
+        # i.e. X_s = (h_{s+1} - h_s) + lambda_{s+1} X_{s+1}: every factor lies in [0, 1]
+        h = _move(g, -2, 0).copy()
+        h[0] = 0.0
+        c = np.diff(h, axis=0, append=0.0)
+        lam_t = np.exp(_move(log_lam, -2, 0))
+        X = np.empty_like(c)
+        X[-1] = c[-1]
         for t in range(len(c) - 2, -1, -1):
-            np.multiply(lam_t[t + 1], w[t + 1], out=w[t])
-            w[t] += c[t]
-        T._accum(nf, p * (_move(w, 0, -2) - g))
+            np.multiply(lam_t[t + 1], X[t + 1], out=X[t])
+            X[t] += c[t]
+        T._accum(nf, np.exp(x - lse) * _move(X, 0, -2))
 
-    return T._record(Tensor(lam_data), (f,), bw)
+    return T._record(Tensor(log_lam), (f,), bw)
+
+
+def _tnl_log(j, h, l, L):
+    """log of TNL's decay constant, -8j/h * (1 - l/L), for 1-based head ``j``
+    of ``h`` and layer ``l`` of ``L``."""
+    if not 1 <= j <= h:
+        raise IndexError(f"head index {j} out of range 1..{h}")
+    if not 1 <= l <= L:
+        raise IndexError(f"layer index {l} out of range 1..{L}")
+    return -8.0 * j / h * (1.0 - l / L)
 
 
 def tnl_decay(j, h, l, L):
     """Data-independent decay constant exp(-8j/h * (1 - l/L)).
 
-    ``j`` and ``l`` are 1-based head and layer indices.
+    ``j`` and ``l`` are 1-based head and layer indices.  The exp is numpy's,
+    the one the model's trace takes of the row: libm's differs from it by an
+    ulp at some constants.
     """
-    if not 1 <= j <= h:
-        raise IndexError(f"head index {j} out of range 1..{h}")
-    if not 1 <= l <= L:
-        raise IndexError(f"layer index {l} out of range 1..{L}")
-    return math.exp(-8.0 * j / h * (1.0 - l / L))
+    return float(np.exp(_tnl_log(j, h, l, L)))
 
 
 def simple_decay_init(p):
@@ -268,9 +281,10 @@ def simple_decay_init(p):
     return math.log(p / (1.0 - p))
 
 
-def shared_key(lam):
-    """Parameter-sharing key: k = 1 - lambda, exact."""
-    return 1.0 - as_tensor(lam)
+def shared_key(log_lam):
+    """Parameter-sharing key: k = 1 - lambda = -expm1(log lambda), exact
+    near lambda = 1, where 1 - lambda would lose digits."""
+    return -T.expm1(log_lam)
 
 
 def hgrn2_lower_bound(l, L):
@@ -289,19 +303,21 @@ def _mamba2_delta(heads, **_):
 
 
 def _log_sigmoid_power(y, e):
-    """sigmoid(-y)^e as exp(-e * softplus(y)): log sigmoid(-y) = -softplus(y),
-    so a saturated sigmoid gives a tiny lambda with finite gradients rather
-    than 0^(e - 1) in the backward of a power."""
-    return T.exp(-(e * T.softplus(y)))
+    """log of sigmoid(-y)^e, -e * softplus(y): log sigmoid(-y) = -softplus(y),
+    finite with finite gradients for a saturated sigmoid."""
+    return -(e * T.softplus(y))
 
 
 def _hgrn2(f, lower_bound, **_):
+    """log(lb + (1 - lb) sigmoid(f)) as logaddexp(log lb, log(1 - lb) -
+    softplus(-f)): at lb = 0 it is -softplus(-f), finite for any finite f,
+    and it is never below log lb."""
     lb = as_tensor(lower_bound)
-    return lb + (1.0 - lb) * T.sigmoid(f)
+    return T.logaddexp(T.log(lb), T.log(1.0 - lb) - T.softplus(-f))
 
 
 def _tnl(f, heads, layer, n_layers, **_):
-    const = [tnl_decay(j, heads, layer, n_layers) for j in range(1, heads + 1)]
+    const = [_tnl_log(j, heads, layer, n_layers) for j in range(1, heads + 1)]
     return np.array(const).reshape(heads, 1, 1)
 
 
@@ -325,20 +341,20 @@ STRATEGIES: dict[str, Strategy] = {
         scalars={"a": _mamba2_a, "delta": _mamba2_delta}),
     "mamba2_no_a": Strategy(
         "sigmoid(-f - delta)",
-        lambda f, delta, **_: T.sigmoid(-f - as_tensor(delta)),
+        lambda f, delta, **_: -T.softplus(f + as_tensor(delta)),
         scalars={"delta": _mamba2_delta}),
     "mamba2_no_delta": Strategy(
         "sigmoid(-f)^exp(a)",
         lambda f, a, **_: _log_sigmoid_power(f, T.exp(as_tensor(a))),
         scalars={"a": _mamba2_a}),
-    "mamba2_no_a_delta": Strategy("sigmoid(-f)", lambda f, **_: T.sigmoid(-f)),
+    "mamba2_no_a_delta": Strategy("sigmoid(-f)", lambda f, **_: -T.softplus(f)),
     "gla": Strategy(
         "sigmoid(f)^(1/tau)",
-        lambda f, tau, **_: T.exp(-T.softplus(-f) / as_tensor(tau))),
+        lambda f, tau, **_: -T.softplus(-f) / as_tensor(tau)),
     "hgrn2": Strategy("lb + (1 - lb) * sigmoid(f)", _hgrn2),
     "simple": Strategy(
         "sigmoid(f + delta), delta = argsigmoid(p)",
-        lambda f, delta, **_: T.sigmoid(f + as_tensor(delta)),
+        lambda f, delta, **_: -T.softplus(-f - as_tensor(delta)),
         scalars={"delta": lambda heads, p, **_: np.full(heads, simple_decay_init(p))}),
     "lightnet": Strategy(
         "exp(lse(f_{<t-1}) - lse(f_{<t}))",
@@ -347,8 +363,8 @@ STRATEGIES: dict[str, Strategy] = {
         "exp(-8j/h * (1 - l/L))", _tnl, source="head", scalar_only=True),
     "tnl_l": Strategy(
         "exp(-softplus(g)), g learned from the tnl constant",
-        lambda f, g, **_: T.exp(-T.softplus(g)),
+        lambda f, g, **_: -T.softplus(g),
         scalars={"g": _tnl_l_g}, source="head", scalar_only=True),
-    "none": Strategy("1", lambda f, heads, **_: np.ones((heads, 1, 1)), source="head"),
+    "none": Strategy("1", lambda f, heads, **_: np.zeros((heads, 1, 1)), source="head"),
 }
 POINTWISE = tuple(name for name, row in STRATEGIES.items() if row.source == "pointwise")

@@ -190,7 +190,8 @@ def param_count(config: ModelConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def compute_decay(x, params, config: ModelConfig, layer_idx):
-    """Lambda for one layer's input x (..., n, d), shaped (..., h, n, dk) or (..., h, n, 1)."""
+    """Log lambda for one layer's input x (..., n, d), shaped (..., h, n, dk) or
+    (..., h, n, 1): the strategy row's value, -inf where lambda is 0."""
     dc = config.decay
     h = config.heads
     pre = f"layers.{layer_idx}.decay."
@@ -207,19 +208,19 @@ def token_mixer_forward(x, params, config: ModelConfig, layer_idx, trace=None):
     """Per-head linear attention with decay; returns (..., n, hidden).
 
     ``trace``, when given, is a list receiving (layer, lambda) with lambda
-    a plain array as ``compute_decay`` returns it, before lrpe doubles a
-    vector lambda along its last axis for the recurrence.
+    a plain array, the exp of what ``compute_decay`` returns, before lrpe
+    doubles a vector lambda along its last axis for the recurrence.
     """
     dc = config.decay
     n = x.shape[-2]
     batch = x.shape[:-2]
     pre = f"layers.{layer_idx}."
     q = T.silu(T.head_project(x, params[pre + "wq"]))
-    lam = compute_decay(x, params, config, layer_idx)
+    log_lam = compute_decay(x, params, config, layer_idx)
     if trace is not None:
-        trace.append((layer_idx, lam.data.copy()))
+        trace.append((layer_idx, np.exp(log_lam.data)))
     if dc.sharing == "shared":
-        k = D.shared_key(lam)
+        k = D.shared_key(log_lam)
     else:
         k = T.silu(T.head_project(x, params[pre + "wk"]))
     v = T.head_project(x, params[pre + "wv"])
@@ -228,25 +229,25 @@ def token_mixer_forward(x, params, config: ModelConfig, layer_idx, trace=None):
     elif config.posenc == "lrpe":
         thetas = _lrpe_params(config)
         q, k = P.lrpe_apply(q, thetas), P.lrpe_apply(k, thetas)
-        if lam.shape[-1] != 1:
-            lam = T.concat([lam, lam], axis=-1)
+        if log_lam.shape[-1] != 1:
+            log_lam = T.concat([log_lam, log_lam], axis=-1)
     if config.transition == "dplr":
         kappa = T.silu(T.head_project(x, params[pre + "wkappa"]))
         beta = T.sigmoid(T.head_project(x, params[pre + "wbeta"]))
         # unit rows, as in DeltaNet: the layer normalizes kappa, not the kernel
         kappa = kappa / T.sqrt(T.tsum(kappa * kappa, axis=-1, keepdims=True) + 1e-12)
-        o = forward_dplr(q, k, v, lam, kappa, beta)
+        o = forward_dplr(q, k, v, log_lam, kappa, beta)
     elif v.shape[-1] == 1:
         # no config has a head width of 1; the branch keeps the name
         # model.forward_sequential, which the benchmark's alias test reads.
         # The scan is the faster kernel here: at (8, 64, 128, 1) on one BLAS
         # thread it took 7 ms forward+backward against 20 ms
-        o = forward_sequential(q, k, v, lam)
+        o = forward_sequential(q, k, v, T.exp(log_lam))
     else:
-        o = forward_chunked(q, k, v, lam)
+        o = forward_chunked(q, k, v, log_lam)
     # without a tape nothing else holds the kernel's inputs, 1 MB each at
     # n = 2048: dropping them keeps them out of the output gate and out_norm
-    q = k = v = lam = kappa = beta = None
+    q = k = v = log_lam = kappa = beta = None
     # (..., h, n, dk) -> (..., n, h * dk)
     nb = len(batch)
     perm = tuple(range(nb)) + (nb + 1, nb, nb + 2)

@@ -55,7 +55,7 @@ def layer_stats(samples):
 
 def capture_trace(params, config: ModelConfig, tokens):
     """Per-layer decay samples of the model on ``tokens``: a dict, layer ->
-    that layer's lambda as ``compute_decay`` returns it, shape
+    that layer's lambda, the exp of what ``compute_decay`` returns, shape
     (..., heads, n, w) with w = 1 for scalar decay, bitwise equal to what
     ``lm_forward(..., trace=...)`` records.  Under lrpe the recurrence reads
     a vector lambda doubled to width 2w; the doubled copy repeats each

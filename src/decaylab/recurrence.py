@@ -4,26 +4,30 @@ The sequential scan is the canonical semantics; extended with a delta-rule
 rank-one correction, it is also the semantics of DPLR.  Diagonal decay, of
 width 1 or dk, trains and runs through the factorized chunk kernel
 ``forward_chunked``, and the DPLR transition through the chunkwise UT form
-``forward_dplr``.  Each is only its chunk algebra, one span at a time; the
-driver ``_chunkwise`` serves both.  It cuts the sequence into chunks of
-``CHUNK`` positions, the one chunk size, runs spans of ``ROWS`` rows (a
-row is one leading index at one position), with or without a tape,
-carrying the state forward between them and its gradient back, and falls
-back to the scan where the divisions by running products of lam would lose
-precision.  At
+``forward_dplr``.  Both take log lam, as the decay strategies return it, and
+form lam and its running products as exps of log lam and of its in-chunk
+cumsums, so that no division by lam is needed.  Each is only its chunk
+algebra, one span at a time; the driver ``_chunkwise`` serves both.  It
+cuts the sequence into chunks of ``CHUNK`` positions, the one chunk size,
+bounds log lam below by ``LEAST_LOG`` past each chunk's first position and
+runs spans of ``ROWS`` rows (a row is one leading index at one position),
+with or without a tape, carrying the state forward between them and its
+gradient back.  At
 (8, 4, 128, 16) on one BLAS thread the forward and
 backward of ``forward_chunked`` took 4.8 ms at width 1, against 5.3 ms
 for the pair-decay kernel it replaced, and 5.8 ms at width dk, against
 13 ms for the scan; inside a training step the two DPLR layers took
-38 ms against 59 ms for the scan.  The quadratic closed-form expansion
-``forward_oracle`` and the dense DPLR recurrence ``dplr_dense_oracle`` are
+38 ms against 59 ms for the scan.  The scan ``forward_sequential``, the
+quadratic closed-form expansion ``forward_oracle`` and the dense DPLR
+recurrence ``dplr_dense_oracle`` take lam itself; the last two are
 references only.
 
 All kernels take plain tensors (arrays or Tensors) and return only the
 outputs ``o``.  Shapes: ``q``/``k`` are (..., n, dk), ``v`` is (..., n, dv),
-``lam`` is (..., n, dk) or (..., n, 1) (scalar decay broadcasts across
-dimensions); the DPLR ``kappa`` is (..., n, dk) and ``beta`` (..., n, 1),
-taken as given: the model L2-normalizes kappa before the call.
+``lam`` (or ``log_lam``) is (..., n, dk) or (..., n, 1) (scalar decay
+broadcasts across dimensions); the DPLR ``kappa`` is (..., n, dk) and
+``beta`` (..., n, 1), taken as given: the model L2-normalizes kappa before
+the call.
 
 The scan runs time-major: inputs are moved to (n, ..., d) so that each
 position's state is one contiguous block.  It has no loop of its own: it
@@ -55,12 +59,24 @@ CHUNK = 16
 # covers: ``_span`` positions, 256 at the probe's leading axes (1, 4) and 32
 # at training's (8, 4).
 ROWS = 1024
-# The least lam past a chunk's first position that the chunk kernels divide
-# by; below it the call runs the scan.
-FLOOR = 1e-4
+# The least log lam past a chunk's first position that the chunk kernels
+# use; a smaller one, down to -inf (lam = 0), is replaced by it and takes no
+# gradient.  Over the CHUNK - 1 positions past a chunk's first, the running
+# product gamma stays at least 1e-15 ** 15 = 1e-225, so 1 / gamma is at
+# most 1e225: finite, and so is Q~ K~^T's upper triangle, which the mask
+# zeroes (inf * 0 would be NaN), for |q| |k| up to 1e83.  A bound at
+# lam = 1e-20 would take 1 / gamma to 1e300 and that triangle past the
+# float64 range for |q| |k| of 1e8.  A lam below the bound moves an output
+# by about 1e-15 of the state it decays, times what later transitions make
+# of it: ``verify --level full``'s DPLR cases with kappa rows of norm 3
+# differ from the scan by 2.9e-12 at this bound, and by 2.9e-9 at 1e-12.
+LEAST_LOG = math.log(1e-15)
 
 
-def _check_shapes(q, k, v, lam, kappa=None, beta=None):
+def _check_shapes(q, k, v, lam, kappa=None, beta=None, log=False):
+    """Raise ``ShapeError`` for inconsistent shapes and ``ValueError`` for a
+    non-finite value; with ``log``, ``lam`` is log lam, which may be -inf
+    (lam = 0) but not +inf or NaN."""
     if q.shape != k.shape:
         raise ShapeError(f"q/k shapes differ: {q.shape} vs {k.shape}")
     if q.shape[:-1] != v.shape[:-1]:
@@ -71,7 +87,8 @@ def _check_shapes(q, k, v, lam, kappa=None, beta=None):
         raise ShapeError(f"kappa shape {kappa.shape} differs from q shape {q.shape}")
     if beta is not None and beta.shape != q.shape[:-1] + (1,):
         raise ShapeError(f"beta shape {beta.shape} incompatible with q shape {q.shape}")
-    named = (("q", q), ("k", k), ("v", v), ("lam", lam), ("kappa", kappa), ("beta", beta))
+    named = (("q", q), ("k", k), ("v", v), ("lam", None if log else lam), ("kappa", kappa),
+             ("beta", beta))
     # one reduction each: a finite sum means every value is finite; a sum
     # that overflows from finite values gets the elementwise check
     with np.errstate(over="ignore", invalid="ignore"):
@@ -79,6 +96,9 @@ def _check_shapes(q, k, v, lam, kappa=None, beta=None):
             if (arr is not None and not np.isfinite(arr.sum())
                     and not np.all(np.isfinite(arr))):
                 raise ValueError(f"non-finite values in {name}")
+    # the largest value is +inf or NaN if any is
+    if log and not lam.max(initial=-np.inf) < np.inf:
+        raise ValueError("non-finite values in log lam")
 
 
 @cache
@@ -245,24 +265,17 @@ def _unchunk(x, n):
     return x.reshape(x.shape[:-3] + (-1, x.shape[-1]))[..., :n, :]
 
 
-def _divides(lam):
-    """Whether the chunk kernels may divide by lam's running products: every
-    lam past a chunk's first position is at least ``FLOOR``, which bounds
-    gamma below by FLOOR ** (CHUNK - 1).  Reductions over lam and, if its
-    least value fails, over each offset past a chunk's first position, so
-    no array of lam's size is made; a NaN fails."""
-    return (lam.min(initial=np.inf) >= FLOOR
-            or all(lam[..., j::CHUNK, :].min(initial=np.inf) >= FLOOR for j in range(1, CHUNK)))
-
-
 def _decays(lc):
-    """a, the first lam of each chunk (..., N, 1, w), and gamma (..., N, c, w),
-    the running product of lam from each chunk's second position (gamma = 1
-    at the first), of chunked lam."""
-    gamma = lc.copy()
-    gamma[..., 0, :] = 1.0
-    np.cumprod(gamma, axis=-2, out=gamma)
-    return lc[..., :1, :], gamma
+    """a, lam at each chunk's first position (..., N, 1, w), and gamma
+    (..., N, c, w), the running product of lam from each chunk's second
+    position (gamma = 1 at the first), from chunked log lam: exps of log lam
+    and of its in-chunk cumsum, with log lam past a chunk's first position
+    bounded below by ``LEAST_LOG``."""
+    gamma = np.empty(lc.shape)
+    gamma[..., 0, :] = 0.0
+    np.maximum(lc[..., 1:, :], LEAST_LOG, out=gamma[..., 1:, :])
+    np.cumsum(gamma, axis=-2, out=gamma)
+    return np.exp(lc[..., :1, :]), np.exp(gamma, out=gamma)
 
 
 def _mT(x):
@@ -319,40 +332,37 @@ def _span(lead):
 
 
 def _chunkwise(span, *inputs):
-    """Run the chunk kernel ``span`` on q, k, v, lam (and kappa, beta) and
-    record its backward; returns o.
+    """Run the chunk kernel ``span`` on q, k, v, log lam (and kappa, beta)
+    and record its backward; returns o.
 
-    ``span(a, gamma, state, *chunked)`` takes ``_decays`` of a span's lam,
-    the state (..., dk, dv) entering the span and the other inputs cut into
-    chunks (..., N, c, d).  It returns the outputs (..., N, c, dv), the state
-    after its last chunk and its backward.  That maps the chunked output
-    gradient, dL/d(state after the span) (None after the last span) and
-    whether lam needs a gradient to the chunked input gradients, (da,
-    d log gamma) or None, and dL/d(state entering the span).  With or
+    ``span(a, gamma, state, *chunked)`` takes ``_decays`` of a span's log
+    lam, the state (..., dk, dv) entering the span and the other inputs cut
+    into chunks (..., N, c, d).  It returns the outputs (..., N, c, dv), the
+    state after its last chunk and its backward.  That maps the chunked
+    output gradient, dL/d(state after the span) (None after the last span)
+    and whether lam needs a gradient to the chunked input gradients, (d log
+    a, d log gamma) or None, and dL/d(state entering the span).  With or
     without a tape the call runs in spans of ``_span`` positions, each
     carrying its state into the next; the backward runs the spans'
     backwards from the last, each carrying the state gradient into the one
     before, and writes their gradients into full-size buffers.  Without a
     tape only one span's chunk arrays are alive at a time; under one, only
-    one span's backward builds its working set at a time.  Where
-    ``_divides`` refuses lam, the call runs the scan.
+    one span's backward builds its working set at a time.
     """
     inputs = tuple(as_tensor(x) for x in inputs)
-    _check_shapes(*(x.data for x in inputs))
+    _check_shapes(*(x.data for x in inputs), log=True)
     q, v, lam = inputs[0], inputs[2], inputs[3]
     n, step = q.shape[-2], _span(q.shape[:-2])
-    if not n or not _divides(lam.data):  # an empty sequence has no span
-        return _recurrence(*inputs)
     others = inputs[:3] + inputs[4:]
     taped = T.recording(*inputs)
     # the output is laid out time-major in memory, so that the model's
     # (..., n, heads * dv) reshape of it is a view
     out = np.empty((n,) + v.shape[:-2] + v.shape[-1:])
     state = np.zeros(q.shape[:-2] + (q.shape[-1], v.shape[-1]))
-    backs = []  # under a tape, per span: its first position, its chunked lam and its backward
+    backs = []  # under a tape, per span: its first position, its chunked log lam and its backward
     for t0 in range(0, n, step):
         part = (..., slice(t0, t0 + step), slice(None))
-        lc = _chunks(lam.data[part], CHUNK, 1.0)
+        lc = _chunks(lam.data[part], CHUNK, 0.0)
         chunked = [_chunks(x.data[part], CHUNK, 0.0) for x in others]
         o, state, back = span(*_decays(lc), state, *chunked)
         out[t0:t0 + step] = _move(_unchunk(o, min(step, n - t0)), -2, 0)
@@ -364,6 +374,8 @@ def _chunkwise(span, *inputs):
         return out
     nodes = [T._node(x) for x in others] + [T._node(lam)]
     with_lam = nodes[-1] is not None
+    shapes = [x.shape[:-2] + (-(-n // CHUNK), CHUNK, x.shape[-1])
+              for x in (others + (lam,) if with_lam else others)]
 
     def bw(g):
         full = dstate = None
@@ -373,19 +385,21 @@ def _chunkwise(span, *inputs):
                                        dstate, with_lam)
             del back
             if with_lam:
-                # da at each chunk's first lam and, past it, the reverse
-                # in-chunk cumsum of d log gamma over lam
-                da, dlog = dlam
+                # d log a at each chunk's first position and, past it, the
+                # reverse in-chunk cumsum of d log gamma, but where the bound
+                # replaced log lam
+                dloga, dlog = dlam
                 dlog = np.cumsum(dlog[..., :0:-1, :], axis=-2)[..., ::-1, :]
-                dlog /= lc[..., 1:, :]
-                grads += (np.concatenate([da, dlog], axis=-2),)
-                del da, dlog, dlam
-            if full is None:  # once the last span's backward has freed what it held
-                full = [np.empty(x.shape[:-3] + (-(-n // CHUNK),) + x.shape[-2:]) for x in grads]
+                dlog[lc[..., 1:, :] < LEAST_LOG] = 0.0
+                grads += (np.concatenate([dloga, dlog], axis=-2),)
+                del dloga, dlog, dlam
+            # once the last span's backward has freed what it held
+            full = full or [np.empty(shape) for shape in shapes]
             for buf, x in zip(full, grads):
                 buf[..., t0 // CHUNK:(t0 + step) // CHUNK, :, :] = x
             del grads, lc
-        for node, grad in zip(nodes, full):
+        # an empty sequence has no span and empty gradients
+        for node, grad in zip(nodes, full or [np.empty(shape) for shape in shapes]):
             T._accum(node, _unchunk(grad, n))
 
     return T._record(out, inputs, bw)
@@ -430,28 +444,30 @@ def _diagonal_span(a, gamma, state, qc, kc, vc):
         dlog[..., -1:, :] += last * (
             np.einsum(f"...cd,...cd->...{d}", kg, dkl).reshape(a.shape) + a * dtrans)
         da = np.einsum(f"...cd,...cd->...{d}", qg, gS).reshape(a.shape) + last * dtrans
-        return grads, (da, dlog), dstate
+        return grads, (a * da, dlog), dstate
 
     return o, state, bw
 
 
-def forward_chunked(q, k, v, lam):
-    """Chunkwise-parallel evaluation of the recurrence of ``forward_sequential``,
-    for lam of width 1 or dk.  Returns ``o``, differentiable in q, k, v and lam.
+def forward_chunked(q, k, v, log_lam):
+    """Chunkwise-parallel evaluation of the recurrence of ``forward_sequential``
+    with lam = exp(log_lam), of width 1 or dk.  Returns ``o``, differentiable
+    in q, k, v and log_lam.
 
     The factorized form of GLA (Yang et al. 2023, arXiv 2312.06635, section 4),
     on chunks of ``CHUNK`` positions: with a the first lam of a chunk and gamma
-    the running product of lam from its second position, Q~ = Q . gamma and
-    K~ = K / gamma, a chunk's outputs are tril(Q~ K~^T) V + (a Q~) S and the
-    state after it is a gamma_last S + (K~ gamma_last)^T V.  Because gamma
-    starts at the second position, a zero first lam needs no division.  The
-    backward is the transposed GEMMs plus d log lam, the reverse in-chunk
-    cumsum of Q~ . dQ~ - K~ . dK~ with the gamma_last and state terms on the
-    chunk's last row; dlam = d log lam / lam, but for a, whose gradient is
-    taken directly.  ``_chunkwise`` runs it: in spans, and on the scan where
-    ``_divides`` refuses lam.
+    the running product of lam from its second position, the exp of the
+    in-chunk cumsum of log lam, Q~ = Q . gamma and K~ = K / gamma, a chunk's
+    outputs are tril(Q~ K~^T) V + (a Q~) S and the state after it is
+    a gamma_last S + (K~ gamma_last)^T V.  Because gamma starts at the second
+    position, a zero first lam (log lam = -inf) is used as it is.  The
+    backward is the transposed GEMMs plus d log lam: a da at a chunk's first
+    position and, past it, the reverse in-chunk cumsum of Q~ . dQ~ - K~ . dK~
+    with the gamma_last and state terms on the chunk's last row.
+    ``_chunkwise`` runs it in spans, with log lam past a chunk's first
+    position bounded below by ``LEAST_LOG``.
     """
-    return _chunkwise(_diagonal_span, q, k, v, lam)
+    return _chunkwise(_diagonal_span, q, k, v, log_lam)
 
 
 def _dplr_span(a, gamma, state, qc, kc, vc, kapc, betc):
@@ -569,15 +585,16 @@ def _dplr_span(a, gamma, state, qc, kc, vc, kapc, betc):
         dlog[..., -1:, :] += last * (
             np.einsum(f"...cd,...cd->...{d}", right, dkl).reshape(a.shape) + a * dtrans)
         da = da.reshape(a.shape) + last * dtrans
-        return grads, (da, dlog), dstate
+        return grads, (a * da, dlog), dstate
 
     return o, state, bw
 
 
-def forward_dplr(q, k, v, lam, kappa, beta):
+def forward_dplr(q, k, v, log_lam, kappa, beta):
     """Recurrence with transition M_t = diag(lam_t) - beta_t kappa_t kappa_t^T,
-    s_t = M_t s_{t-1} + k_t v_t^T and o_t = s_t^T q_t, for lam of width 1 or dk.
-    Returns ``o``, differentiable in all inputs including kappa and beta.
+    s_t = M_t s_{t-1} + k_t v_t^T and o_t = s_t^T q_t, for lam = exp(log_lam)
+    of width 1 or dk.  Returns ``o``, differentiable in all inputs including
+    kappa and beta.
 
     With beta = 0 this is exactly the diagonal recurrence; with lam = 1,
     beta = 1 and unit kappa it is the classical delta-rule overwrite.
@@ -598,8 +615,8 @@ def forward_dplr(q, k, v, lam, kappa, beta):
     backward runs the adjoint of the state loop in reverse, then the
     transposed GEMMs; through the solve, with Y = [C | A V],
     dY = T^-T d[W | U0] and dL = -stril(dY [W | U0]^T).  Last comes d log
-    gamma, as in ``forward_chunked``.  ``_chunkwise`` runs it: in spans, and
-    on the scan where ``_divides`` refuses lam.
+    lam, as in ``forward_chunked``.  ``_chunkwise`` runs it in spans, with
+    log lam bounded as for ``forward_chunked``.
 
     A taped call's backward holds the chunked inputs, gamma, Z = [W | U0],
     T^-1, M and the states.  It rebuilds [Q~; K^], [K~; -B~], the pair
@@ -613,7 +630,7 @@ def forward_dplr(q, k, v, lam, kappa, beta):
     of 256, the peaks are 9.4 and 15.3 MB, against 24.2 and 29.1 MB in one
     span over the whole sequence.
     """
-    return _chunkwise(_dplr_span, q, k, v, lam, kappa, beta)
+    return _chunkwise(_dplr_span, q, k, v, log_lam, kappa, beta)
 
 
 def dplr_dense_oracle(q, k, v, lam, kappa, beta):

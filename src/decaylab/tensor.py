@@ -331,6 +331,45 @@ def exp(a):
     return _record(Tensor(y), (a,), bw)
 
 
+def expm1(a):
+    """exp(x) - 1, exact near x = 0."""
+    a = as_tensor(a)
+    na, x = _node(a), a.data
+
+    def bw(g):
+        _accum(na, g * np.exp(x))
+
+    return _record(Tensor(np.expm1(x)), (a,), bw)
+
+
+def log(a):
+    """Natural log; log(0) = -inf, without a warning."""
+    a = as_tensor(a)
+    na, x = _node(a), a.data
+    with np.errstate(divide="ignore"):
+        y = np.log(x)
+
+    def bw(g):
+        _accum(na, g / x)
+
+    return _record(Tensor(y), (a,), bw)
+
+
+def logaddexp(a, b):
+    """log(exp(a) + exp(b)), finite where either operand is, so with one
+    operand -inf it is the other."""
+    a, b = as_tensor(a), as_tensor(b)
+    na, nb = _node(a), _node(b)
+    y = np.logaddexp(a.data, b.data)
+
+    def bw(g):
+        # the weights exp(a - y) and exp(b - y) lie in [0, 1] and sum to 1
+        _accum(na, g * np.exp(a.data - y))
+        _accum(nb, g * np.exp(b.data - y))
+
+    return _record(Tensor(y), (a, b), bw)
+
+
 def sqrt(a):
     a = as_tensor(a)
     na, y = _node(a), np.sqrt(a.data)

@@ -22,7 +22,7 @@ from .train import cross_entropy
 
 
 def _random_lambda(rng, strategy, granularity, n, dk):
-    """lam, (n, 1) or (n, dk), through the row's decay at N(0, 1) learned
+    """lam, (n, 1) or (n, dk), the exp of the row's decay at N(0, 1) learned
     scalars, tau = 16 and a U(0, 0.9) floor: of N(0, 3) activations for a
     projected row or, for a per-head row, one of 4 heads in one of 3
     layers at every position."""
@@ -31,10 +31,10 @@ def _random_lambda(rng, strategy, granularity, n, dk):
     inputs = {name: rng.normal() for name in row.scalars}
     inputs.update(tau=16.0, lower_bound=float(rng.uniform(0.0, 0.9)))
     if row.projected:
-        return row.decay(f, **inputs).data
+        return np.exp(row.decay(f, **inputs).data)
     heads = T.as_tensor(row.decay(None, heads=4, layer=int(rng.integers(1, 4)), n_layers=3,
                                   **inputs)).data
-    return np.full((n, 1), np.broadcast_to(heads, (4, 1, 1))[rng.integers(0, 4), 0, 0])
+    return np.full((n, 1), np.exp(np.broadcast_to(heads, (4, 1, 1))[rng.integers(0, 4), 0, 0]))
 
 
 def _decay_cells():
@@ -90,11 +90,15 @@ def _kernel_grads(kernel, arrays, weight):
 
 
 def _against_the_scan(kernel, arrays, weight, case):
-    """Failures of ``kernel`` against the scan on ``arrays``: its outputs with
-    and without a tape and every gradient of sum(o * weight), within 1e-10."""
-    o_scan, g_scan = _kernel_grads(R._recurrence, arrays, weight)
+    """Failures of ``kernel`` against the scan on ``arrays``, which hold log
+    lam where the kernel takes it and the scan lam = exp(log lam): its
+    outputs with and without a tape and every gradient of sum(o * weight),
+    its d log lam against the scan's lam dlam, within 1e-10."""
+    scan_arrays = arrays[:3] + [np.exp(arrays[3])] + arrays[4:]
+    o_scan, g_scan = _kernel_grads(R._recurrence, scan_arrays, weight)
+    g_scan[3] = g_scan[3] * scan_arrays[3]
     o_ker, g_ker = _kernel_grads(kernel, arrays, weight)
-    names = ("output", "no-tape output", "dq", "dk", "dv", "dlam", "dkappa", "dbeta")
+    names = ("output", "no-tape output", "dq", "dk", "dv", "dlog lam", "dkappa", "dbeta")
     pairs = zip(names, [o_ker, kernel(*arrays).data] + g_ker, [o_scan, o_scan] + g_scan)
     return [f"{case}: {name} rel diff {_rel_diff(a, b):.3e}"
             for name, a, b in pairs if not _rel_diff(a, b) <= 1e-10]
@@ -105,30 +109,58 @@ def _rel_diff(a, b):
     return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1.0))
 
 
-# Cases of the chunk kernels, run at both widths of lam: (batch, n, value,
-# positions with lam = value).  A call on ``batch`` runs spans of
-# ``R._span(batch)`` positions, with a tape and without: at (1, 4), the
-# probe's, 256, at (2, 3) 160 and at (8, 4), the training geometry's, 32.
-# Zeros at t = 0, on a chunk boundary and at a span's first position keep
-# the chunk form, over three and four spans and, with a (2, 3) batch,
-# across one span boundary; so does a run just above FLOOR past a chunk's
-# first position, the least lam that ``_divides`` admits.  A zero at a
-# span's last position or in the middle of a chunk, a run of 1e-30 and a
-# run just below FLOOR send the call to the scan.  They also cover n not a
-# multiple of the chunk, n below the chunk and n = 1.
+def _at(value, positions):
+    """Sets lam to ``value`` at ``positions`` along time."""
+    def put(rng, log_lam):
+        log_lam[..., list(positions), :] = math.log(value) if value else -np.inf
+    return put
+
+
+def _scattered(rng, log_lam):
+    """Sets 3 % of lam, scattered, log-uniform in [1e-18, 1e-4], as training
+    at a peak lr of 3e-3 leaves mamba2's."""
+    hit = rng.random(log_lam.shape) < 0.03
+    log_lam[hit] = rng.uniform(math.log(1e-18), math.log(1e-4), size=int(hit.sum()))
+
+
+def _saturated(rng, log_lam):
+    """Sets log lam to mamba2's row at its largest initial a, 16, on N(0, 3)
+    activations with a run of f = 800 across a chunk boundary, where log lam
+    is about -1.3e4."""
+    f = rng.normal(0.0, 3.0, size=log_lam.shape)
+    f[..., R.CHUNK - 3:R.CHUNK + 9, :] = 800.0
+    log_lam[...] = D.STRATEGIES["mamba2"].decay(
+        Tensor(f), a=math.log(16.0), delta=-math.log(9.0)).data
+
+
+# Cases of the chunk kernels, run at both widths of lam: (batch, n, label,
+# how lam departs from sigmoid(x), x ~ N(0, 2^2)).  A call on ``batch`` runs
+# spans of ``R._span(batch)`` positions, with a tape and without: at (1, 4),
+# the probe's, 256, at (2, 3) 160 and at (8, 4), the training geometry's,
+# 32.  Zeros at t = 0, on a chunk boundary and at a span's first position
+# are used as they are, over three and four spans and, with a (2, 3) batch,
+# across one span boundary.  A zero at a span's last position or in the
+# middle of a chunk, a run of 1e-30 past a chunk's first position, 3 %
+# scattered down to 1e-18 and a saturated mamba2 row are replaced by the
+# bound ``R.LEAST_LOG`` past a chunk's first position; runs just below and
+# just above 1e-4 are not.  They also cover n not a multiple of the chunk, n
+# below the chunk and n = 1.
 _PROBE, _PAIR, _TRAIN = (R._span(batch) for batch in ((1, 4), (2, 3), (8, 4)))
+_PAST_FIRST = tuple(range(R.CHUNK + 1, 2 * R.CHUNK))
 _CHUNK_CASES = [
-    ((1, 4), 2 * _PROBE + R.CHUNK + 3, 0.0, (0, R.CHUNK, _PROBE)),
-    ((8, 4), 3 * _TRAIN + 5, 0.0, (0, R.CHUNK, _TRAIN, 2 * _TRAIN)),
-    ((2, 3), _PAIR + 5, 0.0, (0, R.CHUNK)),
-    ((2, 3), _PAIR + 5, 0.0, (0, R.CHUNK, _PAIR - 1)),
-    ((2, 3), R.CHUNK + 5, 0.0, (0, R.CHUNK)),
-    ((), R.CHUNK - 3, 0.0, (0,)),
-    ((), 1, 0.0, (0,)),
-    ((), 2 * R.CHUNK + 7, 0.0, (0, R.CHUNK + R.CHUNK // 2)),
-    ((2, 3), 2 * R.CHUNK + 7, 1e-30, tuple(range(R.CHUNK + 3, R.CHUNK + 9))),
-    ((), 3 * R.CHUNK, R.FLOOR * (1 - 1e-6), tuple(range(R.CHUNK + 1, 2 * R.CHUNK))),
-    ((), 3 * R.CHUNK, R.FLOOR * (1 + 1e-6), tuple(range(R.CHUNK + 1, 2 * R.CHUNK))),
+    ((1, 4), 2 * _PROBE + R.CHUNK + 3, "0", _at(0.0, (0, R.CHUNK, _PROBE))),
+    ((8, 4), 3 * _TRAIN + 5, "0", _at(0.0, (0, R.CHUNK, _TRAIN, 2 * _TRAIN))),
+    ((2, 3), _PAIR + 5, "0", _at(0.0, (0, R.CHUNK))),
+    ((2, 3), _PAIR + 5, "0", _at(0.0, (0, R.CHUNK, _PAIR - 1))),
+    ((2, 3), R.CHUNK + 5, "0", _at(0.0, (0, R.CHUNK))),
+    ((), R.CHUNK - 3, "0", _at(0.0, (0,))),
+    ((), 1, "0", _at(0.0, (0,))),
+    ((), 2 * R.CHUNK + 7, "0", _at(0.0, (0, R.CHUNK + R.CHUNK // 2))),
+    ((2, 3), 2 * R.CHUNK + 7, "1e-30", _at(1e-30, tuple(range(R.CHUNK + 3, R.CHUNK + 9)))),
+    ((), 3 * R.CHUNK, "1e-4 (1 - 1e-6)", _at(1e-4 * (1 - 1e-6), _PAST_FIRST)),
+    ((), 3 * R.CHUNK, "1e-4 (1 + 1e-6)", _at(1e-4 * (1 + 1e-6), _PAST_FIRST)),
+    ((8, 4), 4 * _TRAIN, "3 % in [1e-18, 1e-4]", _scattered),
+    ((2, 3), 3 * R.CHUNK + 5, "saturated mamba2", _saturated),
 ]
 
 
@@ -138,11 +170,12 @@ def _chunk_cases_against_the_scan(kernel, rng, dk, dv, kappa_scale=None):
     kappa, rows of that norm, and beta: at three times a unit row the DPLR
     transition grows the state by orders of magnitude per chunk."""
     failures = []
-    for (batch, n, value, positions), width in itertools.product(_CHUNK_CASES, (1, dk)):
-        lam = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 2.0, size=batch + (n, width))))
-        lam[..., list(positions), :] = value
-        arrays = [rng.normal(size=batch + (n, d)) for d in (dk, dk, dv)] + [lam]
-        case = f"width={width} batch={batch} n={n} lam={value:g}"
+    for (batch, n, label, put), width in itertools.product(_CHUNK_CASES, (1, dk)):
+        # log sigmoid(x) = -softplus(-x)
+        log_lam = -np.logaddexp(0.0, -rng.normal(0.0, 2.0, size=batch + (n, width)))
+        put(rng, log_lam)
+        arrays = [rng.normal(size=batch + (n, d)) for d in (dk, dk, dv)] + [log_lam]
+        case = f"width={width} batch={batch} n={n} lam={label}"
         if kappa_scale is not None:
             kappa = rng.normal(size=batch + (n, dk))
             kappa *= kappa_scale / np.linalg.norm(kappa, axis=-1, keepdims=True)
@@ -169,12 +202,12 @@ def suite_dplr(level="full"):
         kappa = rng.normal(size=(n, dk))
         kappa /= np.linalg.norm(kappa, axis=-1, keepdims=True)
         beta = rng.uniform(0.05, 0.95, size=(n, 1))
-        o_dplr = R.forward_dplr(q, k, v, lam, kappa, beta)
+        o_dplr = R.forward_dplr(q, k, v, np.log(lam), kappa, beta)
         o_ref = R.dplr_dense_oracle(q, k, v, lam, kappa, beta)
         diff = float(np.max(np.abs(o_dplr.data - o_ref)))
         if not diff <= 1e-10:
             failures.append(f"dense oracle diff {diff:.3e}")
-        o_zero = R.forward_dplr(q, k, v, lam, kappa, np.zeros((n, 1)))
+        o_zero = R.forward_dplr(q, k, v, np.log(lam), kappa, np.zeros((n, 1)))
         o_diag = R.forward_sequential(q, k, v, lam)
         diff = float(np.max(np.abs(o_zero.data - o_diag.data)))
         if not diff <= 1e-12:
@@ -199,7 +232,7 @@ def suite_dplr(level="full"):
     kap = np.zeros((2, 3))
     kap[:, 0] = 1.0
     v2 = np.array([[1.0, 2.0], [5.0, -1.0]])
-    o = R.forward_dplr(kap, kap, v2, np.ones((2, 3)), kap, np.ones((2, 1)))
+    o = R.forward_dplr(kap, kap, v2, np.zeros((2, 3)), kap, np.ones((2, 1)))
     if not float(np.max(np.abs(o.data[1] - v2[1]))) <= 1e-12:
         failures.append("delta-rule overwrite: o_1 does not read back v_2")
     return failures
@@ -309,8 +342,9 @@ def suite_gradients(level="full"):
         lb = Tensor(np.array(0.4), requires_grad=True)
 
         def decay_loss(leaves, _s=strategy):
-            lam_ = D.STRATEGIES[_s].decay(leaves["f"], a=leaves["a"], delta=leaves["delta"],
-                                          tau=leaves["tau"], lower_bound=leaves["lb"])
+            lam_ = T.exp(D.STRATEGIES[_s].decay(leaves["f"], a=leaves["a"],
+                                                delta=leaves["delta"], tau=leaves["tau"],
+                                                lower_bound=leaves["lb"]))
             return T.tsum(lam_ * lam_)
 
         failures += [f"{strategy} {m}" for m in grad_check(
@@ -319,7 +353,7 @@ def suite_gradients(level="full"):
     f = Tensor(rng.normal(0.0, 2.0, size=(6, 2)), requires_grad=True)
 
     def lightnet_loss(leaves):
-        lam_ = D.lightnet_decay(leaves["f"])
+        lam_ = T.exp(D.lightnet_decay(leaves["f"]))
         return T.tsum(lam_ * T.as_tensor(rng2))
 
     rng2 = np.random.Generator(np.random.Philox(6)).normal(size=(6, 2))
@@ -384,7 +418,7 @@ def suite_decay_identities(level="full"):
     draws = 10_000 if level == "full" else 1000
     # lightnet: partition of unity and lambda_1 = 0
     f = Tensor(rng.normal(0.0, 3.0, size=(17, 3)))
-    lam = D.lightnet_decay(f).data
+    lam = np.exp(D.lightnet_decay(f).data)
     if not np.all(lam[0] == 0.0):
         failures.append("lightnet lambda_1 != 0")
     weights = (1.0 - lam) * np.concatenate(
@@ -397,7 +431,8 @@ def suite_decay_identities(level="full"):
         f = rng_l.normal(0.0, 3.0, size=shape)
         if jump is not None:
             f.reshape((-1,) + shape[-2:])[-1, jump, 1] += 800.0
-        diff = float(np.max(np.abs(D.lightnet_decay(Tensor(f)).data - _lightnet_oracle(f))))
+        diff = float(np.max(np.abs(np.exp(D.lightnet_decay(Tensor(f)).data)
+                                   - _lightnet_oracle(f))))
         if not diff <= 1e-12:
             failures.append(f"lightnet shape={shape} jump at {jump}: max abs diff {diff:.3e}")
     # tnl spot values
@@ -412,18 +447,21 @@ def suite_decay_identities(level="full"):
         delta = D.simple_decay_init(p)
         if not abs(1.0 / (1.0 + np.exp(-delta)) - p) <= 1e-12:
             failures.append(f"simple decay sigmoid(Delta({p})) != {p}")
-    # shared key exactness
-    lam_t = Tensor(rng.uniform(0.0, 1.0, size=(50,)))
-    if np.any(D.shared_key(lam_t).data != 1.0 - lam_t.data):
+    # shared key exactness: k = 1 - lambda within an ulp of k, from a log
+    # lambda at each end of its range and at U(0, 1) draws of lambda; the
+    # reference is taken in extended precision
+    x = np.concatenate([[-np.inf, 0.0], np.log(rng.uniform(0.0, 1.0, size=(50,)))])
+    k = D.shared_key(Tensor(x)).data
+    if not np.all(np.abs(k - -np.expm1(x.astype(np.longdouble))) <= np.spacing(k)):
         failures.append("shared key k = 1 - lambda not exact")
     # ranges and hgrn2 floor
     fs = Tensor(rng.normal(0.0, 3.0, size=(draws,)))
     for strategy in D.POINTWISE:
-        lam_s = D.STRATEGIES[strategy].decay(fs, a=0.2, delta=0.3, tau=16.0,
-                                             lower_bound=0.25).data
+        lam_s = np.exp(D.STRATEGIES[strategy].decay(fs, a=0.2, delta=0.3, tau=16.0,
+                                                    lower_bound=0.25).data)
         if not (np.all(lam_s > 0.0) and np.all(lam_s < 1.0)):
             failures.append(f"{strategy} decay leaves (0, 1)")
-    lam_h = D.STRATEGIES["hgrn2"].decay(fs, lower_bound=0.25).data
+    lam_h = np.exp(D.STRATEGIES["hgrn2"].decay(fs, lower_bound=0.25).data)
     if not np.all(lam_h >= 0.25):
         failures.append("hgrn2 decay below its lower bound")
     return failures

@@ -443,18 +443,29 @@ def test_cmd_verify_detects_corrupted_chunked_kernel(monkeypatch, capsys):
 def test_cmd_verify_detects_a_scaled_chunked_decay_gradient(monkeypatch, capsys):
     real = recurrence.forward_chunked
 
-    def scaled_dlam(q, k, v, lam):
-        # lam passes through unchanged; its gradient comes back 1.001 times too large
-        lam = tensor.as_tensor(lam)
-        through = tensor._record(Tensor(lam.data), (lam,),
-                                 lambda g: tensor._accum(lam, 1.001 * g))
+    def scaled_dlam(q, k, v, log_lam):
+        # log lam passes through unchanged; its gradient comes back 1.001 times too large
+        log_lam = tensor.as_tensor(log_lam)
+        through = tensor._record(Tensor(log_lam.data), (log_lam,),
+                                 lambda g: tensor._accum(log_lam, 1.001 * g))
         return real(q, k, v, through)
 
     monkeypatch.setattr(recurrence, "forward_chunked", scaled_dlam)
     assert cli.main(["verify", "--level", "quick"]) == 1
     out = capsys.readouterr().out
     assert "FAIL chunked-vs-sequential" in out
-    assert "dlam rel diff" in out and "dq rel diff" not in out
+    assert "dlog lam rel diff" in out and "dq rel diff" not in out
+
+
+def test_cmd_verify_detects_a_chunk_kernel_without_its_bound_on_log_lam(monkeypatch, capsys):
+    # without the bound a zero or saturated lam past a chunk's first position
+    # takes 1 / gamma to inf, and the masked inf * 0 to NaN
+    monkeypatch.setattr(recurrence, "LEAST_LOG", -np.inf)
+    with np.errstate(all="ignore"):
+        assert cli.main(["verify", "--level", "quick"]) == cli.EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert out.split("verification failed: ")[-1].strip() == "chunked-vs-sequential, dplr"
+    assert "output rel diff nan" in out
 
 
 def test_cmd_verify_detects_a_perturbed_span_state(monkeypatch, capsys):
@@ -541,11 +552,14 @@ def _all_routes(monkeypatch):
     return counts
 
 
-def test_cmd_verify_reaches_the_factorized_form_and_the_fallback(monkeypatch):
+def test_cmd_verify_runs_the_chunk_kernels_off_the_scan_and_both_lightnet_routes(monkeypatch):
+    # the chunk kernels take every verify case, saturated ones included,
+    # without reaching the scan; LightNet's decay takes both of its routes
     counts = _all_routes(monkeypatch)
     assert cli.main(["verify", "--level", "quick"]) == cli.EXIT_OK
-    for name, count in counts.items():
-        assert count["fast"] > 0 and count["fallback"] > 0, name
+    for name in ("forward_chunked", "forward_dplr"):
+        assert counts[name]["fast"] > 0 and counts[name]["fallback"] == 0, name
+    assert counts["lightnet_decay"]["fast"] > 0 and counts["lightnet_decay"]["fallback"] > 0
 
 
 def test_benchmark_cells_take_no_fallback_at_init(monkeypatch, rng):

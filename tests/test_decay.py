@@ -12,6 +12,16 @@ from decaylab.tensor import Tensor
 from decaylab.verify import grad_check
 
 
+def _decay(strategy, f, **inputs):
+    """lambda, the exp of the log lambda that ``strategy``'s row returns."""
+    return T.exp(D.STRATEGIES[strategy].decay(f, **inputs))
+
+
+def _lightnet(f):
+    """LightNet's lambda, the exp of ``lightnet_decay``'s log lambda."""
+    return T.exp(D.lightnet_decay(f))
+
+
 # ---------------------------------------------------------------------------
 # configuration invariants
 # ---------------------------------------------------------------------------
@@ -117,53 +127,53 @@ def test_projection_check_rejects_mismatch(rng):
 # ---------------------------------------------------------------------------
 
 def test_mamba2_neutral_point():
-    lam = D.STRATEGIES["mamba2"].decay(Tensor(0.0), a=0.0, delta=0.0)
+    lam = _decay("mamba2", Tensor(0.0), a=0.0, delta=0.0)
     assert lam.item() == 0.5
 
 
 def test_mamba2_exponent_ln2():
-    lam = D.STRATEGIES["mamba2"].decay(Tensor(0.0), a=math.log(2.0), delta=0.0)
+    lam = _decay("mamba2", Tensor(0.0), a=math.log(2.0), delta=0.0)
     assert abs(lam.item() - 0.25) <= 1e-15
 
 
 def test_gla_temperature():
-    lam = D.STRATEGIES["gla"].decay(Tensor(0.0), tau=16.0)
+    lam = _decay("gla", Tensor(0.0), tau=16.0)
     assert abs(lam.item() - 0.5 ** (1.0 / 16.0)) <= 1e-15
     assert abs(lam.item() - 0.9576) < 1e-4
 
 
 def test_hgrn2_floor_interpolation():
-    lam = D.STRATEGIES["hgrn2"].decay(Tensor(0.0), lower_bound=0.5)
+    lam = _decay("hgrn2", Tensor(0.0), lower_bound=0.5)
     assert abs(lam.item() - 0.75) <= 1e-15
 
 
 def test_simple_decay_inverse_pair():
     delta = D.simple_decay_init(0.99)
-    lam = D.STRATEGIES["simple"].decay(Tensor(0.0), delta=delta)
+    lam = _decay("simple", Tensor(0.0), delta=delta)
     assert abs(lam.item() - 0.99) <= 1e-12
 
 
 def test_mamba2_ablations_agree_at_deleted_parameters(rng):
     f = Tensor(rng.normal(size=(7,)))
-    full = D.STRATEGIES["mamba2"].decay(f, a=0.0, delta=0.3).data
-    no_a = D.STRATEGIES["mamba2_no_a"].decay(f, delta=0.3).data
+    full = _decay("mamba2", f, a=0.0, delta=0.3).data
+    no_a = _decay("mamba2_no_a", f, delta=0.3).data
     assert np.max(np.abs(full - no_a)) <= 1e-15
-    full = D.STRATEGIES["mamba2"].decay(f, a=0.4, delta=0.0).data
-    no_d = D.STRATEGIES["mamba2_no_delta"].decay(f, a=0.4).data
+    full = _decay("mamba2", f, a=0.4, delta=0.0).data
+    no_d = _decay("mamba2_no_delta", f, a=0.4).data
     assert np.max(np.abs(full - no_d)) <= 1e-15
 
 
 def test_monotonicity_directions():
     f = Tensor(np.linspace(-4.0, 4.0, 33))
-    gla = D.STRATEGIES["gla"].decay(f, tau=16.0).data
+    gla = _decay("gla", f, tau=16.0).data
     assert np.all(np.diff(gla) > 0)
-    m2 = D.STRATEGIES["mamba2"].decay(f, a=0.1, delta=0.2).data
+    m2 = _decay("mamba2", f, a=0.1, delta=0.2).data
     assert np.all(np.diff(m2) < 0)
 
 
 def test_hgrn2_limits():
-    lo = D.STRATEGIES["hgrn2"].decay(Tensor(-50.0), lower_bound=0.3).item()
-    hi = D.STRATEGIES["hgrn2"].decay(Tensor(50.0), lower_bound=0.3).item()
+    lo = _decay("hgrn2", Tensor(-50.0), lower_bound=0.3).item()
+    hi = _decay("hgrn2", Tensor(50.0), lower_bound=0.3).item()
     assert abs(lo - 0.3) <= 1e-15
     assert abs(hi - 1.0) <= 1e-15
 
@@ -171,8 +181,7 @@ def test_hgrn2_limits():
 def test_pointwise_ranges_on_random_draws(rng):
     f = Tensor(rng.normal(0.0, 3.0, size=(10_000,)))
     for strategy in D.POINTWISE:
-        lam = D.STRATEGIES[strategy].decay(f, a=0.2, delta=0.3, tau=16.0,
-                                           lower_bound=0.25).data
+        lam = _decay(strategy, f, a=0.2, delta=0.3, tau=16.0, lower_bound=0.25).data
         assert np.all(lam > 0.0) and np.all(lam < 1.0), strategy
 
 
@@ -182,10 +191,10 @@ def test_scalar_vector_tied_coherence(rng):
     fs = rng.normal(size=(6, 1))
     fv = np.broadcast_to(fs, (6, 4)).copy()
     for strategy in D.POINTWISE:
-        lam_s = D.STRATEGIES[strategy].decay(Tensor(fs), a=0.1, delta=-0.2,
-                                             tau=16.0, lower_bound=0.3).data
-        lam_v = D.STRATEGIES[strategy].decay(Tensor(fv), a=0.1, delta=-0.2,
-                                             tau=16.0, lower_bound=0.3).data
+        lam_s = _decay(strategy, Tensor(fs), a=0.1, delta=-0.2, tau=16.0,
+                       lower_bound=0.3).data
+        lam_v = _decay(strategy, Tensor(fv), a=0.1, delta=-0.2, tau=16.0,
+                       lower_bound=0.3).data
         assert np.array_equal(np.broadcast_to(lam_s, (6, 4)), lam_v), strategy
 
 
@@ -194,18 +203,18 @@ def test_scalar_vector_tied_coherence(rng):
 # ---------------------------------------------------------------------------
 
 def test_lightnet_uniform_activations():
-    lam = D.lightnet_decay(Tensor(np.zeros((3, 1)))).data[:, 0]
+    lam = _lightnet(Tensor(np.zeros((3, 1)))).data[:, 0]
     assert np.max(np.abs(lam - np.array([0.0, 0.5, 2.0 / 3.0]))) <= 1e-15
 
 
 def test_lightnet_single_position():
-    lam = D.lightnet_decay(Tensor(np.zeros((1, 2)))).data
+    lam = _lightnet(Tensor(np.zeros((1, 2)))).data
     assert np.array_equal(lam, np.zeros((1, 2)))
 
 
 def test_lightnet_matches_cumulative_sum_oracle(rng):
     f = rng.normal(0.0, 2.0, size=(12, 3))
-    lam = D.lightnet_decay(Tensor(f)).data
+    lam = _lightnet(Tensor(f)).data
     d = np.cumsum(np.exp(f), axis=0)
     ref = np.concatenate([np.zeros((1, 3)), d[:-1] / d[1:]], axis=0)
     assert np.max(np.abs(lam - ref)) <= 1e-12
@@ -213,7 +222,7 @@ def test_lightnet_matches_cumulative_sum_oracle(rng):
 
 def test_lightnet_telescoping(rng):
     f = rng.normal(0.0, 2.0, size=(10, 2))
-    lam = D.lightnet_decay(Tensor(f)).data
+    lam = _lightnet(Tensor(f)).data
     d = np.cumsum(np.exp(f), axis=0)
     for j in range(9):
         prod = np.prod(lam[j + 1:], axis=0)
@@ -223,7 +232,7 @@ def test_lightnet_telescoping(rng):
 def test_lightnet_residual_identity(rng):
     # 1 - lambda_t == exp(F_t) / d_t exactly (up to the max-shift rounding)
     f = rng.normal(0.0, 2.0, size=(8, 2))
-    lam = D.lightnet_decay(Tensor(f)).data
+    lam = _lightnet(Tensor(f)).data
     z = np.exp(f - f.max(axis=0, keepdims=True))
     d = np.cumsum(z, axis=0)
     assert np.max(np.abs((1.0 - lam) - z / d)) <= 1e-15
@@ -231,7 +240,7 @@ def test_lightnet_residual_identity(rng):
 
 def test_lightnet_partition_of_unity(rng):
     f = rng.normal(0.0, 3.0, size=(15, 4))
-    lam = D.lightnet_decay(Tensor(f)).data
+    lam = _lightnet(Tensor(f)).data
     suffix = np.concatenate(
         [np.cumprod(lam[::-1], axis=0)[::-1][1:], np.ones((1, 4))], axis=0)
     total = ((1.0 - lam) * suffix).sum(axis=0)
@@ -243,7 +252,7 @@ def test_lightnet_gradient(rng):
     w = rng.normal(size=(6, 2))
 
     def build(leaves):
-        return T.tsum(D.lightnet_decay(leaves["f"]) * T.as_tensor(w))
+        return T.tsum(_lightnet(leaves["f"]) * T.as_tensor(w))
 
     assert grad_check(build, {"f": f}, rel_tol=1e-4) == []
 
@@ -269,7 +278,7 @@ def test_lightnet_blocked_route_matches_the_accumulate(rng, monkeypatch):
         lse = np.logaddexp.accumulate(f, axis=-2)
         ref = np.concatenate([np.zeros_like(f[..., :1, :]),
                               np.exp(lse[..., :-1, :] - lse[..., 1:, :])], axis=-2)
-        lam = D.lightnet_decay(Tensor(f)).data
+        lam = _lightnet(Tensor(f)).data
         assert np.max(np.abs(lam - ref)) <= 1e-13, shape
     assert calls == []
 
@@ -279,12 +288,12 @@ def test_lightnet_prefix_is_bitwise_unchanged_by_a_later_fallback(rng, monkeypat
     block = D.LIGHTNET_BLOCK
     n = 3 * block + 7
     f = rng.normal(0.0, 2.0, size=(2, n, 3))
-    base = D.lightnet_decay(Tensor(f)).data
+    base = _lightnet(Tensor(f)).data
     assert calls == []
     for t in (block + block // 2, 2 * block + 1, n - 1):
         g = f.copy()
         g[1, t, 2] += 800.0
-        lam = D.lightnet_decay(Tensor(g)).data
+        lam = _lightnet(Tensor(g)).data
         assert calls[-1] == n - t
         assert np.array_equal(lam[:, :t], base[:, :t]), t
         assert np.all(np.isfinite(lam)) and np.all((lam >= 0.0) & (lam <= 1.0))
@@ -298,7 +307,7 @@ def test_lightnet_gradient_over_several_blocks(rng):
     w = rng.normal(size=(n, 2))
 
     def build(leaves):
-        return T.tsum(D.lightnet_decay(leaves["f"]) * T.as_tensor(w))
+        return T.tsum(_lightnet(leaves["f"]) * T.as_tensor(w))
 
     assert grad_check(build, {"f": f}, rel_tol=1e-4) == []
 
@@ -312,7 +321,7 @@ def test_lightnet_saturated_runs_are_finite(runs, rng):
     assert f.shape[0] > 2 * block
     ft = Tensor(f, requires_grad=True)
     with T.Tape():
-        lam = D.lightnet_decay(ft)
+        lam = _lightnet(ft)
         T.backward(T.tsum(lam * rng.normal(size=f.shape)))
     assert np.all(np.isfinite(lam.data)) and np.all((lam.data >= 0.0) & (lam.data <= 1.0))
     assert np.all(np.isfinite(ft.grad))
@@ -333,7 +342,9 @@ _F_SIZE = int(np.prod(_F_SHAPE))
 @example(f=[800.0] * _F_SIZE, scalar=-1.0, tau=16.0, lower_bound=0.0)
 def test_every_row_is_finite_on_saturated_inputs(strategy, f, scalar, tau, lower_bound):
     # |f| up to 1e3 and learned scalars up to 50 (exp(a) stays finite):
-    # lambda and every gradient must be finite
+    # lambda = exp(row) lies in [0, 1], the row is finite but -inf where
+    # lambda is exactly 0, and every gradient of the row, which the kernels
+    # send back as d log lambda, is finite
     row = D.STRATEGIES[strategy]
     inputs = DecayConfig(tau=tau, lower_bound=lower_bound).inputs(4, 1, 2)
     ft = Tensor(np.reshape(f, _F_SHAPE), requires_grad=True)
@@ -341,11 +352,15 @@ def test_every_row_is_finite_on_saturated_inputs(strategy, f, scalar, tau, lower
               for name in row.scalars}
     weight = np.linspace(-1.0, 1.0, _F_SIZE).reshape(_F_SHAPE)
     with T.Tape():
-        lam = T.as_tensor(row.decay(ft if row.projected else None, **inputs, **leaves))
-        assert np.all(np.isfinite(lam.data))
-        assert np.all((lam.data >= 0.0) & (lam.data <= 1.0))
-        if lam.requires_grad:
-            T.backward(T.tsum(lam * weight))
+        log_lam = T.as_tensor(row.decay(ft if row.projected else None, **inputs, **leaves))
+        lam = np.exp(log_lam.data)
+        assert np.all((lam >= 0.0) & (lam <= 1.0))
+        assert np.all(np.isfinite(log_lam.data) | ((log_lam.data == -np.inf) & (lam == 0.0)))
+        if log_lam.requires_grad:
+            # a -inf row makes the sum NaN; its gradient, the weight, is finite
+            with np.errstate(invalid="ignore"):
+                loss = T.tsum(log_lam * weight)
+            T.backward(loss)
     for leaf in [ft, *leaves.values()]:
         assert leaf.grad is None or np.all(np.isfinite(leaf.grad))
     if row.source == "pointwise":
@@ -389,12 +404,14 @@ def test_simple_decay_init_domain():
 
 
 def test_shared_key_exact(rng):
-    lam = rng.uniform(0.0, 1.0, size=(20,))
-    k = D.shared_key(Tensor(lam)).data
-    assert np.array_equal(k, 1.0 - lam)
-    assert D.shared_key(Tensor(1.0)).item() == 0.0
-    assert D.shared_key(Tensor(0.0)).item() == 1.0
-    assert D.shared_key(Tensor(0.75)).item() == 0.25
+    # k = 1 - lambda from log lambda, within an ulp of k; the reference is
+    # taken in extended precision
+    x = np.log(rng.uniform(0.0, 1.0, size=(20,)))
+    k = D.shared_key(Tensor(x)).data
+    assert np.all(np.abs(k - -np.expm1(x.astype(np.longdouble))) <= np.spacing(k))
+    assert D.shared_key(Tensor(0.0)).item() == 0.0  # lambda = 1
+    assert D.shared_key(Tensor(-np.inf)).item() == 1.0  # lambda = 0
+    assert D.shared_key(Tensor(math.log(0.5))).item() == 0.5
 
 
 def test_hgrn2_default_lower_bound_schedule():
@@ -416,8 +433,8 @@ def test_pointwise_gradients_wrt_scalars(rng):
         }
 
         def build(lv, _s=strategy):
-            lam = D.STRATEGIES[_s].decay(lv["f"], a=lv["a"], delta=lv["delta"],
-                                         tau=lv["tau"], lower_bound=lv["lb"])
+            lam = _decay(_s, lv["f"], a=lv["a"], delta=lv["delta"], tau=lv["tau"],
+                         lower_bound=lv["lb"])
             return T.tsum(lam * lam)
 
         assert grad_check(build, leaves, rel_tol=1e-4) == [], strategy

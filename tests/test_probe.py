@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from decaylab import cli, model, recurrence
+from decaylab import tensor as T
 from decaylab.checkpoint import save_checkpoint
 from decaylab.decay import (GRANULARITIES, SHARINGS, STRATEGIES, ConfigError,
                             DecayConfig, tnl_decay)
@@ -67,7 +68,8 @@ def test_capture_trace_basic(rng):
 
 
 @pytest.mark.parametrize("strategy,granularity,width", [
-    ("mamba2", "scalar", 1), ("gla", "vector", 8), ("tnl", "scalar", 1)])
+    ("mamba2", "scalar", 1), ("gla", "vector", 8), ("tnl", "scalar", 1),
+    ("lightnet", "vector", 8)])
 def test_capture_trace_keeps_the_head_axis(strategy, granularity, width, rng):
     config, params = _model(strategy=strategy, granularity=granularity)
     samples = capture_trace(params, config, rng.integers(0, 256, size=24))
@@ -76,6 +78,11 @@ def test_capture_trace_keeps_the_head_axis(strategy, granularity, width, rng):
         0: (2, 24, width), 1: (2, 24, width)}
     batched = capture_trace(params, config, rng.integers(0, 256, size=(3, 24)))
     assert {vals.shape for vals in batched.values()} == {(3, 2, 24, width)}
+    if strategy == "lightnet":
+        # lambda_1 = 0 exactly, the exp of log lambda_1 = -inf, in every
+        # sequence, head and channel; the probe's min column reads it
+        for vals in (*samples.values(), *batched.values()):
+            assert np.all(vals[..., 0, :] == 0.0) and np.all(vals[..., 1:, :] > 0.0)
 
 
 def test_layer_stats_of_an_array_equals_layer_stats_of_its_ravel(rng):
@@ -328,7 +335,8 @@ def _probe_matches_the_scan_route(tmp_path, monkeypatch, rng, decay):
 
     table, samples = probe(tmp_path / "chunked")
     with monkeypatch.context() as m:
-        m.setattr(model, "forward_chunked", recurrence.forward_sequential)
+        m.setattr(model, "forward_chunked", lambda q, k, v, log_lam:
+                  recurrence.forward_sequential(q, k, v, T.exp(log_lam)))
         table_ref, samples_ref = probe(tmp_path / "scan")
     width = 1 if decay.granularity == "scalar" else 8
     assert table.shape == (2, 6) and table[:, 1].tolist() == [2 * 2048 * width] * 2

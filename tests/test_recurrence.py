@@ -9,6 +9,12 @@ from decaylab.tensor import ShapeError, Tensor
 from decaylab.verify import grad_check
 
 
+def _log(lam):
+    """log lam, -inf where lam is 0, as the chunk kernels take it."""
+    with np.errstate(divide="ignore"):
+        return np.log(lam)
+
+
 def _ones(n):
     shape = (n, 1)
     return (np.ones(shape), np.ones(shape), np.ones(shape))
@@ -87,7 +93,7 @@ def test_chunked_single_chunk_matches_oracle(rng):
     n, dk, dv = 12, 4, 3
     q, k, v = (rng.normal(size=(n, d)) for d in (dk, dk, dv))
     lam = rng.uniform(0.1, 1.0, size=(n, dk))
-    o_ch = R.forward_chunked(q, k, v, lam)
+    o_ch = R.forward_chunked(q, k, v, np.log(lam))
     o_ref = R.forward_oracle(q, k, v, lam)
     assert np.max(np.abs(o_ch.data - o_ref)) <= 1e-10
 
@@ -97,26 +103,29 @@ def test_chunked_ragged_tail(rng):
     q, k, v = (rng.normal(size=(n, d)) for d in (dk, dk, dv))
     lam = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 2.0, size=(n, dk))))
     o_seq = R.forward_sequential(q, k, v, lam)
-    o_ch = R.forward_chunked(q, k, v, lam)
+    o_ch = R.forward_chunked(q, k, v, np.log(lam))
     assert np.max(np.abs(o_ch.data - o_seq.data)) <= 1e-8
 
 
-def test_chunked_handles_zero_decay(rng):
-    # a zero inside a chunk sends the call to the scan
+def test_chunked_handles_zero_decay(rng, monkeypatch):
+    # a zero inside a chunk is replaced by the bound R.LEAST_LOG, on the
+    # chunk path
     n, dk, dv = 16, 3, 2
     q, k, v = (rng.normal(size=(n, d)) for d in (dk, dk, dv))
     lam = rng.uniform(0.0, 1.0, size=(n, dk))
     lam[0] = 0.0
     lam[7] = 0.0
     o_seq = R.forward_sequential(q, k, v, lam)
-    o_ch = R.forward_chunked(q, k, v, lam)
+    monkeypatch.setattr(R, "_recurrence", None)
+    o_ch = R.forward_chunked(q, k, v, _log(lam))
     assert np.max(np.abs(o_ch.data - o_seq.data)) <= 1e-10
 
 
 def _dplr_args(rng, n=4, dk=3, dv=2):
     """Keyword arguments of a valid ``forward_dplr`` call."""
     q, k, kappa = (rng.normal(size=(n, dk)) for _ in range(3))
-    return dict(q=q, k=k, v=rng.normal(size=(n, dv)), lam=rng.uniform(0.1, 1.0, size=(n, dk)),
+    return dict(q=q, k=k, v=rng.normal(size=(n, dv)),
+                log_lam=np.log(rng.uniform(0.1, 1.0, size=(n, dk))),
                 kappa=kappa, beta=rng.uniform(0.1, 0.9, size=(n, 1)))
 
 
@@ -155,13 +164,24 @@ def test_non_finite_inputs_are_rejected_by_name(rng, name, bad):
         R.forward_sequential(**args)
 
 
+@pytest.mark.parametrize("kernel", [R.forward_chunked, R.forward_dplr])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_chunk_kernels_take_log_lam_of_minus_inf_and_reject_nan_and_inf(rng, kernel, bad):
+    # lam = 0 at t = 0 is log lam = -inf
+    args = list(_with_transition(rng, kernel, *_chunk_inputs(rng, (), 5)))
+    assert args[3][0, 0] == -np.inf and np.all(np.isfinite(kernel(*args).data))
+    args[3][1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite values in log lam"):
+        kernel(*args)
+
+
 def test_dplr_beta_zero_reduces_to_diagonal(rng):
     n, dk, dv = 6, 4, 3
     q, k, v = (rng.normal(size=(n, d)) for d in (dk, dk, dv))
     lam = rng.uniform(0.1, 1.0, size=(n, dk))
     kappa = rng.normal(size=(n, dk))
     kappa /= np.linalg.norm(kappa, axis=-1, keepdims=True)
-    o_dplr = R.forward_dplr(q, k, v, lam, kappa, np.zeros((n, 1)))
+    o_dplr = R.forward_dplr(q, k, v, np.log(lam), kappa, np.zeros((n, 1)))
     o_diag = R.forward_sequential(q, k, v, lam)
     assert np.max(np.abs(o_dplr.data - o_diag.data)) <= 1e-12
 
@@ -174,7 +194,7 @@ def test_dplr_matches_dense_oracle(rng):
         kappa = rng.normal(size=(n, dk))
         kappa /= np.linalg.norm(kappa, axis=-1, keepdims=True)
         beta = rng.uniform(0.05, 0.95, size=(n, 1))
-        o = R.forward_dplr(q, k, v, lam, kappa, beta)
+        o = R.forward_dplr(q, k, v, np.log(lam), kappa, beta)
         o_ref = R.dplr_dense_oracle(q, k, v, lam, kappa, beta)
         assert np.max(np.abs(o.data - o_ref)) <= 1e-10
 
@@ -185,7 +205,7 @@ def test_dplr_delta_rule_overwrite():
     kap = np.zeros((2, 3))
     kap[:, 0] = 1.0
     v = np.array([[1.0, 2.0], [5.0, -1.0]])
-    o = R.forward_dplr(kap, kap, v, np.ones((2, 3)), kap, np.ones((2, 1)))
+    o = R.forward_dplr(kap, kap, v, np.zeros((2, 3)), kap, np.ones((2, 1)))
     assert np.max(np.abs(o.data[1] - v[1])) <= 1e-12
 
 
@@ -196,7 +216,7 @@ def test_dplr_matches_dense_oracle_for_non_unit_kappa(rng):
     lam = rng.uniform(0.1, 1.0, size=(n, dk))
     kappa = rng.normal(size=(n, dk)) * 3.0
     beta = rng.uniform(0.1, 0.9, size=(n, 1))
-    o = R.forward_dplr(q, k, v, lam, kappa, beta)
+    o = R.forward_dplr(q, k, v, np.log(lam), kappa, beta)
     o_ref = R.dplr_dense_oracle(q, k, v, lam, kappa, beta)
     assert np.max(np.abs(o.data - o_ref)) <= 1e-10 * max(1.0, np.max(np.abs(o_ref)))
 
@@ -240,13 +260,13 @@ def test_dplr_gradients(rng):
         "q": Tensor(rng.normal(size=(n, dk)), requires_grad=True),
         "k": Tensor(rng.normal(size=(n, dk)), requires_grad=True),
         "v": Tensor(rng.normal(size=(n, dv)), requires_grad=True),
-        "lam": Tensor(rng.uniform(0.3, 0.95, size=(n, dk)), requires_grad=True),
+        "log_lam": Tensor(np.log(rng.uniform(0.3, 0.95, size=(n, dk))), requires_grad=True),
         "kappa": Tensor(kappa, requires_grad=True),
         "beta": Tensor(rng.uniform(0.1, 0.9, size=(n, 1)), requires_grad=True),
     }
 
     def build(lv):
-        o = R.forward_dplr(lv["q"], lv["k"], lv["v"], lv["lam"],
+        o = R.forward_dplr(lv["q"], lv["k"], lv["v"], lv["log_lam"],
                            _unit_rows(lv["kappa"]), lv["beta"])
         return T.tsum(o * o)
 
@@ -305,13 +325,14 @@ def test_sequential_batched_gradients(rng, batch, n, scalar):
 
 
 def _dplr_routes(monkeypatch, rng, batch, n, scalar, dk=3):
-    """Inputs for both routes of the DPLR kernel: a zero at n // 2 sends the
-    call to the scan, and ``_chunk_inputs`` keep the chunk form, which must
-    then run with the scan removed."""
-    yield _batched_inputs(rng, batch, n, scalar, dk=dk)
-    with monkeypatch.context() as m:
-        m.setattr(R, "_recurrence", None)
-        yield _chunk_inputs(rng, batch, n, dk=dk, scalar=scalar)
+    """Inputs of the DPLR kernel, q, k, v and log lam, for both ways it takes a
+    zero lam, with the scan removed: a zero at n // 2, replaced by the bound
+    ``R.LEAST_LOG`` unless it falls on a chunk's first position, and the zeros
+    of ``_chunk_inputs``, at chunks' first positions, used as they are."""
+    monkeypatch.setattr(R, "_recurrence", None)
+    q, k, v, lam = _batched_inputs(rng, batch, n, scalar, dk=dk)
+    yield q, k, v, _log(lam)
+    yield _chunk_inputs(rng, batch, n, dk=dk, scalar=scalar)
 
 
 @pytest.mark.parametrize("scalar", [False, True])
@@ -320,14 +341,14 @@ def test_dplr_batched_matches_dense_oracle(rng, n, scalar, monkeypatch):
     def run(q_, k_, v_, lam_, kappa_, beta_):
         return R.forward_dplr(q_, k_, v_, lam_, kappa_, beta_)
 
-    for q, k, v, lam in _dplr_routes(monkeypatch, rng, (2, 3), n, scalar):
+    for q, k, v, log_lam in _dplr_routes(monkeypatch, rng, (2, 3), n, scalar):
         kappa = rng.normal(size=(2, 3, n, 3))
         kappa /= np.linalg.norm(kappa, axis=-1, keepdims=True)
         beta = rng.uniform(0.05, 0.95, size=(2, 3, n, 1))
-        o = run(q, k, v, lam, kappa, beta)
-        o_ref = R.dplr_dense_oracle(q, k, v, lam, kappa, beta)
+        o = run(q, k, v, log_lam, kappa, beta)
+        o_ref = R.dplr_dense_oracle(q, k, v, np.exp(log_lam), kappa, beta)
         assert np.max(np.abs(o.data - o_ref)) <= 1e-10
-        assert np.array_equal(_on_tape(run, q, k, v, lam, kappa, beta).data, o.data)
+        assert np.array_equal(_on_tape(run, q, k, v, log_lam, kappa, beta).data, o.data)
 
 
 @pytest.mark.parametrize("scalar", [False, True])
@@ -347,23 +368,24 @@ def test_dplr_batched_gradients(rng, batch, n, scalar, monkeypatch):
 
 
 def _chunk_inputs(rng, batch, n, dk=3, dv=2, scalar=True):
-    """Inputs with lambda = 0 at t = 0 and on the first chunk boundary, where
-    the chunk kernels need no division."""
+    """q, k, v and log lam, with lambda = 0 (log lam = -inf) at t = 0 and on
+    the first chunk boundary, chunks' first positions, which the chunk
+    kernels take as they are."""
     q, k, v, lam = _batched_inputs(rng, batch, n, scalar, dk=dk, dv=dv)
     lam[..., n // 2, :] = 0.5
     if n > R.CHUNK:
         lam[..., R.CHUNK, :] = 0.0
-    return q, k, v, lam
+    return q, k, v, _log(lam)
 
 
 @pytest.mark.parametrize("batch,n", [((), 1), ((), R.CHUNK - 3), ((2, 3), R.CHUNK + 5),
                                      ((1,), 2 * R.CHUNK)])
 def test_chunked_scalar_gradients(rng, batch, n):
     leaves = {name: Tensor(x, requires_grad=True)
-              for name, x in zip(("q", "k", "v", "lam"), _chunk_inputs(rng, batch, n, dk=2))}
+              for name, x in zip(("q", "k", "v", "log_lam"), _chunk_inputs(rng, batch, n, dk=2))}
 
     def build(lv):
-        o = R.forward_chunked(lv["q"], lv["k"], lv["v"], lv["lam"])
+        o = R.forward_chunked(lv["q"], lv["k"], lv["v"], lv["log_lam"])
         return T.tsum(o * o)
 
     assert grad_check(build, leaves, rel_tol=1e-4) == []
@@ -373,11 +395,11 @@ def test_chunked_scalar_gradients(rng, batch, n):
 def test_chunked_scalar_is_bitwise_equal_with_and_without_a_tape(rng, n):
     # and vector: at 2 spans + 5 both calls run three spans
     for scalar in (True, False):
-        q, k, v, lam = _chunk_inputs(rng, (2, 2), n, scalar=scalar)
-        o = R.forward_chunked(q, k, v, lam)
+        q, k, v, log_lam = _chunk_inputs(rng, (2, 2), n, scalar=scalar)
+        o = R.forward_chunked(q, k, v, log_lam)
         assert o.shape == (2, 2, n, 2)
-        assert np.max(np.abs(o.data - R.forward_oracle(q, k, v, lam))) <= 1e-10
-        assert np.array_equal(_on_tape(R.forward_chunked, q, k, v, lam).data, o.data)
+        assert np.max(np.abs(o.data - R.forward_oracle(q, k, v, np.exp(log_lam)))) <= 1e-10
+        assert np.array_equal(_on_tape(R.forward_chunked, q, k, v, log_lam).data, o.data)
 
 
 @pytest.mark.parametrize("n", [1, 37, 300, 2 * R._span((2, 2)) + 11])
@@ -402,23 +424,27 @@ def test_chunked_runs_an_empty_sequence_with_and_without_a_tape():
 
 
 def test_chunked_scalar_gradients_match_the_scan(rng):
-    q, k, v, lam = _chunk_inputs(rng, (2,), 3 * R.CHUNK + 1)
+    # dq, dk, dv and the kernel's d log lam against the scan's lam dlam
+    q, k, v, log_lam = _chunk_inputs(rng, (2,), 3 * R.CHUNK + 1)
+    lam = np.exp(log_lam)
     weight = rng.normal(size=(2, 3 * R.CHUNK + 1, 2))
 
-    def grads(kernel):
-        leaves = [Tensor(x, requires_grad=True) for x in (q, k, v, lam)]
+    def grads(kernel, decay):
+        leaves = [Tensor(x, requires_grad=True) for x in (q, k, v, decay)]
         with T.Tape():
             T.backward(T.tsum(kernel(*leaves) * weight))
         return [leaf.grad for leaf in leaves]
 
-    for a, b in zip(grads(R.forward_chunked), grads(R.forward_sequential)):
+    scan = grads(R.forward_sequential, lam)
+    scan[3] = scan[3] * lam
+    for a, b in zip(grads(R.forward_chunked, log_lam), scan):
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
 
 
 def test_chunked_skips_the_decay_gradient_for_a_constant_decay(rng):
-    q, k, v, lam = _chunk_inputs(rng, (2,), R.CHUNK + 2)
+    q, k, v, log_lam = _chunk_inputs(rng, (2,), R.CHUNK + 2)
     leaves = [Tensor(x, requires_grad=True) for x in (q, k, v)]
-    lam_t = Tensor(lam)
+    lam_t = Tensor(log_lam)
     with T.Tape():
         T.backward(T.tsum(R.forward_chunked(*leaves, lam_t)))
     assert lam_t.grad is None and all(leaf.grad is not None for leaf in leaves)
@@ -427,18 +453,18 @@ def test_chunked_skips_the_decay_gradient_for_a_constant_decay(rng):
 def test_chunked_vector_gradients(rng):
     inputs = _chunk_inputs(rng, (2,), 2 * R.CHUNK + 3, dk=2, scalar=False)
     leaves = {name: Tensor(x, requires_grad=True)
-              for name, x in zip(("q", "k", "v", "lam"), inputs)}
+              for name, x in zip(("q", "k", "v", "log_lam"), inputs)}
 
     def build(lv):
-        o = R.forward_chunked(lv["q"], lv["k"], lv["v"], lv["lam"])
+        o = R.forward_chunked(lv["q"], lv["k"], lv["v"], lv["log_lam"])
         return T.tsum(o * o)
 
     assert grad_check(build, leaves, rel_tol=1e-4) == []
 
 
 def _with_transition(rng, kernel, q, k, v, lam):
-    """The arguments of ``kernel`` and of the scan ``R._recurrence``: q, k, v,
-    lam and, for ``forward_dplr``, unit kappa rows and beta."""
+    """The arguments of ``kernel`` and of ``_scan``: q, k, v, lam (or log lam)
+    and, for ``forward_dplr``, unit kappa rows and beta."""
     if kernel is R.forward_chunked:
         return q, k, v, lam
     kappa = rng.normal(size=q.shape)
@@ -447,8 +473,14 @@ def _with_transition(rng, kernel, q, k, v, lam):
 
 
 def _scan(*arrays):
-    """The scan ``R._recurrence`` on plain arrays."""
+    """The scan ``R._recurrence`` on plain arrays, lam in the fourth place."""
     return R._recurrence(*(T.as_tensor(x) for x in arrays))
+
+
+def _exp_lam(args):
+    """``args`` of a chunk kernel with lam = exp(log lam) in the fourth place,
+    as the scan takes them."""
+    return args[:3] + (np.exp(args[3]),) + args[4:]
 
 
 @pytest.mark.parametrize("batch,n", [((), 1), ((), 5), ((1, 4), R._span((1, 4)) // 2 + 5),
@@ -462,7 +494,7 @@ def test_chunked_vector_matches_the_scan_across_spans(rng, batch, n, monkeypatch
     # positions and, at (8, 4), the training geometry, over four of 32
     for kernel, tol in ((R.forward_chunked, 1e-10), (R.forward_dplr, 1e-12)):
         args = _with_transition(rng, kernel, *_chunk_inputs(rng, batch, n, scalar=False))
-        ref = _scan(*args).data
+        ref = _scan(*_exp_lam(args)).data
         with monkeypatch.context() as m:
             m.setattr(R, "_recurrence", None)
             o = kernel(*args)
@@ -523,8 +555,9 @@ def test_chunked_vector_peak_is_below_the_scan(rng, layout):
     for kernel, scan in ((R.forward_chunked, R.forward_sequential), (R.forward_dplr, _scan)):
         for width in (1, shape[-1]):
             lam = rng.uniform(0.5, 1.0, size=shape[:-1] + (width,))
-            args = _with_transition(rng, kernel, q, k, v, lam)
-            assert _alloc_peak(kernel, *args) <= _alloc_peak(scan, *args), (kernel, width)
+            args = _with_transition(rng, kernel, q, k, v, np.log(lam))
+            assert _alloc_peak(kernel, *args) <= _alloc_peak(scan, *_exp_lam(args)), (kernel,
+                                                                                    width)
 
 
 # one taped forward_dplr, lam of width dk (tracemalloc, numpy 2.4).  At
@@ -542,10 +575,12 @@ LONG_FORWARD_PEAK_MB, LONG_PEAK_MB = 9.84, 16.0
 
 def _taped_dplr_memory(rng, shape, kernel=R.forward_dplr):
     """MB live after one taped DPLR call of ``kernel`` on ``shape``, lam of
-    width dk, and the peaks of its forward and its backward; checks every
-    gradient."""
+    width dk (log lam for ``forward_dplr``), and the peaks of its forward and
+    its backward; checks every gradient."""
     q, k, v, g = (rng.normal(size=shape) for _ in range(4))
-    args = _with_transition(rng, R.forward_dplr, q, k, v, rng.uniform(0.5, 1.0, size=shape))
+    lam = rng.uniform(0.5, 1.0, size=shape)
+    args = _with_transition(rng, R.forward_dplr, q, k, v,
+                            np.log(lam) if kernel is R.forward_dplr else lam)
     leaves = [Tensor(x, requires_grad=True) for x in args]
     tracemalloc.start()
     try:

@@ -16,7 +16,8 @@ from decaylab.train import cross_entropy, decays_weight
 
 TOY = Strategy(
     "sigmoid(f) * sigmoid(b)",
-    lambda f, b, **_: T.sigmoid(f) * T.sigmoid(b),
+    # log lambda: log sigmoid(x) = -softplus(-x)
+    lambda f, b, **_: -T.softplus(-f) - T.softplus(-b),
     scalars={"b": lambda heads, layer, **_: np.full(heads, float(layer))})
 LAYOUTS = list(D.PROJECTIONS)
 
@@ -93,7 +94,7 @@ def test_export_prints_formula_and_values(toy, tmp_path, capsys):
 # a per-head row: one learned value per head, no decay projection
 HEAD_TOY = Strategy(
     "sigmoid(c + j)",
-    lambda f, heads, c, **_: T.sigmoid(c + np.arange(heads).reshape(heads, 1, 1)),
+    lambda f, heads, c, **_: -T.softplus(-(c + np.arange(heads).reshape(heads, 1, 1))),
     scalars={"c": lambda heads, **_: np.zeros(heads)}, source="head", scalar_only=True)
 
 
